@@ -10,6 +10,8 @@ with CHSH and three-setting inequality evaluators.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     DiffusionParams,
     absorption_flux_residual,
@@ -46,7 +48,6 @@ from .errors import (
     DegenerateGridError,
     MaxStepsExceededError,
     NoAlivePairError,
-    NoConvergenceError,
     NoRealRootError,
     NumericOverflowError,
     OracleMismatchError,
@@ -67,4 +68,8 @@ from .walk import (
     walk_step,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imports above also bind the submodules (bell, walk, ...); leave them out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

@@ -21,7 +21,9 @@ vectors a and b, plus the inequality evaluators that compare them:
 The lam integrals run over the solid angle with density rho(lam) = 1 (total
 mass 4 pi); c2 depends on the angle between the two settings through the
 overlap integral I(theta) = integral |a.lam||b.lam| dOmega, so it is solved
-per setting pair.
+per setting pair.  I(theta) and the mu = 0 correlation c1^2 integral
+(a.lam)(b.lam) dOmega = a.b are evaluated in closed form; the Monte Carlo
+paths remain independent routes to the same numbers.
 
 Every Monte Carlo estimator draws through fixed-size chunks with independent
 child streams, so results are reproducible for a given (seed, chunk size)
@@ -32,19 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergenceError, NoRealRootError, RejectionStallError
+from .errors import NoRealRootError, RejectionStallError
 
 C1 = math.sqrt(3.0 / (4.0 * math.pi))
 UNIT_TOL = 1e-12
 CHUNK_SIZE = 1 << 16
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
-
-QUAD_TOL = 1e-8
-QUAD_MAX_LEVEL = 13
 
 
 def _unit_vector(values) -> np.ndarray:
@@ -238,84 +236,21 @@ def bell_sign_correlation(
     return CorrelationEstimate(value=value, stderr=stderr, n=n, model="bell-sign")
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_value(lo, hi, n_u, n_phi, ct, st, kernel) -> float:
-    nodes, base_w = _leggauss(n_u)
-    u = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * base_w * np.sin(u)
-    t = np.cos(u)
-    rt = np.sin(u)
-    dphi = 2.0 * np.pi / n_phi
-    cphi = np.cos(np.arange(n_phi) * dphi)
-    total = 0.0
-    row_chunk = max(1, (1 << 22) // n_phi)
-    for start in range(0, n_u, row_chunk):
-        sl = slice(start, min(start + row_chunk, n_u))
-        da = np.broadcast_to(t[sl, None], (sl.stop - sl.start, n_phi))
-        db = st * rt[sl, None] * cphi[None, :] + ct * t[sl, None]
-        rows = kernel(da, db).sum(axis=1) * dphi
-        total += float(rows @ wts[sl])
-    return total
-
-
-def _pair_quadrature(theta: float, kernel, tol: float, max_level: int) -> float:
-    """Solid-angle integral of kernel(a.lam, b.lam) with angle theta between
-    a and b; the kernel must be even, kernel(-da, -db) = kernel(da, db).
-
-    Product rule in a frame with a at the pole and b in the x-z plane:
-    Gauss-Legendre over the polar angle (parametrizing cos(polar), so the
-    integrand stays analytic at the poles) times a uniform trapezoid over
-    the azimuth, node counts doubled per level until successive values
-    differ by less than tol.  Evenness folds the lower hemisphere onto the
-    upper (lam -> -lam maps the grid onto itself), and the polar range
-    splits where the azimuthal kink of |b.lam| appears, so each panel is
-    smooth for the Gauss rule and refines independently.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    u_kink = math.atan2(abs(ct), st) if st > 0.0 else math.pi / 2.0
-    breaks = sorted({0.0, min(math.pi / 2.0, u_kink), math.pi / 2.0})
-    panels = [(lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]) if hi > lo]
-    panel_tol = tol / len(panels)
-    total = 0.0
-    for lo, hi in panels:
-        prev = None
-        for level in range(max_level + 1):
-            n_u = min(16 << level, 96)
-            n_phi = 16 << level
-            val = 2.0 * _panel_value(lo, hi, n_u, n_phi, ct, st, kernel)
-            if prev is not None and abs(val - prev) < panel_tol:
-                total += val
-                break
-            prev = val
-        else:
-            raise NoConvergenceError(
-                f"sphere quadrature did not reach {tol} within {max_level} refinements"
-            )
-    return total
-
-
-@lru_cache(maxsize=1024)
-def overlap_integral(
-    theta: float, tol: float = QUAD_TOL, max_level: int = QUAD_MAX_LEVEL
-) -> float:
+def overlap_integral(theta: float) -> float:
     """I(theta) = integral over the sphere of |a.lam||b.lam| dOmega.
 
-    Equals 4 pi / 3 for parallel or antiparallel settings and dips to 8/3
-    at right angles; c1^2 I(theta) <= 1 everywhere (Cauchy-Schwarz), which
-    keeps the c2 quadratic solvable.
+    Exactly (8/3)(sin theta + cos theta arcsin(cos theta)), i.e. 4 pi / 3
+    times E|X||Y| for standard normals with correlation cos theta; written
+    with arcsin(cos theta) = pi/2 - theta, which holds on [0, pi] and keeps
+    full accuracy near the ends.  Equals 4 pi / 3 for parallel or
+    antiparallel settings and 8/3 at right angles; c1^2 I(theta) <= 1
+    everywhere (Cauchy-Schwarz), which keeps the c2 quadratic solvable.
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError("theta must lie in [0, pi]")
-    return _pair_quadrature(
-        theta, lambda da, db: np.abs(da) * np.abs(db), tol, max_level
-    )
+    return 8.0 / 3.0 * (math.sin(theta) + (math.pi / 2.0 - theta) * math.cos(theta))
 
 
-@lru_cache(maxsize=1024)
 def solve_c2(theta: float) -> ModelConstants:
     """Normalization constant of the mu = +-1 branches for settings at theta.
 
@@ -331,7 +266,7 @@ def solve_c2(theta: float) -> ModelConstants:
     disc = b_coef * b_coef - 4.0 * a_coef * c_coef
     if disc < 0.0:
         if disc < -1e-9:
-            raise NoRealRootError(f"discriminant {disc!r} negative; quadrature bug")
+            raise NoRealRootError(f"discriminant {disc!r} negative; bad overlap")
         disc = 0.0
     c2 = (-b_coef + math.sqrt(disc)) / (2.0 * a_coef)
     if c2 < -1e-10:
@@ -354,21 +289,20 @@ def image_correlation_analytic(
 ) -> CorrelationEstimate:
     """c1^2 integral of (a.lam)(b.lam) dOmega: the mu = 0 contribution.
 
-    The quadrature path is deterministic (stderr 0) and equals cos(theta)
-    to machine accuracy; the Monte Carlo path averages the 4 pi weighted
-    integrand over uniform lam as an independent route to the same number.
+    The "quadrature" path returns the exact value c1^2 (4 pi / 3) a.b = a.b
+    (stderr 0); the Monte Carlo path averages the 4 pi weighted integrand
+    over uniform lam as an independent route to the same number.
     ``convention`` flips the overall sign (the reported default keeps
     +cos theta; the anticorrelated convention uses -1).
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    theta = angle_between(a, b)
     if method == "quadrature":
-        val = C1 * C1 * _pair_quadrature(
-            theta, lambda da, db: da * db, QUAD_TOL, QUAD_MAX_LEVEL
-        )
         return CorrelationEstimate(
-            value=convention * val, stderr=0.0, n=0, model="image-analytic"
+            value=convention * float(a.direction @ b.direction),
+            stderr=0.0,
+            n=0,
+            model="image-analytic",
         )
     if method != "mc":
         raise ValueError("method must be 'quadrature' or 'mc'")

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .analytic import DiffusionParams, greens_tilde
 from .bell import (
+    MODEL_TAGS,
     DetectorSetting,
     chsh,
     correlation_estimate,
@@ -41,7 +42,6 @@ from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, born_statistics, run_walk
 
 THREAD_ENV = "COLLAPSE_WALK_THREADS"
-MODELS = ("quantum", "bell-sign", "image-analytic", "image-event")
 
 
 @dataclass
@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="correlation curve over a theta grid")
     common(p)
-    p.add_argument("--model", choices=MODELS, default=None)
+    p.add_argument("--model", choices=MODEL_TAGS, default=None)
     p.add_argument(
         "--theta-grid", default=None, dest="theta_grid", help="degrees start:stop:step"
     )
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", help="four-setting inequality report")
     common(p)
-    p.add_argument("--model", choices=MODELS, default=None)
+    p.add_argument("--model", choices=MODEL_TAGS, default=None)
     p.add_argument(
         "--settings", default=None, help="coplanar degrees a,a',b,b' e.g. 0,90,45,135"
     )
@@ -250,13 +250,22 @@ def _rows_to_json(header, rows):
     ]
 
 
+def _walk_inputs(config: RunConfig):
+    """State and WalkConfig of a born or walk run; bad input is a UsageError."""
+    try:
+        state = normalize(parse_amplitudes(config.amplitudes))
+        walk_config = WalkConfig(
+            grid_resolution=config.grid_resolution,
+            max_steps=config.max_steps,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return state, walk_config
+
+
 def _run_born(config: RunConfig, diagnostics: dict):
-    state = normalize(parse_amplitudes(config.amplitudes))
-    walk_config = WalkConfig(
-        grid_resolution=config.grid_resolution,
-        max_steps=config.max_steps,
-        seed=config.seed,
-    )
+    state, walk_config = _walk_inputs(config)
     stats = born_statistics(
         state, config.trials, walk_config, workers=_effective_threads(config)
     )
@@ -274,13 +283,8 @@ def _run_born(config: RunConfig, diagnostics: dict):
 
 
 def _run_walk(config: RunConfig, diagnostics: dict):
-    state = normalize(parse_amplitudes(config.amplitudes))
+    state, walk_config = _walk_inputs(config)
     joint = form_joint(state)
-    walk_config = WalkConfig(
-        grid_resolution=config.grid_resolution,
-        max_steps=config.max_steps,
-        seed=config.seed,
-    )
     trajectory = []
 
     def observer(step, snapshot):
@@ -300,7 +304,10 @@ def _run_walk(config: RunConfig, diagnostics: dict):
 
 
 def _run_greens(config: RunConfig, diagnostics: dict):
-    params = DiffusionParams(x0=config.x0, diffusion=config.diffusion)
+    try:
+        params = DiffusionParams(x0=config.x0, diffusion=config.diffusion)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     xs = np.clip(_parse_grid(config.x_grid, "x-grid"), 0.0, 1.0)
     values = greens_tilde(xs, config.laplace_s, params)
     header = ("x", "value")

@@ -1,7 +1,7 @@
 """Exception hierarchy for the toolkit.
 
-Numerical-failure errors (OracleMismatchError, NoConvergenceError, ...) map
-to CLI exit code 1; argument problems map to exit code 2 via UsageError.
+Numerical-failure errors (OracleMismatchError, NoRealRootError, ...) map to
+CLI exit code 1; argument problems map to exit code 2 via UsageError.
 """
 
 
@@ -35,10 +35,6 @@ class NumericOverflowError(CollapseWalkError):
 
 class OracleMismatchError(CollapseWalkError):
     """Numeric self-test disagrees with the closed form; implementation bug."""
-
-
-class NoConvergenceError(CollapseWalkError):
-    """Quadrature refinement did not reach the requested tolerance."""
 
 
 class NoRealRootError(CollapseWalkError):

@@ -199,18 +199,11 @@ def run_walk(
     k = quantize_weights(joint.weights, m)
     alive = k > 0
     eliminations = [(int(i), 0) for i in np.flatnonzero(~alive)]
-    mag = np.abs(joint.cross)
-    phase = np.where(mag > 0, joint.cross / np.where(mag > 0, mag, 1.0), 0.0)
 
     def snapshot(step):
         if observer is None:
             return
-        w = k / m
-        kappa = phase * np.sqrt(np.outer(w, w))
-        kappa[~alive, :] = 0.0
-        kappa[:, ~alive] = 0.0
-        np.fill_diagonal(kappa, 0.0)
-        observer(step, JointState(weights=np.where(alive, w, 0.0), cross=kappa, alive=alive.copy()))
+        observer(step, update_cross_terms(joint, weights=k / m, alive=alive))
 
     snapshot(0)
     if rng is None:
@@ -379,19 +372,16 @@ def _first_passage_multi(
         # diffusive guess for the time to the next elimination
         k_min = int(k[alive_idx].min())
         batch = int(np.clip(k_min * (m - k_min) * n // 4, 64, 1 << 14))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        src = np.empty(2 * len(pairs), dtype=np.int64)
-        dst = np.empty(2 * len(pairs), dtype=np.int64)
-        for p, (i, j) in enumerate(pairs):
-            src[2 * p], dst[2 * p] = i, j
-            src[2 * p + 1], dst[2 * p + 1] = j, i
         hit_row = -1
         while hit_row < 0 and steps < max_steps:
-            events = rng.integers(0, 2 * len(pairs), size=batch)
+            # uniform ordered (source, destination) pairs, as in walk_step
+            src = rng.integers(n, size=batch)
+            dst = rng.integers(n - 1, size=batch)
+            dst += dst >= src
             rows = np.arange(batch)
             delta = np.zeros((batch, n), dtype=np.int64)
-            delta[rows, src[events]] = -1
-            delta[rows, dst[events]] = 1
+            delta[rows, src] = -1
+            delta[rows, dst] = 1
             paths = np.cumsum(delta, axis=0)
             paths += k[alive_idx]
             dead_mask = paths == 0

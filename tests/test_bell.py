@@ -12,7 +12,6 @@ from collapsewalk import (
     InequalityReport,
     ModelConstants,
     MuBranch,
-    NoConvergenceError,
     bell64,
     bell_sign_correlation,
     chsh,
@@ -155,19 +154,14 @@ def test_overlap_right_angle_pinned_mc_oracle():
 
 
 def test_overlap_matches_semianalytic_oracle():
-    for deg in range(0, 181, 15):
+    for deg in range(0, 181):
         theta = math.radians(deg)
-        assert abs(overlap_integral(theta) - overlap_semianalytic(theta)) < 1e-7
+        assert abs(overlap_integral(theta) - overlap_semianalytic(theta)) < 5e-8
 
 
 def test_overlap_bounded_for_real_c2():
     for deg in range(0, 181, 10):
         assert C1 * C1 * overlap_integral(math.radians(deg)) <= 1.0 + 1e-12
-
-
-def test_overlap_no_convergence_raises():
-    with pytest.raises(NoConvergenceError):
-        overlap_integral(1.2345, tol=1e-15, max_level=3)
 
 
 # ------------------------------------------------------------------- c2
@@ -207,7 +201,7 @@ def test_image_quadrature_equals_cosine():
     for deg in range(0, 181, 15):
         est = image_correlation_analytic(a, setting(deg))
         assert est.stderr == 0.0
-        assert abs(est.value - math.cos(math.radians(deg))) < 1e-6
+        assert abs(est.value - math.cos(math.radians(deg))) < 1e-12
 
 
 def test_image_quadrature_convention_flag():

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+import collapsewalk
 from collapsewalk.cli import main, parse_config
 from collapsewalk.errors import UsageError
 
@@ -70,6 +72,21 @@ def test_config_file_unknown_key_rejected(tmp_path):
 def test_usage_error_exit_code(tmp_path):
     proc = run_cli(["chsh", "--model", "quantum"], tmp_path)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["born", "--amplitudes", "abc"],
+        ["greens", "--x0", "1.5"],
+        ["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "1"],
+    ],
+)
+def test_invalid_input_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ----------------------------------------------------------------- commands
@@ -292,6 +309,10 @@ def test_entropy_seeds_recorded_and_distinct(tmp_path):
 
 
 def test_main_entry_point_runs_in_process(capsys):
+    assert not [
+        name for name in collapsewalk.__all__
+        if isinstance(getattr(collapsewalk, name), types.ModuleType)
+    ]
     code = main(["bell", "--model", "quantum", "--theta-grid", "0:180:90"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
