@@ -25,6 +25,14 @@ per setting pair.  I(theta) and the mu = 0 correlation c1^2 integral
 (a.lam)(b.lam) dOmega = a.b are evaluated in closed form; the Monte Carlo
 paths remain independent routes to the same numbers.
 
+The samplers never build lam itself.  The joint law of (a.lam, b.lam)
+depends on the settings only through a.b, so every estimator draws the two
+projections directly in the plane of the settings.  The image density
+(c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a mixture of its four
+terms (the composition method): the |.| and constant terms are drawn
+directly, and only the overlap term c1^2 |a.lam||b.lam| needs rejection,
+with exact acceptance I(theta) / 2 pi >= 0.42.
+
 Every Monte Carlo estimator draws through fixed-size chunks with independent
 child streams, so results are reproducible for a given (seed, chunk size)
 regardless of scheduling.
@@ -194,6 +202,40 @@ def _lambda_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
+    """(cos, sin) of the angle between two settings: a.b and |a x b|.
+
+    The sine comes from the cross product, not from sqrt(1 - cos^2), so it is
+    exactly zero for identical or opposite directions even when a.a rounds
+    below one.
+    """
+    cos_ab = float(a.direction @ b.direction)
+    return cos_ab, float(np.linalg.norm(np.cross(a.direction, b.direction)))
+
+
+def _dot_pairs(
+    rng: np.random.Generator,
+    n: int,
+    cos_ab: float,
+    sin_ab: float,
+    tilted: bool = False,
+):
+    """(x.lam, y.lam) for n hidden vectors, x and y unit at angle (cos_ab, sin_ab).
+
+    Drawn in the plane of x and y: u = x.lam is uniform on [-1, 1] for
+    uniform lam (Archimedes), or has density |u| / 2 for the density
+    proportional to |x.lam| when ``tilted``; the part of lam orthogonal to
+    x has a uniform azimuth phi, so y.lam = cos_ab u + sin_ab sqrt(1 - u^2)
+    cos phi.  The joint law of the two projections depends on the settings
+    only through x.y, so this matches projecting a full lam batch.
+    """
+    w = rng.uniform(-1.0, 1.0, n)
+    u = np.copysign(np.sqrt(np.abs(w)), w) if tilted else w
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    v = cos_ab * u + sin_ab * np.sqrt(1.0 - u * u) * np.cos(phi)
+    return u, v
+
+
 def sample_lambda(rng) -> HiddenVector:
     """Draw one hidden vector uniformly over the sphere."""
     return HiddenVector(_lambda_batch(_as_rng(rng), 1)[0])
@@ -219,16 +261,13 @@ def bell_sign_correlation(
     if n < 1:
         raise ValueError("need at least one sample")
     rng = _as_rng(rng)
+    cos_ab, sin_ab = _plane(a, b)
     total = 0
     for count, sub in _chunks(rng, n):
-        lam = _lambda_batch(sub, count)
-        da = lam @ a.direction
-        db = lam @ b.direction
+        da, db = _dot_pairs(sub, count, cos_ab, sin_ab)
         tie = (da == 0.0) | (db == 0.0)
         while np.any(tie):
-            redraw = _lambda_batch(sub, int(tie.sum()))
-            da[tie] = redraw @ a.direction
-            db[tie] = redraw @ b.direction
+            da[tie], db[tie] = _dot_pairs(sub, int(tie.sum()), cos_ab, sin_ab)
             tie = (da == 0.0) | (db == 0.0)
         total += int((np.sign(da) * -np.sign(db)).sum())
     value = total / n
@@ -311,9 +350,10 @@ def image_correlation_analytic(
     rng = _as_rng(rng)
     s1 = 0.0
     s2 = 0.0
+    cos_ab, sin_ab = _plane(a, b)
     for count, sub in _chunks(rng, n):
-        lam = _lambda_batch(sub, count)
-        vals = 4.0 * np.pi * C1 * C1 * (lam @ a.direction) * (lam @ b.direction)
+        da, db = _dot_pairs(sub, count, cos_ab, sin_ab)
+        vals = 4.0 * np.pi * C1 * C1 * da * db
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
     mean = s1 / n
@@ -344,75 +384,140 @@ class ImageEventBatch:
     constants: ModelConstants
 
 
+def _overlap_term_draws(
+    sub: np.random.Generator, need: int, cos_ab: float, sin_ab: float, rate: float
+):
+    """need (a.lam, b.lam) pairs from the density proportional to |a.lam||b.lam|.
+
+    Proposals come tilted about a (density proportional to |a.lam|) and are
+    kept with probability |b.lam|, so the acceptance rate is exactly
+    ``rate`` = I(theta) / 2 pi; each round is sized from it with a 4 sigma
+    margin, so one round nearly always suffices.  A collapsed rate (below
+    1e-3 after ten chunks' worth of proposals) raises RejectionStallError.
+    """
+    us, vs = [np.empty(0)], [np.empty(0)]
+    have = proposed = accepted = 0
+    while have < need:
+        if proposed >= 10 * CHUNK_SIZE and accepted < 1e-3 * proposed:
+            raise RejectionStallError(
+                f"acceptance rate {accepted / proposed:.2e}; invalid constants"
+            )
+        left = need - have
+        m = int((left + 4.0 * math.sqrt(left)) / rate) + 1
+        u, v = _dot_pairs(sub, m, cos_ab, sin_ab, tilted=True)
+        keep = sub.random(m) < np.abs(v)
+        kept = int(keep.sum())
+        proposed += m
+        accepted += kept
+        us.append(u[keep][:left])
+        vs.append(v[keep][:left])
+        have += min(kept, left)
+    return np.concatenate(us), np.concatenate(vs), proposed, accepted
+
+
+def _wing_branches(
+    sub: np.random.Generator, dot: np.ndarray, c1: float, c2: float
+):
+    """mu and outcome of one wing given setting.lam for each event.
+
+    mu is 0 with probability c1 |dot| / (c1 |dot| + 2 c2), else +-1
+    equiprobably; the outcome is sign(dot) on the mu = 0 branch and mu
+    itself otherwise.
+    """
+    weight = c1 * np.abs(dot)
+    zero = sub.random(dot.size) * (weight + 2.0 * c2) < weight
+    flip = sub.integers(0, 2, dot.size, dtype=np.int8) * np.int8(2) - np.int8(1)
+    mu = np.where(zero, np.int8(0), flip)
+    return mu, np.where(zero, np.sign(dot).astype(np.int8), flip)
+
+
+def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
+    """Constants and per-chunk draws of n image events for settings a, b.
+
+    Returns (consts, chunks): consts from solve_c2 for the pair, and a
+    generator of (events, proposed, accepted) per CHUNK_SIZE chunk, where
+    events is (dot_a, dot_b, mu_a, mu_b, outcome_a, outcome_b) and proposed
+    and accepted count the chunk's draws for the overlap term.
+    """
+    if n < 1:
+        raise ValueError("need at least one event")
+    consts = solve_c2(angle_between(a, b))
+    c1, c2 = consts.c1, consts.c2
+    cos_ab, sin_ab = _plane(a, b)
+    rate = consts.overlap / (2.0 * math.pi)
+    side = 4.0 * math.pi * c1 * c2
+    mass = np.array([c1 * c1 * consts.overlap, side, side, 16.0 * math.pi * c2 * c2])
+    edges = np.cumsum(mass / mass.sum())[:-1]
+
+    def chunks():
+        for count, sub in _chunks(_as_rng(rng), n):
+            term = np.searchsorted(edges, sub.random(count), side="right")
+            da = np.empty(count)
+            db = np.empty(count)
+            pick = term == 0
+            da[pick], db[pick], proposed, accepted = _overlap_term_draws(
+                sub, int(pick.sum()), cos_ab, sin_ab, rate
+            )
+            pick = term == 1
+            da[pick], db[pick] = _dot_pairs(
+                sub, int(pick.sum()), cos_ab, sin_ab, tilted=True
+            )
+            pick = term == 2
+            db[pick], da[pick] = _dot_pairs(
+                sub, int(pick.sum()), cos_ab, sin_ab, tilted=True
+            )
+            pick = term == 3
+            da[pick], db[pick] = _dot_pairs(sub, int(pick.sum()), cos_ab, sin_ab)
+            mu_a, out_a = _wing_branches(sub, da, c1, c2)
+            mu_b, out_b = _wing_branches(sub, db, c1, c2)
+            yield (da, db, mu_a, mu_b, out_a, out_b), proposed, accepted
+
+    return consts, chunks()
+
+
 def sample_image_events(
     a: DetectorSetting, b: DetectorSetting, n: int, rng=None
 ) -> ImageEventBatch:
     """Draw n local events (lam, mu^A, mu^B) from the joint image density.
 
-    lam is rejection-sampled with weight
-    (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) against the global envelope
-    (c1 + 2 c2)^2; each mu is then 0 with probability
-    c1 |setting.lam| / (c1 |setting.lam| + 2 c2), else +-1 equiprobably.
-    Outcomes are sign(setting.lam) on the mu = 0 branch and mu itself
-    otherwise.  A collapsed acceptance rate (below 1e-3) cannot happen for
-    valid constants and raises RejectionStallError.
+    The lam density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
+    mixture of its four terms, with weights equal to their masses:
+    c1^2 I(theta) for c1^2 |a.lam||b.lam|, 4 pi c1 c2 for each of
+    2 c1 c2 |a.lam| and 2 c1 c2 |b.lam|, and 16 pi c2^2 for the constant
+    4 c2^2 (they sum to one, which is the equation solve_c2 solves).  Each
+    event is drawn as its pair (a.lam, b.lam) in the plane of the settings;
+    the |.| terms and the constant term are drawn directly, and the overlap
+    term is drawn tilted about a and kept with probability |b.lam|.
+    Each mu is then 0 with probability c1 |setting.lam| /
+    (c1 |setting.lam| + 2 c2), else +-1 equiprobably.  Outcomes are
+    sign(setting.lam) on the mu = 0 branch and mu itself otherwise.
+    dot_a and dot_b hold the projections; lam itself is never formed.
+
+    ``acceptance_rate`` is accepted / proposed for the overlap term; its
+    exact value is I(theta) / 2 pi, between 0.42 and 0.67 for every theta
+    (1.0 when no event came from that term).  A collapsed rate (below 1e-3
+    after ten chunks' worth of proposals) cannot happen for valid constants
+    and raises RejectionStallError.
     """
-    if n < 1:
-        raise ValueError("need at least one event")
-    rng = _as_rng(rng)
-    consts = solve_c2(angle_between(a, b))
-    c1, c2 = consts.c1, consts.c2
-    w_max = (c1 + 2.0 * c2) ** 2
-    da_parts, db_parts = [], []
-    proposed = 0
-    accepted = 0
-    for count, sub in _chunks(rng, n):
-        have = 0
-        da_chunk, db_chunk = [], []
-        while have < count:
-            lam = _lambda_batch(sub, CHUNK_SIZE)
-            da = lam @ a.direction
-            db = lam @ b.direction
-            weight = (c1 * np.abs(da) + 2.0 * c2) * (c1 * np.abs(db) + 2.0 * c2)
-            keep = sub.random(CHUNK_SIZE) * w_max < weight
-            proposed += CHUNK_SIZE
-            accepted += int(keep.sum())
-            da_chunk.append(da[keep])
-            db_chunk.append(db[keep])
-            have += int(keep.sum())
-            if proposed >= 10 * CHUNK_SIZE and accepted < 1e-3 * proposed:
-                raise RejectionStallError(
-                    f"acceptance rate {accepted / proposed:.2e}; invalid constants"
-                )
-        da = np.concatenate(da_chunk)[:count]
-        db = np.concatenate(db_chunk)[:count]
-        p0a = c1 * np.abs(da) / (c1 * np.abs(da) + 2.0 * c2)
-        p0b = c1 * np.abs(db) / (c1 * np.abs(db) + 2.0 * c2)
-        zero_a = sub.random(count) < p0a
-        zero_b = sub.random(count) < p0b
-        flip_a = (sub.integers(0, 2, count) * 2 - 1).astype(np.int8)
-        flip_b = (sub.integers(0, 2, count) * 2 - 1).astype(np.int8)
-        mu_a = np.where(zero_a, np.int8(0), flip_a)
-        mu_b = np.where(zero_b, np.int8(0), flip_b)
-        out_a = np.where(zero_a, np.sign(da).astype(np.int8), flip_a)
-        out_b = np.where(zero_b, np.sign(db).astype(np.int8), flip_b)
-        da_parts.append((da, db, mu_a, mu_b, out_a, out_b))
-    dot_a = np.concatenate([p[0] for p in da_parts])
-    dot_b = np.concatenate([p[1] for p in da_parts])
-    mu_a = np.concatenate([p[2] for p in da_parts])
-    mu_b = np.concatenate([p[3] for p in da_parts])
-    out_a = np.concatenate([p[4] for p in da_parts])
-    out_b = np.concatenate([p[5] for p in da_parts])
+    consts, chunks = _image_event_chunks(a, b, n, rng)
+    parts = []
+    proposed = accepted = 0
+    for events, chunk_proposed, chunk_accepted in chunks:
+        parts.append(events)
+        proposed += chunk_proposed
+        accepted += chunk_accepted
     return ImageEventBatch(
-        dot_a=dot_a,
-        dot_b=dot_b,
-        mu_a=mu_a,
-        mu_b=mu_b,
-        outcome_a=out_a,
-        outcome_b=out_b,
-        acceptance_rate=accepted / proposed,
+        *(np.concatenate(column) for column in zip(*parts)),
+        acceptance_rate=accepted / proposed if proposed else 1.0,
         constants=consts,
     )
+
+
+def _event_estimate(total: int, n: int, convention: int) -> CorrelationEstimate:
+    """Estimate from the sum of E^A E^B over n events."""
+    value = convention * (total / n)
+    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
+    return CorrelationEstimate(value=value, stderr=stderr, n=n, model="image-event")
 
 
 def estimate_from_events(
@@ -421,11 +526,8 @@ def estimate_from_events(
     """Correlation estimate (mean of E^A E^B) for an event batch."""
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    prod = batch.outcome_a.astype(np.int64) * batch.outcome_b.astype(np.int64)
-    n = prod.size
-    value = convention * float(prod.mean())
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
-    return CorrelationEstimate(value=value, stderr=stderr, n=n, model="image-event")
+    total = int((batch.outcome_a.astype(np.int64) * batch.outcome_b).sum())
+    return _event_estimate(total, batch.outcome_a.size, convention)
 
 
 def image_correlation_event(
@@ -438,11 +540,18 @@ def image_correlation_event(
     """Event-level estimate of the image-model correlation.
 
     Mean of E^A E^B over n sampled events; converges to cos(theta) (times
-    the sign convention) as the mu = +-1 branches cancel.
+    the sign convention) as the mu = +-1 branches cancel.  The events are
+    the ones sample_image_events draws from the same rng, reduced chunk by
+    chunk, so memory stays at one chunk for any n.
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    return estimate_from_events(sample_image_events(a, b, n, rng), convention)
+    _, chunks = _image_event_chunks(a, b, n, rng)
+    total = 0
+    for events, _, _ in chunks:
+        out_a, out_b = events[4], events[5]
+        total += int((out_a.astype(np.int64) * out_b).sum())
+    return _event_estimate(total, n, convention)
 
 
 def correlation_estimate(

@@ -37,7 +37,7 @@ from .bell import (
     sample_image_events,
     solve_c2,
 )
-from .errors import CollapseWalkError, UsageError
+from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
 from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, born_statistics, run_walk
 
@@ -71,6 +71,14 @@ class RunConfig:
 
 _DEFAULTS = RunConfig(subcommand="")
 
+# Allowed values of the options that have a fixed set; the parser's flags and
+# the config file's values are both checked against them.
+_CHOICES = {
+    "format": ("csv", "json"),
+    "model": MODEL_TAGS,
+    "convention": (1, -1),
+}
+
 _REQUIRED = {
     "born": ("amplitudes",),
     "walk": ("amplitudes",),
@@ -98,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="draw the seed from the OS and record it in the manifest",
         )
         p.add_argument("--out", default=None, help="result file (stdout if omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=_CHOICES["format"], default=None)
         p.add_argument("--threads", type=int, default=None, help="worker threads")
 
     p = sub.add_parser("born", help="winner frequencies over many walks")
@@ -123,21 +131,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="correlation curve over a theta grid")
     common(p)
-    p.add_argument("--model", choices=MODEL_TAGS, default=None)
+    p.add_argument("--model", choices=_CHOICES["model"], default=None)
     p.add_argument(
         "--theta-grid", default=None, dest="theta_grid", help="degrees start:stop:step"
     )
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--convention", type=int, choices=(1, -1), default=None)
+    p.add_argument(
+        "--convention", type=int, choices=_CHOICES["convention"], default=None
+    )
 
     p = sub.add_parser("chsh", help="four-setting inequality report")
     common(p)
-    p.add_argument("--model", choices=MODEL_TAGS, default=None)
+    p.add_argument("--model", choices=_CHOICES["model"], default=None)
     p.add_argument(
         "--settings", default=None, help="coplanar degrees a,a',b,b' e.g. 0,90,45,135"
     )
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--convention", type=int, choices=(1, -1), default=None)
+    p.add_argument(
+        "--convention", type=int, choices=_CHOICES["convention"], default=None
+    )
 
     p = sub.add_parser("c2", help="branch normalization constant over a theta grid")
     common(p)
@@ -168,6 +180,10 @@ def parse_config(argv) -> RunConfig:
                 continue
             if not hasattr(_DEFAULTS, key):
                 raise UsageError(f"unknown config key {key!r}")
+            if key in _CHOICES and val is not None and val not in _CHOICES[key]:
+                raise UsageError(
+                    f"config value {key} = {val!r} is not one of {_CHOICES[key]!r}"
+                )
             values[key] = val
     for key in vars(args):
         if key in ("config", "subcommand"):
@@ -259,7 +275,7 @@ def _walk_inputs(config: RunConfig):
             max_steps=config.max_steps,
             seed=config.seed,
         )
-    except ValueError as exc:
+    except (ValueError, TooFewStatesError, AllZeroError) as exc:
         raise UsageError(str(exc)) from exc
     return state, walk_config
 
@@ -308,6 +324,8 @@ def _run_greens(config: RunConfig, diagnostics: dict):
         params = DiffusionParams(x0=config.x0, diffusion=config.diffusion)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if not config.laplace_s > 0.0:
+        raise UsageError("--laplace-s must be positive")
     xs = np.clip(_parse_grid(config.x_grid, "x-grid"), 0.0, 1.0)
     values = greens_tilde(xs, config.laplace_s, params)
     header = ("x", "value")

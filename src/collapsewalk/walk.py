@@ -34,7 +34,6 @@ from .states import JointState, QuantumState, form_joint
 
 _BITS = np.arange(64, dtype=np.uint64)
 _WALL = 64    # absorption impossible within one word starting > _WALL from a wall
-_CALM = 192   # leave bit-level mode only this far from both walls
 _BIT_CHUNK = 32   # words unpacked per bit-level chunk
 
 

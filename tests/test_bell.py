@@ -24,7 +24,13 @@ from collapsewalk import (
     sample_lambda,
     solve_c2,
 )
-from collapsewalk.bell import _lambda_batch
+from collapsewalk.bell import (
+    CHUNK_SIZE,
+    _dot_pairs,
+    _lambda_batch,
+    _plane,
+    estimate_from_events,
+)
 
 # Frozen Monte Carlo oracle for the overlap integral at 90 degrees:
 # 1e7 uniform sphere samples of 4 pi |a.lam||b.lam|, seed 20260808,
@@ -100,6 +106,28 @@ def test_sample_lambda_second_moment():
     assert abs(proj2.mean() - 1 / 3) < 4 * se
 
 
+def test_dot_pairs_uniform_moments():
+    # E[(x.lam)(y.lam)] = x.y / 3 and E[(y.lam)^2] = 1/3 for uniform lam
+    n = 1_000_000
+    for cos_ab in (1.0, 0.5, 0.0, -0.8):
+        sin_ab = math.sqrt(1.0 - cos_ab * cos_ab)
+        u, v = _dot_pairs(np.random.default_rng(30), n, cos_ab, sin_ab)
+        assert np.all(np.abs(u) <= 1.0) and np.all(np.abs(v) <= 1.0 + 1e-15)
+        uv, v2 = u * v, v * v
+        assert abs(uv.mean() - cos_ab / 3) < 4 * uv.std(ddof=1) / np.sqrt(n)
+        assert abs(v2.mean() - 1 / 3) < 4 * v2.std(ddof=1) / np.sqrt(n)
+
+
+def test_dot_pairs_tilted_moments():
+    # density |u| / 2 on [-1, 1]: E|u| = 2/3, E[u^2] = 1/2, symmetric in sign
+    n = 1_000_000
+    u, v = _dot_pairs(np.random.default_rng(31), n, 0.3, math.sqrt(0.91), tilted=True)
+    au, u2 = np.abs(u), u * u
+    assert abs(au.mean() - 2 / 3) < 4 * au.std(ddof=1) / np.sqrt(n)
+    assert abs(u2.mean() - 1 / 2) < 4 * u2.std(ddof=1) / np.sqrt(n)
+    assert abs(u.mean()) < 4 * u.std(ddof=1) / np.sqrt(n)
+
+
 # ------------------------------------------------------ quantum correlation
 
 def test_quantum_correlation_angles():
@@ -111,14 +139,24 @@ def test_quantum_correlation_angles():
 # ------------------------------------------------------------ sign model
 
 def test_bell_sign_parallel_exact():
-    est = bell_sign_correlation(setting(0), setting(0), 5000, np.random.default_rng(3))
-    assert est.value == -1.0
-    assert est.stderr == 0.0
+    # at 3 degrees a.a = 1 - 2^-53, where sqrt(1 - (a.b)^2) would give ~1.5e-8;
+    # the plane sine must still vanish
+    assert setting(3).direction @ setting(3).direction < 1.0
+    for deg in (0, 3):
+        a = setting(deg)
+        assert _plane(a, a)[1] == 0.0
+        est = bell_sign_correlation(a, a, 5000, np.random.default_rng(3))
+        assert est.value == -1.0
+        assert est.stderr == 0.0
 
 
 def test_bell_sign_antiparallel_exact():
     est = bell_sign_correlation(setting(0), setting(180), 5000, np.random.default_rng(4))
     assert est.value == 1.0
+    a = setting(3)
+    b = DetectorSetting(-a.direction)
+    assert _plane(a, b)[1] == 0.0
+    assert bell_sign_correlation(a, b, 5000, np.random.default_rng(4)).value == 1.0
 
 
 def test_bell_sign_matches_linear_curve():
@@ -219,9 +257,11 @@ def test_image_mc_path_agrees():
 # --------------------------------------------------------- image model, event
 
 def test_image_event_parallel_settings_exactly_one():
-    est = image_correlation_event(setting(0), setting(0), 20_000, np.random.default_rng(9))
-    assert est.value == 1.0
-    assert est.stderr == 0.0
+    for deg in (0, 3):
+        a = setting(deg)
+        est = image_correlation_event(a, a, 20_000, np.random.default_rng(9))
+        assert est.value == 1.0
+        assert est.stderr == 0.0
 
 
 def test_image_event_sixty_degrees():
@@ -253,6 +293,68 @@ def test_image_event_acceptance_rate_reported():
     batch = sample_image_events(setting(0), setting(90), 50_000, np.random.default_rng(13))
     assert 0.2 < batch.acceptance_rate < 0.45
     assert batch.constants.c2 == solve_c2(math.pi / 2).c2
+
+
+def test_image_event_acceptance_matches_overlap_rate():
+    # the overlap term keeps a proposal tilted about a with probability
+    # |b.lam|, so its exact acceptance is I(theta) / 2 pi
+    for deg in (0, 45, 90):
+        batch = sample_image_events(
+            setting(0), setting(deg), 200_000, np.random.default_rng(40 + deg)
+        )
+        exact = overlap_integral(math.radians(deg)) / (2 * math.pi)
+        assert abs(batch.acceptance_rate - exact) < 0.005
+
+
+def test_image_event_mu_zero_probability():
+    # P(mu_a = 0) is the mass of the two terms carrying c1 |a.lam|
+    for deg, expect in ((45, 0.8962), (90, 0.8004)):
+        consts = solve_c2(math.radians(deg))
+        exact = consts.c1**2 * consts.overlap + 4 * math.pi * consts.c1 * consts.c2
+        assert abs(exact - expect) < 1e-4
+        n = 400_000
+        batch = sample_image_events(
+            setting(0), setting(deg), n, np.random.default_rng(50 + deg)
+        )
+        zero = float((batch.mu_a == 0).mean())
+        assert abs(zero - exact) < 4 * math.sqrt(exact * (1 - exact) / n)
+        plus = int((batch.mu_a == 1).sum())
+        minus = int((batch.mu_a == -1).sum())
+        assert abs(plus - minus) < 4 * math.sqrt(plus + minus)
+
+
+def test_image_event_single_events():
+    # with n = 1 the event often comes from a term with no rejection step
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        batch = sample_image_events(setting(0), setting(90), 1, rng)
+        assert batch.outcome_a.size == batch.dot_b.size == 1
+        assert 0.0 < batch.acceptance_rate <= 1.0
+
+
+def test_image_event_collapsed_acceptance_raises(monkeypatch):
+    from collapsewalk import bell
+    from collapsewalk.errors import RejectionStallError
+
+    def no_overlap(rng, n, cos_ab, sin_ab, tilted=False):
+        u, v = _dot_pairs(rng, n, cos_ab, sin_ab, tilted)
+        return u, np.zeros_like(v) if tilted else v
+
+    monkeypatch.setattr(bell, "_dot_pairs", no_overlap)
+    with pytest.raises(RejectionStallError):
+        sample_image_events(setting(0), setting(90), 1000, np.random.default_rng(61))
+
+
+def test_image_event_streaming_equals_batch():
+    n = 2 * CHUNK_SIZE + 5
+    for convention in (1, -1):
+        streamed = image_correlation_event(
+            setting(0), setting(70), n, np.random.default_rng(60), convention
+        )
+        rng = np.random.default_rng(60)
+        batch = sample_image_events(setting(0), setting(70), n, rng)
+        assert batch.outcome_a.size == n
+        assert streamed == estimate_from_events(batch, convention)
 
 
 def test_image_event_outcomes_are_signs():

@@ -80,6 +80,10 @@ def test_usage_error_exit_code(tmp_path):
         ["born", "--amplitudes", "abc"],
         ["greens", "--x0", "1.5"],
         ["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "1"],
+        ["greens", "--x0", "0.5", "--laplace-s", "-1"],
+        ["greens", "--x0", "0.5", "--laplace-s", "0"],
+        ["born", "--amplitudes", "1,0"],
+        ["born", "--amplitudes", "0,0;0,0"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -87,6 +91,28 @@ def test_invalid_input_values_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "values, argv",
+    [
+        (
+            {"convention": 5},
+            ["chsh", "--model", "image-event", "--settings", "0,90,45,135"],
+        ),
+        ({"model": "foo"}, ["bell", "--theta-grid", "0:90:45"]),
+        ({"format": "xml"}, ["c2", "--theta-grid", "0:90:45"]),
+    ],
+)
+def test_invalid_config_values_exit_2(values, argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    out = tmp_path / "result.txt"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- commands
@@ -263,27 +289,30 @@ def test_thread_env_cap_keeps_output(tmp_path):
 
 
 def test_manifest_round_trip_reproduces_result(tmp_path):
-    out1 = tmp_path / "first.csv"
-    run_cli(
+    # born has no --model, so its manifest records "model": null
+    runs = (
         [
             "bell",
             "--model", "image-event",
             "--theta-grid", "0:90:45",
             "--samples", "20000",
             "--seed", "11",
-            "--out", str(out1),
         ],
-        tmp_path,
+        ["born", "--amplitudes", "1,0;1,0", "--trials", "50", "--seed", "4"],
     )
-    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
-    config = manifest["config"]
-    out2 = tmp_path / "second.csv"
-    config["out"] = str(out2)
-    replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps(config))
-    proc = run_cli(["bell", "--config", str(replay)], tmp_path)
-    assert proc.returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for argv in runs:
+        name = argv[0]
+        out1 = tmp_path / f"{name}-first.csv"
+        run_cli(argv + ["--out", str(out1)], tmp_path)
+        manifest = json.loads((tmp_path / f"{name}-first.csv.manifest.json").read_text())
+        config = manifest["config"]
+        out2 = tmp_path / f"{name}-second.csv"
+        config["out"] = str(out2)
+        replay = tmp_path / f"{name}-replay.json"
+        replay.write_text(json.dumps(config))
+        proc = run_cli([name, "--config", str(replay)], tmp_path)
+        assert proc.returncode == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_entropy_seeds_recorded_and_distinct(tmp_path):
