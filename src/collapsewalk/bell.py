@@ -546,12 +546,23 @@ def image_correlation_event(
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
+    return _image_event_estimate(a, b, n, rng, convention)[0]
+
+
+def _image_event_estimate(
+    a: DetectorSetting, b: DetectorSetting, n: int, rng, convention: int
+) -> tuple[CorrelationEstimate, float]:
+    """image_correlation_event's estimate and the acceptance rate that
+    sample_image_events reports for the same draws, reduced chunk by chunk."""
     _, chunks = _image_event_chunks(a, b, n, rng)
-    total = 0
-    for events, _, _ in chunks:
+    total = proposed = accepted = 0
+    for events, chunk_proposed, chunk_accepted in chunks:
         out_a, out_b = events[4], events[5]
         total += int((out_a.astype(np.int64) * out_b).sum())
-    return _event_estimate(total, n, convention)
+        proposed += chunk_proposed
+        accepted += chunk_accepted
+    rate = accepted / proposed if proposed else 1.0
+    return _event_estimate(total, n, convention), rate
 
 
 def correlation_estimate(

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,10 +32,9 @@ from .analytic import DiffusionParams, greens_tilde
 from .bell import (
     MODEL_TAGS,
     DetectorSetting,
+    _image_event_estimate,
     chsh,
     correlation_estimate,
-    estimate_from_events,
-    sample_image_events,
     solve_c2,
 )
 from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
@@ -77,6 +77,21 @@ _CHOICES = {
     "format": ("csv", "json"),
     "model": MODEL_TAGS,
     "convention": (1, -1),
+}
+
+# Which JSON values a config file may give a RunConfig field of each type: an
+# int field takes no bool or float, a float field also takes an int, and an
+# "X | None" field also takes null (manifests record unset options as null).
+_ACCEPTS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    type(None): lambda v: v is None,
+}
+_FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
 _REQUIRED = {
@@ -180,6 +195,11 @@ def parse_config(argv) -> RunConfig:
                 continue
             if not hasattr(_DEFAULTS, key):
                 raise UsageError(f"unknown config key {key!r}")
+            if not any(_ACCEPTS[t](val) for t in _FIELD_TYPES[key]):
+                kinds = " or ".join(
+                    "null" if t is type(None) else t.__name__ for t in _FIELD_TYPES[key]
+                )
+                raise UsageError(f"config value {key} = {val!r} is not {kinds}")
             if key in _CHOICES and val is not None and val not in _CHOICES[key]:
                 raise UsageError(
                     f"config value {key} = {val!r} is not one of {_CHOICES[key]!r}"
@@ -344,9 +364,10 @@ def _run_bell(config: RunConfig, diagnostics: dict):
     for theta_deg, stream in zip(thetas, streams):
         b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
         if config.model == "image-event":
-            batch = sample_image_events(a, b, config.samples, stream)
-            est = estimate_from_events(batch, config.convention)
-            rates.append(batch.acceptance_rate)
+            est, rate = _image_event_estimate(
+                a, b, config.samples, stream, config.convention
+            )
+            rates.append(rate)
         else:
             est = correlation_estimate(
                 config.model, a, b, config.samples, stream, config.convention

@@ -9,10 +9,11 @@ whose weight reaches zero is eliminated permanently; the walk stops when one
 state holds all M units (a simplex vertex).
 
 ``run_walk`` is the step-by-step reference engine.  ``born_statistics`` runs
-large trial batches through distribution-identical vectorized kernels: 64
-steps of the two-state walk are one uint64 word (popcount gives the exact
-64-step displacement; individual bits are unpacked near the absorbing walls
-where first passage must be resolved step by step).
+large trial batches through distribution-identical vectorized kernels.  In
+the two-state kernel each raw uint64 word of the bit generator is 64 steps:
+one pass over a draw takes every word's end position from its popcount, cuts
+at the first word that ends on or beyond a wall, and unpacks bit by bit only
+the words before that cut that start within 64 units of a wall.
 
 Reproducibility contract: trial ``t`` of a batch with seed ``s`` always draws
 from ``trial_rng(s, t)``, so results are bit-identical for any worker count.
@@ -32,9 +33,7 @@ from .errors import (
 )
 from .states import JointState, QuantumState, form_joint
 
-_BITS = np.arange(64, dtype=np.uint64)
 _WALL = 64    # absorption impossible within one word starting > _WALL from a wall
-_BIT_CHUNK = 32   # words unpacked per bit-level chunk
 
 
 @dataclass(frozen=True)
@@ -295,19 +294,18 @@ def born_statistics(
     )
 
 
-def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
-    return np.frombuffer(rng.bytes(8 * count), dtype=np.uint64)
-
-
 def _first_passage_two_state(
     k0: int, m: int, max_steps: int, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Exact first passage of the unit-step walk on {0..M} starting at k0.
 
     Returns (winner, steps): winner 0 when absorbed at M, 1 when absorbed
-    at 0, -1 when the cap was reached.  Each uint64 word encodes 64 steps
-    (bit 0 first); popcount jumps whole words while both walls are more
-    than 64 units away, bits are unpacked inside that margin.
+    at 0, -1 when the cap was reached.  Each raw uint64 word of the bit
+    generator encodes 64 steps (bit 0 first, 1 = up).  One pass per draw:
+    popcounts give every word's end position; the pass is cut at the first
+    word that ends on or beyond a wall, where absorption is certain; of the
+    words up to the cut, only those starting within 64 units of a wall can
+    touch one, and just those are unpacked bit by bit to find the first hit.
     """
     pos = int(k0)
     if pos <= 0:
@@ -316,40 +314,37 @@ def _first_passage_two_state(
         return 0, 0
     steps = 0
     while steps < max_steps:
-        need = min(1 << 15, max(_BIT_CHUNK, (pos * (m - pos)) // 40 + _BIT_CHUNK))
-        words = _draw_words(rng, need)
-        n = len(words)
-        traj = np.cumsum(2 * np.bitwise_count(words).astype(np.int64) - 64)
-        traj += pos
-        danger_idx = np.flatnonzero((traj <= _WALL) | (traj >= m - _WALL))
-        wi = 0
-        while wi < n and steps < max_steps:
-            if _WALL < pos < m - _WALL:
-                d = int(np.searchsorted(danger_idx, wi))
-                if d == len(danger_idx):
-                    pos = int(traj[-1])
-                    steps += 64 * (n - wi)
-                    break
-                j = int(danger_idx[d])
-                pos = int(traj[j])
-                steps += 64 * (j + 1 - wi)
-                wi = j + 1
-            else:
-                end = min(n, wi + _BIT_CHUNK)
-                run = words[wi:end]
-                bits = ((run[:, None] >> _BITS) & np.uint64(1)).astype(np.int8)
-                path = np.cumsum(2 * bits.ravel() - 1, dtype=np.int32)
-                path += pos
-                hit = (path <= 0) | (path >= m)
-                h = int(np.argmax(hit))
-                if hit[h]:
-                    steps += h + 1
-                    if steps > max_steps:
-                        return -1, max_steps
-                    return (0, steps) if int(path[h]) >= m else (1, steps)
-                pos = int(path[-1])
-                steps += 64 * (end - wi)
-                wi = end
+        n = min(1 << 15, max(32, (pos * (m - pos)) // 40 + 32))
+        words = rng.bit_generator.random_raw(n)
+        ends = np.bitwise_count(words).astype(np.int64)
+        ends *= 2
+        ends -= 64
+        np.cumsum(ends, out=ends)
+        ends += pos
+        out = (ends <= 0) | (ends >= m)
+        cut = int(np.argmax(out)) + 1 if out.any() else n
+        starts = np.empty(cut, dtype=np.int64)
+        starts[0] = pos
+        starts[1:] = ends[: cut - 1]
+        rows = np.flatnonzero((starts <= _WALL) | (starts >= m - _WALL))
+        if rows.size:
+            octets = words[rows].astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(octets, bitorder="little")
+            path = bits.reshape(-1, 64).astype(np.int64)
+            path *= 2
+            path -= 1
+            np.cumsum(path, axis=1, out=path)
+            path += starts[rows, None]
+            hit = (path <= 0) | (path >= m)
+            first = int(np.argmax(hit))
+            if hit.flat[first]:
+                row, bit = divmod(first, 64)
+                steps += 64 * int(rows[row]) + bit + 1
+                if steps > max_steps:
+                    return -1, max_steps
+                return (0, steps) if path[row, bit] >= m else (1, steps)
+        pos = int(ends[-1])
+        steps += 64 * n
     return -1, max_steps
 
 
@@ -377,24 +372,24 @@ def _first_passage_multi(
             src = rng.integers(n, size=batch)
             dst = rng.integers(n - 1, size=batch)
             dst += dst >= src
-            rows = np.arange(batch)
-            delta = np.zeros((batch, n), dtype=np.int64)
-            delta[rows, src] = -1
-            delta[rows, dst] = 1
-            paths = np.cumsum(delta, axis=0)
-            paths += k[alive_idx]
-            dead_mask = paths == 0
-            any_dead = dead_mask.any(axis=1)
+            # moved[i, t]: net units state i has gained after step t
+            moved = np.zeros((n, batch), dtype=np.int32)
+            cols = np.arange(batch)
+            moved[src, cols] = -1
+            moved[dst, cols] = 1
+            np.cumsum(moved, axis=1, out=moved)
+            dead_mask = moved == -k[alive_idx, None]
+            any_dead = dead_mask.any(axis=0)
             r = int(np.argmax(any_dead))
             if any_dead[r]:
                 hit_row = r
                 steps += r + 1
-                local = int(np.argmax(dead_mask[r]))
-                k[alive_idx] = paths[r]
+                local = int(np.argmax(dead_mask[:, r]))
+                k[alive_idx] += moved[:, r]
                 eliminations.append((int(alive_idx[local]), steps))
                 alive_idx = np.delete(alive_idx, local)
             else:
-                k[alive_idx] = paths[-1]
+                k[alive_idx] += moved[:, -1]
                 steps += batch
                 batch = min(batch * 2, 1 << 14)
     if alive_idx.size == 1:

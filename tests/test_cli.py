@@ -5,9 +5,16 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import collapsewalk
+from collapsewalk.bell import (
+    CHUNK_SIZE,
+    DetectorSetting,
+    estimate_from_events,
+    sample_image_events,
+)
 from collapsewalk.cli import main, parse_config
 from collapsewalk.errors import UsageError
 
@@ -102,6 +109,13 @@ def test_invalid_input_values_exit_2(argv, capsys):
         ),
         ({"model": "foo"}, ["bell", "--theta-grid", "0:90:45"]),
         ({"format": "xml"}, ["c2", "--theta-grid", "0:90:45"]),
+        ({"trials": "abc"}, ["born", "--amplitudes", "1,0;0,1"]),
+        ({"seed": 1.5}, ["born", "--amplitudes", "1,0;0,1"]),
+        ({"trials": True}, ["born", "--amplitudes", "1,0;0,1"]),
+        (
+            {"samples": "abc"},
+            ["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
+        ),
     ],
 )
 def test_invalid_config_values_exit_2(values, argv, tmp_path, capsys):
@@ -128,6 +142,39 @@ def test_bell_image_analytic_curve(tmp_path):
     for line in lines[1:]:
         deg, value = line.split(",")[:2]
         assert abs(float(value) - math.cos(math.radians(float(deg)))) < 1e-6
+
+
+def test_bell_image_event_streams_same_as_batch(tmp_path):
+    """The bell command reduces image events chunk by chunk; its rows and
+    acceptance rates equal those of whole batches drawn on the same seed."""
+    n = 2 * CHUNK_SIZE + 5
+    out = tmp_path / "bell.json"
+    argv = [
+        "bell", "--model", "image-event", "--theta-grid", "0:90:45",
+        "--samples", str(n), "--seed", "21", "--format", "json", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    rates = json.loads((tmp_path / "bell.json.manifest.json").read_text())[
+        "diagnostics"
+    ]["acceptance_rate"]
+    streams = np.random.default_rng(np.random.SeedSequence(21)).spawn(3)
+    a = DetectorSetting.from_plane_angle_degrees(0.0)
+    batch_rates = []
+    for row, theta_deg, stream in zip(rows, (0.0, 45.0, 90.0), streams):
+        b = DetectorSetting.from_plane_angle_degrees(theta_deg)
+        batch = sample_image_events(a, b, n, stream)
+        est = estimate_from_events(batch)
+        batch_rates.append(batch.acceptance_rate)
+        assert row == {
+            "theta_deg": theta_deg, "value": est.value, "stderr": est.stderr,
+            "n": n, "model": "image-event",
+        }
+    assert rates == {
+        "min": min(batch_rates),
+        "max": max(batch_rates),
+        "mean": sum(batch_rates) / len(batch_rates),
+    }
 
 
 def test_chsh_quantum_json(tmp_path):
@@ -286,6 +333,25 @@ def test_thread_env_cap_keeps_output(tmp_path):
     run_cli(args + ["--out", str(out1)], tmp_path, env_extra={"COLLAPSE_WALK_THREADS": "1"})
     run_cli(args + ["--out", str(out2)], tmp_path)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_born_csv_golden_bytes(tmp_path):
+    """The born result of acceptance criterion 10, fixed byte for byte."""
+    out = tmp_path / "born.csv"
+    argv = [
+        "born",
+        "--amplitudes", "0.547722,0;0.836660,0",
+        "--trials", "5000",
+        "--grid-resolution", "100",
+        "--seed", "13",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_bytes() == (
+        b"state,count,frequency,stderr\n"
+        b"0,1480,0.296,0.00645575712058624\n"
+        b"1,3520,0.704,0.00645575712058624\n"
+    )
 
 
 def test_manifest_round_trip_reproduces_result(tmp_path):

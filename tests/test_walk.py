@@ -18,6 +18,7 @@ from collapsewalk import (
     walk_step,
 )
 from collapsewalk.analytic import absorption_probs_chain
+from collapsewalk.walk import _first_passage_multi, _first_passage_two_state
 
 
 # ---------------------------------------------------------------- quantize
@@ -288,3 +289,88 @@ def test_walk_config_defaults():
     assert config.max_steps == 100 * 200**2
     with pytest.raises(ValueError):
         WalkConfig(grid_resolution=1)
+
+
+# ------------------------------------------------------------------- kernels
+
+def step_by_step_two_state(k0, m, max_steps, rng):
+    """Oracle for the two-state kernel: one raw word at a time, one step per
+    bit, least significant bit first, 1 = up.  Absorption at step s counts
+    when s <= max_steps; otherwise the result is (-1, max_steps)."""
+    pos, steps = k0, 0
+    if pos <= 0:
+        return 1, 0
+    if pos >= m:
+        return 0, 0
+    while True:
+        word = int(rng.bit_generator.random_raw())
+        for bit in range(64):
+            if steps == max_steps:
+                return -1, max_steps
+            pos += 1 if (word >> bit) & 1 else -1
+            steps += 1
+            if pos == 0:
+                return 1, steps
+            if pos == m:
+                return 0, steps
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 65, 100, 129, 1000])
+def test_two_state_kernel_matches_bitwise_oracle(m):
+    for k0 in sorted({1, m // 2, m - 1}):
+        for cap in (1, 63, 64, 65, 100 * m * m):
+            for t in range(4):
+                seed = 1000 * m + k0
+                expect = step_by_step_two_state(k0, m, cap, trial_rng(seed, t))
+                got = _first_passage_two_state(k0, m, cap, trial_rng(seed, t))
+                assert got == expect, (m, k0, cap, t)
+
+
+# (seed, t) -> (winner, steps, eliminations) of _first_passage_multi under the
+# default cap 100 M^2; fixed so that any change to the N-state kernel or its
+# two-state tail that alters a single draw or step shows up here.
+MULTI_GOLDEN = {
+    ((5, 3, 2), 10): {
+        (0, 0): (1, 17, [(2, 2), (0, 17)]),
+        (7, 3): (1, 25, [(0, 9), (2, 25)]),
+        (2024, 11): (0, 28, [(1, 10), (2, 28)]),
+    },
+    ((50, 30, 20), 100): {
+        (0, 0): (1, 2958, [(2, 566), (0, 2958)]),
+        (7, 3): (1, 5998, [(2, 2629), (0, 5998)]),
+        (2024, 11): (2, 4123, [(1, 284), (0, 4123)]),
+    },
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200): {
+        (0, 0): (0, 10199, [(7, 163), (6, 1286), (3, 1737), (5, 3481),
+                            (4, 4018), (1, 8256), (2, 10199)]),
+        (7, 3): (0, 24262, [(7, 3515), (6, 3523), (1, 4106), (2, 6212),
+                            (3, 8945), (5, 12204), (4, 24262)]),
+        (2024, 11): (0, 14127, [(2, 1344), (1, 2043), (7, 3308), (5, 6050),
+                                (4, 6873), (6, 9878), (3, 14127)]),
+    },
+}
+
+
+@pytest.mark.parametrize("k0, m", list(MULTI_GOLDEN))
+def test_multi_kernel_golden_outcomes(k0, m):
+    for (seed, t), expect in MULTI_GOLDEN[(k0, m)].items():
+        got = _first_passage_multi(np.array(k0), m, 100 * m * m, trial_rng(seed, t))
+        assert got == expect, (seed, t)
+
+
+@pytest.mark.parametrize(
+    "k0, m",
+    [((50, 30, 20), 100), ((40, 35, 30, 25, 25, 20, 15, 10), 200)],
+)
+def test_multi_kernel_mean_exit_time(k0, m):
+    """E[T] = (M^2 - sum k_i^2) / 2 by optional stopping of the martingale
+    sum k_i^2 - 2t, for any number of states."""
+    trials = 4000
+    steps = np.empty(trials)
+    for t in range(trials):
+        winner, steps[t], _ = _first_passage_multi(
+            np.array(k0), m, 100 * m * m, trial_rng(77, t)
+        )
+        assert winner >= 0
+    expect = (m * m - sum(k * k for k in k0)) / 2
+    assert abs(steps.mean() - expect) < 4 * steps.std(ddof=1) / np.sqrt(trials)
