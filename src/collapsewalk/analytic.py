@@ -26,6 +26,7 @@ from .errors import NumericOverflowError, OracleMismatchError
 FLUX_TEST_S = 1e-8      # Laplace variable used for the s -> 0 flux limit
 FLUX_TEST_H = 1e-6      # central-difference step for the boundary flux
 FLUX_TOL = 1e-4
+CHAIN_DENSE_BYTES = 256 << 20  # largest dense float64 matrix the chain solve builds
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,9 @@ def absorption_probs_chain(grid_weights) -> np.ndarray:
     Enumerates every composition of M into N parts, builds the pair-transfer
     transition matrix (states with zero weight are dead and never selected),
     and solves for the absorption probabilities at each vertex.  Independent
-    of the Monte Carlo engine; practical for small M and N only.
+    of the Monte Carlo engine; practical for small M and N only: a chain whose
+    dense matrix would exceed CHAIN_DENSE_BYTES (about 5,800 states) raises
+    ValueError before anything is built.
     """
     k0 = np.asarray(grid_weights, dtype=np.int64)
     n = k0.size
@@ -142,8 +145,11 @@ def absorption_probs_chain(grid_weights) -> np.ndarray:
     if n < 2 or m < 1:
         raise ValueError("need at least 2 states and a positive total weight")
     n_states = comb(m + n - 1, n - 1)
-    if n_states > 100_000:
-        raise ValueError(f"chain with {n_states} states too large for the dense solve")
+    if n_states * n_states * 8 > CHAIN_DENSE_BYTES:
+        raise ValueError(
+            f"chain with {n_states} states needs a {n_states}x{n_states} dense "
+            f"matrix, over the {CHAIN_DENSE_BYTES >> 20} MiB budget"
+        )
 
     states = list(_compositions(m, n))
     index = {s: i for i, s in enumerate(states)}

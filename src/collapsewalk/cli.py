@@ -4,14 +4,15 @@ Subcommands: born, walk, greens, bell, chsh, c2.  Every run resolves a full
 configuration (flags override an optional JSON config file, which overrides
 defaults), executes with explicitly seeded RNG streams, and writes the
 result as CSV or JSON plus a manifest echoing the resolved configuration.
-Re-running the echoed configuration reproduces the result file byte for byte
-for any worker-thread count.
+Re-running the echoed configuration reproduces the result file byte for byte.
 
 CSV carries one header row, '.' decimals and 15 significant digits; angles
 are accepted in degrees and converted to radians internally.  Seed 0 is a
 valid seed; --entropy asks the OS for one and records the drawn value in
-the manifest.  The COLLAPSE_WALK_THREADS environment variable caps the
-worker count.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
+the manifest.  --threads (config key ``threads``) and the
+COLLAPSE_WALK_THREADS environment variable are still accepted, and
+--threads is recorded in the manifest, but every run uses one thread.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .bell import (
 from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
 from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, born_statistics, run_walk
-
-THREAD_ENV = "COLLAPSE_WALK_THREADS"
 
 
 @dataclass
@@ -122,7 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="result file (stdout if omitted)")
         p.add_argument("--format", choices=_CHOICES["format"], default=None)
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="accepted and recorded only; every run uses one thread",
+        )
 
     p = sub.add_parser("born", help="winner frequencies over many walks")
     common(p)
@@ -268,16 +270,6 @@ def _emit(config: RunConfig, header, rows, json_obj) -> None:
             fh.write(text)
 
 
-def _effective_threads(config: RunConfig) -> int:
-    cap = os.environ.get(THREAD_ENV)
-    if cap is not None:
-        try:
-            return max(1, min(config.threads, int(cap)))
-        except ValueError:
-            raise UsageError(f"{THREAD_ENV} must be an integer") from None
-    return max(1, config.threads)
-
-
 def _rows_to_json(header, rows):
     return [
         {k: (float(v) if isinstance(v, (float, np.floating)) else v)
@@ -302,10 +294,13 @@ def _walk_inputs(config: RunConfig):
 
 def _run_born(config: RunConfig, diagnostics: dict):
     state, walk_config = _walk_inputs(config)
-    stats = born_statistics(
-        state, config.trials, walk_config, workers=_effective_threads(config)
-    )
+    stats = born_statistics(state, config.trials, walk_config)
     diagnostics["excluded_trials"] = stats.excluded
+    diagnostics["mean_steps"] = stats.mean_steps
+    diagnostics["steps_stderr"] = (
+        stats.steps_stderr if math.isfinite(stats.steps_stderr) else None
+    )
+    diagnostics["expected_steps"] = stats.expected_steps
     header = ("state", "count", "frequency", "stderr")
     rows = [
         (i, int(stats.winner_counts[i]), float(stats.frequencies[i]), float(stats.stderr[i]))

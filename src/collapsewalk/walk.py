@@ -12,19 +12,25 @@ state holds all M units (a simplex vertex).
 large trial batches through distribution-identical vectorized kernels.  In
 the two-state kernel each raw uint64 word of the bit generator is 64 steps:
 one pass over a draw takes every word's end position from its popcount, cuts
-at the first word that ends on or beyond a wall, and unpacks bit by bit only
-the words before that cut that start within 64 units of a wall.
+at the first word that ends on or beyond a wall, and keeps only the words
+before that cut whose up or down count could carry them to a wall.  Those
+few are read byte by byte through 256-entry tables (net move, lowest and
+highest point, first step at each distance) to find the first hit.
 
 Reproducibility contract: trial ``t`` of a batch with seed ``s`` always draws
-from ``trial_rng(s, t)``, so results are bit-identical for any worker count.
+from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
+block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
+it builds exactly those streams without one ``SeedSequence`` per trial.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     DegenerateGridError,
@@ -33,7 +39,44 @@ from .errors import (
 )
 from .states import JointState, QuantumState, form_joint
 
-_WALL = 64    # absorption impossible within one word starting > _WALL from a wall
+# numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
+# the 4-word entropy pool, and the pool words hashed into the output state
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_SEED_BLOCK = 1 << 12  # trials whose seed words are derived at a time
+
+
+def _byte_tables():
+    """Per-byte walk tables, bit 0 first, 1 = up.
+
+    net: the byte's net move; low/high: its lowest and highest point relative
+    to where the byte ends; down/up[b, d]: the first step (1-8) at which the
+    byte has moved d down / d up, else 9 (so column 9 always reads 9).
+    """
+    bits = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    )
+    prefix = np.cumsum(2 * bits.astype(np.int64) - 1, axis=1)
+    net = prefix[:, -1]
+    dist = np.arange(10)[:, None, None]
+
+    def first(reached):
+        steps = np.where(reached.any(axis=2), reached.argmax(axis=2) + 1, 9)
+        return np.ascontiguousarray(steps.T)
+
+    return (
+        net,
+        prefix.min(axis=1) - net,
+        prefix.max(axis=1) - net,
+        first(prefix == -dist),
+        first(prefix == dist),
+    )
+
+
+_BYTE_NET, _BYTE_LOW, _BYTE_HIGH, _BYTE_DOWN, _BYTE_UP = _byte_tables()
 
 
 @dataclass(frozen=True)
@@ -74,13 +117,22 @@ class WalkOutcome:
 
 @dataclass(frozen=True)
 class BornStatistics:
-    """Winner counts and frequencies over a batch of independent walks."""
+    """Winner counts and frequencies over a batch of independent walks.
+
+    ``mean_steps`` and ``steps_stderr`` describe the absorption times of the
+    counted trials; ``expected_steps`` is their exact mean
+    (M^2 - sum k_i^2) / 2, by optional stopping of the martingale
+    sum k_i^2 - 2t.
+    """
 
     trials: int
     winner_counts: np.ndarray
     frequencies: np.ndarray
     stderr: np.ndarray
     excluded: int = 0
+    mean_steps: float = math.nan
+    steps_stderr: float = math.nan
+    expected_steps: float = math.nan
 
     def __post_init__(self):
         counts = np.asarray(self.winner_counts, dtype=np.int64)
@@ -96,6 +148,84 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     )
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hashmix on uint32 words: (hashed value, next const).
+
+    With ``mult=_MULT_B`` it is the step that turns pool words into state.
+    """
+    const_next = const * mult & _M32
+    value = (value ^ const) * const_next & _M32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    mixed = (_MIX_L * x - _MIX_R * y) & _M32
+    return mixed ^ mixed >> 16
+
+
+def _trial_seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``trial_rng(seed, t)``'s PCG64 seed words for ``lo <= t < hi``.
+
+    Row ``t - lo`` equals ``SeedSequence(entropy=seed, spawn_key=(t,))
+    .generate_state(4, np.uint64)`` for any seed below 2**128 (WalkConfig
+    holds seeds below 2**64).  The seed's words, padded with zeros to the
+    pool size, make a pool common to every trial; each trial's one or two
+    spawn-key words (two for t >= 2**32) are then mixed into its copy of the
+    pool, all trials at once in uint32 arithmetic.
+    """
+    # the little-endian uint32 words SeedSequence reads from an int
+    run = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    if len(run) > _POOL:
+        raise ValueError("seed must be below 2**128")
+    const = _INIT_A
+    pool = []
+    for word in run + [0] * (_POOL - len(run)):
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    pool = [np.full(index.size, word, dtype=np.uint32) for word in pool]
+    low = (index & _M32).astype(np.uint32)
+    for dst in range(_POOL):
+        word, const = _hashmix(low, const)
+        pool[dst] = _mix(pool[dst], word)
+    wide = np.flatnonzero(index >> 32)
+    if wide.size:
+        high = (index[wide] >> 32).astype(np.uint32)
+        for dst in range(_POOL):
+            word, const = _hashmix(high, const)
+            pool[dst][wide] = _mix(pool[dst][wide], word)
+    state = np.empty((index.size, 2 * _POOL), dtype="<u4")
+    const = _INIT_B
+    for i in range(2 * _POOL):
+        state[:, i], const = _hashmix(pool[i % _POOL], const, _MULT_B)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed source for one PCG64 (which asks for 4 uint64 words), holding
+    words that ``_trial_seed_words`` already computed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_rngs(seed: int, trials: int):
+    """``trial_rng(seed, t)`` for ``t`` in ``range(trials)``, in order."""
+    for lo in range(0, trials, _SEED_BLOCK):
+        for words in _trial_seed_words(seed, lo, min(lo + _SEED_BLOCK, trials)):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
@@ -233,64 +363,63 @@ def born_statistics(
     config: WalkConfig,
     workers: int = 1,
 ) -> BornStatistics:
-    """Winner frequencies over ``trials`` independent walks.
+    """Winner frequencies and absorption times over ``trials`` walks.
 
-    Each trial runs on its own RNG stream from ``trial_rng(config.seed, t)``
-    through a vectorized kernel that is distribution-identical to
-    ``run_walk``.  Trials hitting the step cap are excluded from the counts;
-    more than 1% exclusions raises MaxStepsExceededError.
+    Trial ``t`` runs on the stream ``trial_rng(config.seed, t)``, seeded in
+    blocks by ``_trial_rngs``, through a vectorized kernel that is
+    distribution-identical to ``run_walk``.  Trials hitting the step cap are
+    excluded from the counts; more than 1% exclusions raises
+    MaxStepsExceededError.  ``workers`` is deprecated and ignored: the
+    trials run in one thread, and the result never depended on it.
     """
+    if workers > 1:
+        warnings.warn(
+            "born_statistics(workers=...) is deprecated and ignored; "
+            "trials run in one thread with the same results",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
     joint = form_joint(state)
     m = config.grid_resolution
     k0 = quantize_weights(joint.weights, m)
     n = k0.size
-
-    def run_range(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        counts = np.zeros(n, dtype=np.int64)
-        excluded = 0
-        for t in range(lo, hi):
-            rng = trial_rng(config.seed, t)
-            if n == 2:
-                winner, _ = _first_passage_two_state(
-                    int(k0[0]), m, config.max_steps, rng
-                )
-            else:
-                winner, _, _ = _first_passage_multi(k0, m, config.max_steps, rng)
-            if winner < 0:
-                excluded += 1
-            else:
-                counts[winner] += 1
-        return counts, excluded
-
-    if workers <= 1:
-        counts, excluded = run_range(0, trials)
-    else:
-        bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
-        counts = np.zeros(n, dtype=np.int64)
-        excluded = 0
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part, exc in pool.map(
-                lambda se: run_range(int(se[0]), int(se[1])),
-                zip(bounds[:-1], bounds[1:]),
-            ):
-                counts += part
-                excluded += exc
-
+    counts = np.zeros(n, dtype=np.int64)
+    total = total_sq = 0
+    for rng in _trial_rngs(config.seed, trials):
+        if n == 2:
+            winner, steps = _first_passage_two_state(
+                int(k0[0]), m, config.max_steps, rng
+            )
+        else:
+            winner, steps, _ = _first_passage_multi(k0, m, config.max_steps, rng)
+        if winner >= 0:
+            counts[winner] += 1
+            total += steps
+            total_sq += steps * steps
+    counted = int(counts.sum())
+    excluded = trials - counted
     if excluded > 0.01 * trials:
         raise MaxStepsExceededError(
             f"{excluded} of {trials} trials hit the step cap (> 1%)"
         )
-    counted = trials - excluded
     freq = counts / counted
     stderr = np.sqrt(freq * (1.0 - freq) / counted)
+    if counted > 1:
+        var = (counted * total_sq - total * total) / (counted * (counted - 1))
+        steps_stderr = math.sqrt(var / counted)
+    else:
+        steps_stderr = math.nan
     return BornStatistics(
         trials=counted,
         winner_counts=counts,
         frequencies=freq,
         stderr=stderr,
         excluded=excluded,
+        mean_steps=total / counted,
+        steps_stderr=steps_stderr,
+        expected_steps=(m * m - int((k0 * k0).sum())) / 2,
     )
 
 
@@ -303,9 +432,12 @@ def _first_passage_two_state(
     at 0, -1 when the cap was reached.  Each raw uint64 word of the bit
     generator encodes 64 steps (bit 0 first, 1 = up).  One pass per draw:
     popcounts give every word's end position; the pass is cut at the first
-    word that ends on or beyond a wall, where absorption is certain; of the
-    words up to the cut, only those starting within 64 units of a wall can
-    touch one, and just those are unpacked bit by bit to find the first hit.
+    word that ends on or beyond a wall, where absorption is certain.  A word
+    starting at s can reach 0 only if it has s down-steps (s + popcount <=
+    64) and M only if it has M - s up-steps (s + popcount >= M); only those
+    words are read, byte by byte through the ``_BYTE_*`` tables, and the
+    first byte whose lowest or highest point touches a wall gives the exact
+    step of absorption.
     """
     pos = int(k0)
     if pos <= 0:
@@ -316,34 +448,54 @@ def _first_passage_two_state(
     while steps < max_steps:
         n = min(1 << 15, max(32, (pos * (m - pos)) // 40 + 32))
         words = rng.bit_generator.random_raw(n)
-        ends = np.bitwise_count(words).astype(np.int64)
-        ends *= 2
-        ends -= 64
-        np.cumsum(ends, out=ends)
-        ends += pos
-        out = (ends <= 0) | (ends >= m)
-        cut = int(np.argmax(out)) + 1 if out.any() else n
-        starts = np.empty(cut, dtype=np.int64)
-        starts[0] = pos
-        starts[1:] = ends[: cut - 1]
-        rows = np.flatnonzero((starts <= _WALL) | (starts >= m - _WALL))
+        # g_i = h_i - base, where pos + 2 h_i is the position after word i:
+        # that word ends strictly inside (0, m) exactly when 0 <= g_i <= span
+        base = (-pos) // 2 + 1
+        span = (m - pos + 1) // 2 - 1 - base
+        g = np.subtract(np.bitwise_count(words), 32, dtype=np.int64)
+        g[0] -= base
+        np.cumsum(g, out=g)
+        out = g.view(np.uint64) > span
+        cut = int(np.argmax(out)) + 1
+        if cut == 1 and not out[0]:
+            cut = n
+        # word i starts at pos + 2 h_{i-1} with 32 + h_i - h_{i-1} up-steps,
+        # so it can touch a wall only if h_{i-1} + h_i <= 32 - pos or
+        # >= m - 32 - pos; shifted, the pair falls in [0, m - 66] otherwise
+        pair = np.empty(cut, dtype=np.int64)
+        pair[0] = g[0] - base
+        np.add(g[: cut - 1], g[1:cut], out=pair[1:])
+        pair -= 33 - pos - 2 * base
+        rows = np.flatnonzero(pair.view(np.uint64) >= max(m - 65, 0))
         if rows.size:
             octets = words[rows].astype("<u8", copy=False).view(np.uint8)
-            bits = np.unpackbits(octets, bitorder="little")
-            path = bits.reshape(-1, 64).astype(np.int64)
-            path *= 2
-            path -= 1
-            np.cumsum(path, axis=1, out=path)
-            path += starts[rows, None]
-            hit = (path <= 0) | (path >= m)
-            first = int(np.argmax(hit))
-            if hit.flat[first]:
-                row, bit = divmod(first, 64)
-                steps += 64 * int(rows[row]) + bit + 1
+            # byte ends of the candidate words, flat: the first byte of each
+            # word also jumps from the previous candidate's end to its start
+            before = g.take(rows - 1)
+            if rows[0] == 0:
+                before[0] = -base
+            jump = before.copy()
+            jump[1:] -= g.take(rows[:-1])
+            jump *= 2
+            jump[0] += pos + 2 * base
+            ends = _BYTE_NET.take(octets)
+            ends[::8] += jump
+            np.cumsum(ends, out=ends)
+            touch = (ends + _BYTE_LOW.take(octets) <= 0) | (
+                ends + _BYTE_HIGH.take(octets) >= m
+            )
+            first = int(np.argmax(touch))
+            if touch[first]:
+                octet = int(octets[first])
+                start = int(ends[first]) - int(_BYTE_NET[octet])
+                down = int(_BYTE_DOWN[octet, min(start, 9)])
+                up = int(_BYTE_UP[octet, min(m - start, 9)])
+                row, byte = divmod(first, 8)
+                steps += 64 * int(rows[row]) + 8 * byte + min(down, up)
                 if steps > max_steps:
                     return -1, max_steps
-                return (0, steps) if path[row, bit] >= m else (1, steps)
-        pos = int(ends[-1])
+                return (0, steps) if up < down else (1, steps)
+        pos += 2 * (int(g[-1]) + base)
         steps += 64 * n
     return -1, max_steps
 
@@ -365,7 +517,7 @@ def _first_passage_multi(
         n = alive_idx.size
         # diffusive guess for the time to the next elimination
         k_min = int(k[alive_idx].min())
-        batch = int(np.clip(k_min * (m - k_min) * n // 4, 64, 1 << 14))
+        batch = min(max(k_min * (m - k_min) * n // 4, 64), 1 << 14)
         hit_row = -1
         while hit_row < 0 and steps < max_steps:
             # uniform ordered (source, destination) pairs, as in walk_step

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,20 @@ def test_chain_vertex_start():
 def test_chain_four_states():
     probs = absorption_probs_chain([3, 3, 2, 2])
     assert np.max(np.abs(probs - np.array([0.3, 0.3, 0.2, 0.2]))) < 1e-10
+
+
+def test_chain_too_large_raises_before_allocating():
+    """[220, 120, 100] has 97,461 states: a dense matrix would need ~76 GB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="states"):
+            absorption_probs_chain([220, 120, 100])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_chain_within_budget_still_solves():
+    probs = absorption_probs_chain([20, 12, 8])  # 861 states
+    assert np.max(np.abs(probs - np.array([0.5, 0.3, 0.2]))) < 1e-10

@@ -335,6 +335,31 @@ def test_thread_env_cap_keeps_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_born_manifest_reports_steps_and_records_threads(tmp_path, monkeypatch):
+    """Thread settings are recorded but ignored; the manifest carries the
+    mean absorption time, its standard error and the exact oracle."""
+    monkeypatch.setenv("COLLAPSE_WALK_THREADS", "not-a-number")
+    out = tmp_path / "born.csv"
+    argv = [
+        "born",
+        "--amplitudes", "0.707107,0;0.5,0;0.5,0",
+        "--trials", "2000",
+        "--grid-resolution", "40",
+        "--seed", "5",
+        "--threads", "4",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "born.csv.manifest.json").read_text())
+    assert manifest["config"]["threads"] == 4
+    diag = manifest["diagnostics"]
+    assert diag["expected_steps"] == (40**2 - 20**2 - 10**2 - 10**2) / 2
+    assert abs(diag["mean_steps"] - diag["expected_steps"]) < 4 * diag["steps_stderr"]
+    single = tmp_path / "single.csv"
+    assert main(argv[:-4] + ["--out", str(single)]) == 0
+    assert single.read_bytes() == out.read_bytes()
+
+
 def test_born_csv_golden_bytes(tmp_path):
     """The born result of acceptance criterion 10, fixed byte for byte."""
     out = tmp_path / "born.csv"

@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsewalk import (
     DegenerateGridError,
@@ -18,7 +21,19 @@ from collapsewalk import (
     walk_step,
 )
 from collapsewalk.analytic import absorption_probs_chain
-from collapsewalk.walk import _first_passage_multi, _first_passage_two_state
+from collapsewalk.walk import (
+    _BYTE_DOWN,
+    _BYTE_HIGH,
+    _BYTE_LOW,
+    _BYTE_NET,
+    _BYTE_UP,
+    _SEED_BLOCK,
+    _first_passage_multi,
+    _first_passage_two_state,
+    _SeedWords,
+    _trial_rngs,
+    _trial_seed_words,
+)
 
 
 # ---------------------------------------------------------------- quantize
@@ -69,6 +84,69 @@ def test_quantize_degenerate_grid_raises_only_when_coarse():
         quantize_weights(w, 15)  # M < 10 N and the tiny weight rounds to 0
     k = quantize_weights(w, 1000)  # coarse weight still rounds to 0, M large
     assert k.tolist() == [0, 1000]
+
+
+def largest_remainder(weights, m):
+    """Reference rounding in plain Python: floor every m*w_i, then give the
+    missing units to the largest remainders, ties to the lowest index."""
+    target = [m * w for w in weights]
+    base = [int(np.floor(t)) for t in target]
+    order = sorted(range(len(weights)), key=lambda i: (-(target[i] - base[i]), i))
+    for i in order[: m - sum(base)]:
+        base[i] += 1
+    return base
+
+
+# raw weights: exact zeros and tiny values make degenerate grids likely
+simplex_points = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-7, 1e-3), st.floats(1e-3, 1.0)),
+    min_size=2,
+    max_size=8,
+).filter(lambda raw: sum(raw) > 0).map(lambda raw: np.array(raw) / sum(raw))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(w=simplex_points, m=st.integers(2, 400))
+def test_quantize_property_sum_and_unit_error(w, m):
+    try:
+        k = quantize_weights(w, m)
+    except DegenerateGridError:
+        return
+    assert k.sum() == m
+    assert np.all(np.abs(k - m * w) < 1)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(w=simplex_points, m=st.integers(2, 400))
+def test_quantize_property_no_better_integer_vector(w, m):
+    """sum |k_i - M w_i| is separable and convex in each k_i, so over integer
+    vectors with sum M a point that no single unit transfer improves is a
+    global minimum; check every transfer k_i -> k_j."""
+    try:
+        k = quantize_weights(w, m)
+    except DegenerateGridError:
+        return
+    target = m * w
+    err = np.abs(k - target).sum()
+    for i, j in itertools.permutations(range(w.size), 2):
+        if k[i] == 0:
+            continue
+        moved = k.copy()
+        moved[i] -= 1
+        moved[j] += 1
+        assert np.abs(moved - target).sum() >= err - 1e-9, (i, j)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(w=simplex_points, m=st.integers(2, 100))
+def test_quantize_property_degenerate_exactly_when_coarse(w, m):
+    expect = largest_remainder(list(w), m)
+    lost = any(wi > 0 and ki == 0 for wi, ki in zip(w, expect))
+    if lost and m < 10 * w.size:
+        with pytest.raises(DegenerateGridError):
+            quantize_weights(w, m)
+    else:
+        assert quantize_weights(w, m).tolist() == expect
 
 
 # ---------------------------------------------------------------- walk_step
@@ -284,6 +362,53 @@ def test_born_statistics_excluded_trials_fail_loudly():
         born_statistics(state, 200, config)
 
 
+def test_born_statistics_workers_deprecated_same_counts():
+    state = normalize([np.sqrt(0.3), np.sqrt(0.7)])
+    config = WalkConfig(grid_resolution=50, seed=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = born_statistics(state, 500, config, workers=1)
+    with pytest.warns(DeprecationWarning, match="workers"):
+        again = born_statistics(state, 500, config, workers=2)
+    assert np.array_equal(base.winner_counts, again.winner_counts)
+    assert base.mean_steps == again.mean_steps
+
+
+# (grid weights, M, seed, trials) -> (winner counts, total steps), recorded
+# from the per-trial trial_rng loop; seeds at and beyond 2**32 take two and
+# more entropy words.
+BORN_GOLDEN = [
+    ((300, 700), 1000, 2**63 + 5, 300, [82, 218], 63187636),
+    ((50, 30, 20), 100, 2**32, 300, [151, 93, 56], 928021),
+    ((13, 51), 64, 0, 2000, [404, 1596], 1287814),
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 2**64 - 1, 30,
+     [9, 3, 5, 2, 5, 1, 2, 3], 518813),
+]
+
+
+@pytest.mark.parametrize("k, m, seed, trials, counts, total", BORN_GOLDEN)
+def test_born_statistics_golden_counts_and_steps(k, m, seed, trials, counts, total):
+    state = normalize(np.sqrt(np.array(k) / m))
+    stats = born_statistics(state, trials, WalkConfig(grid_resolution=m, seed=seed))
+    assert stats.winner_counts.tolist() == counts
+    assert stats.mean_steps == total / trials
+    assert stats.expected_steps == (m * m - sum(ki * ki for ki in k)) / 2
+
+
+def test_born_statistics_mean_steps_matches_oracle():
+    """E[T] = (M^2 - sum k_i^2) / 2 = 3100 for [.5, .3, .2] at M = 100."""
+    state = normalize(np.sqrt([0.5, 0.3, 0.2]))
+    stats = born_statistics(state, 4000, WalkConfig(grid_resolution=100, seed=2718))
+    assert stats.expected_steps == 3100
+    assert 0 < stats.steps_stderr < 100
+    assert abs(stats.mean_steps - 3100) < 4 * stats.steps_stderr
+
+
+def test_born_statistics_vertex_start_takes_no_steps():
+    stats = born_statistics(normalize([0.0, 1.0]), 10, WalkConfig(grid_resolution=40))
+    assert (stats.mean_steps, stats.steps_stderr, stats.expected_steps) == (0, 0, 0)
+
+
 def test_walk_config_defaults():
     config = WalkConfig(grid_resolution=200)
     assert config.max_steps == 100 * 200**2
@@ -324,6 +449,74 @@ def test_two_state_kernel_matches_bitwise_oracle(m):
                 expect = step_by_step_two_state(k0, m, cap, trial_rng(seed, t))
                 got = _first_passage_two_state(k0, m, cap, trial_rng(seed, t))
                 assert got == expect, (m, k0, cap, t)
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 10, 17, 66, 130])
+def test_two_state_kernel_matches_bitwise_oracle_at_byte_edges(m):
+    """Caps and grids around one byte (8 steps) of a word."""
+    for k0 in sorted({1, 2, m // 2, m - 2, m - 1} - {0, m}):
+        for cap in (7, 8, 9, 15, 16, 17, 100 * m * m):
+            for t in range(3):
+                seed = 7000 + 100 * m + k0
+                expect = step_by_step_two_state(k0, m, cap, trial_rng(seed, t))
+                got = _first_passage_two_state(k0, m, cap, trial_rng(seed, t))
+                assert got == expect, (m, k0, cap, t)
+
+
+def bit_walk(byte):
+    """Positions after each of the 8 steps of a byte, bit 0 first, 1 = up."""
+    pos, path = 0, []
+    for bit in range(8):
+        pos += 1 if (byte >> bit) & 1 else -1
+        path.append(pos)
+    return path
+
+
+def test_byte_tables_match_bit_walk():
+    for byte in range(256):
+        path = bit_walk(byte)
+        net = path[-1]
+        assert _BYTE_NET[byte] == net
+        assert _BYTE_LOW[byte] == min(path) - net
+        assert _BYTE_HIGH[byte] == max(path) - net
+        for d in range(10):
+            down = next((s + 1 for s, p in enumerate(path) if p == -d), 9)
+            up = next((s + 1 for s, p in enumerate(path) if p == d), 9)
+            assert _BYTE_DOWN[byte, d] == down, (byte, d)
+            assert _BYTE_UP[byte, d] == up, (byte, d)
+
+
+SEED_CASES = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+INDEX_RANGES = [(0, 40), (10**6, 10**6 + 40), (2**32 - 2, 2**32 + 3)]
+
+
+@pytest.mark.parametrize("seed", SEED_CASES)
+def test_trial_seed_words_match_trial_rng(seed):
+    for lo, hi in INDEX_RANGES:
+        words = _trial_seed_words(seed, lo, hi)
+        assert words.shape == (hi - lo, 4) and words.dtype == np.uint64
+        for row, t in zip(words, range(lo, hi)):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+            assert np.array_equal(row, seq.generate_state(4, np.uint64)), t
+            assert (np.random.PCG64(_SeedWords(row)).state
+                    == trial_rng(seed, t).bit_generator.state), t
+
+
+def test_trial_seed_words_reject_seeds_beyond_the_pool():
+    words = _trial_seed_words(2**128 - 1, 0, 2)
+    assert np.array_equal(
+        words[1],
+        np.random.SeedSequence(entropy=2**128 - 1, spawn_key=(1,)).generate_state(4, np.uint64),
+    )
+    with pytest.raises(ValueError):
+        _trial_seed_words(2**128, 0, 2)
+
+
+def test_trial_rngs_follow_trial_rng_across_blocks():
+    trials = _SEED_BLOCK + 3
+    for t, rng in enumerate(_trial_rngs(99, trials)):
+        assert rng.bit_generator.state == trial_rng(99, t).bit_generator.state, t
+    assert t == trials - 1
 
 
 # (seed, t) -> (winner, steps, eliminations) of _first_passage_multi under the
