@@ -43,6 +43,9 @@ from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, born_statistics, run_walk
 
 
+GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
+
+
 @dataclass
 class RunConfig:
     """Fully resolved parameters of one experiment run."""
@@ -232,10 +235,14 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"--{name} must look like start:stop:step") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--{name} needs finite start, stop and step")
     if step <= 0 or stop < start:
         raise UsageError(f"--{name} needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+    intervals = (stop - start) / step  # inf when the span overflows
+    if intervals >= GRID_MAX_POINTS:
+        raise UsageError(f"--{name} has more than {GRID_MAX_POINTS} points")
+    return start + step * np.arange(round(intervals) + 1)
 
 
 def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
@@ -243,6 +250,8 @@ def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
         degs = [float(v) for v in spec.split(",")]
     except ValueError as exc:
         raise UsageError("--settings must be comma-separated degrees") from exc
+    if not all(map(math.isfinite, degs)):
+        raise UsageError("--settings needs finite angles")
     if len(degs) != 4:
         raise UsageError("--settings needs exactly four angles: a,a',b,b'")
     return tuple(DetectorSetting.from_plane_angle_degrees(d) for d in degs)

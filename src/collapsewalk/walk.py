@@ -17,6 +17,16 @@ before that cut whose up or down count could carry them to a wall.  Those
 few are read byte by byte through 256-entry tables (net move, lowest and
 highest point, first step at each distance) to find the first hit.
 
+With N >= 3 states the walk runs in batches of steps until two states are
+left.  Every state owns a 16-bit lane of a uint64 word, so a batch is one
+table lookup of each step's packed move and one cumsum; a lane's top bit
+marks the step where its state dies.  ``born_statistics`` then gathers the
+two-state tails of a block of trials and runs the two-state pass on all of
+them at once, one row per trial, as long as a block of rows fits in
+``_TAIL_BYTES``; rows that outlive that draw, and draws too long to share a
+block, go on in the per-trial kernel.  Every path reads the same stream
+words as the step-by-step definitions, so outputs are bit-identical.
+
 Reproducibility contract: trial ``t`` of a batch with seed ``s`` always draws
 from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
 block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
@@ -25,6 +35,8 @@ it builds exactly those streams without one ``SeedSequence`` per trial.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +49,7 @@ from .errors import (
     MaxStepsExceededError,
     NoAlivePairError,
 )
-from .states import JointState, QuantumState, form_joint
+from .states import JointState, QuantumState
 
 # numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
 # the 4-word entropy pool, and the pool words hashed into the output state
@@ -47,6 +59,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _SEED_BLOCK = 1 << 12  # trials whose seed words are derived at a time
+
+# N-state batches: 16-bit lanes, four to a uint64 column
+_LANES = 4
+_LANE_TOP = 1 << 15
+_LANE_HIGH = np.uint64(0x8000_8000_8000_8000)  # the top bit of every lane
+_BATCH_STEPS = 1 << 14  # longest batch, so a lane moves at most 2**14
+_BATCH_BYTES = 1 << 20  # largest (batch, columns) uint64 path of one batch
+_PAIR_TABLE_BYTES = 1 << 16  # largest table of packed moves by ordered pair
+_TAIL_BYTES = 1 << 16  # raw words of one block of two-state rows
 
 
 def _byte_tables():
@@ -381,23 +402,22 @@ def born_statistics(
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    joint = form_joint(state)
     m = config.grid_resolution
-    k0 = quantize_weights(joint.weights, m)
+    k0 = quantize_weights(state.weights(), m)
     n = k0.size
     counts = np.zeros(n, dtype=np.int64)
     total = total_sq = 0
-    for rng in _trial_rngs(config.seed, trials):
-        if n == 2:
-            winner, steps = _first_passage_two_state(
-                int(k0[0]), m, config.max_steps, rng
-            )
-        else:
-            winner, steps, _ = _first_passage_multi(k0, m, config.max_steps, rng)
-        if winner >= 0:
-            counts[winner] += 1
-            total += steps
-            total_sq += steps * steps
+    # no walk takes 2**62 steps; the clamp keeps step counts in int64
+    max_steps = min(config.max_steps, 1 << 62)
+    rngs = _trial_rngs(config.seed, trials)
+    for _ in range(0, trials, _SEED_BLOCK):
+        block = list(itertools.islice(rngs, _SEED_BLOCK))
+        winners, steps = _born_block(k0, m, max_steps, block)
+        for winner, step in zip(winners.tolist(), steps.tolist()):
+            if winner >= 0:
+                counts[winner] += 1
+                total += step
+                total_sq += step * step
     counted = int(counts.sum())
     excluded = trials - counted
     if excluded > 0.01 * trials:
@@ -423,6 +443,145 @@ def born_statistics(
     )
 
 
+def _born_block(k0: np.ndarray, m: int, max_steps: int, rngs: list):
+    """Winners (-1 on a cap hit) and steps of one block of trials.
+
+    N-state trials run their first phases one by one; those left with two
+    states then share one ``_two_state_block`` call, which two-state trials
+    enter directly.
+    """
+    if k0.size == 2:
+        rows = len(rngs)
+        return _two_state_block(
+            np.full(rows, k0[0]), np.full(rows, max_steps), rngs, m
+        )
+    winners = np.full(len(rngs), -1, dtype=np.int64)
+    steps = np.zeros(len(rngs), dtype=np.int64)
+    tails, pos, pairs = [], [], []
+    for t, rng in enumerate(rngs):
+        k, alive, steps[t], _ = _multi_first_phase(k0, m, max_steps, rng)
+        if len(alive) == 1:
+            winners[t] = alive[0]
+        elif steps[t] < max_steps:
+            tails.append(t)
+            pos.append(k[alive[0]])
+            pairs.append(alive)
+    if tails:
+        tails = np.array(tails)
+        won, tail_steps = _two_state_block(
+            np.array(pos), max_steps - steps[tails], [rngs[t] for t in tails], m
+        )
+        pairs = np.array(pairs)
+        winners[tails] = np.where(won < 0, -1, pairs[np.arange(tails.size), won])
+        steps[tails] += tail_steps
+    return winners, steps
+
+
+def _words_per_draw(spread: int) -> int:
+    """Raw words per two-state draw from pos (M - pos), which is M^2 / 4 at
+    most: about 1.6 times the mean need, so one draw usually ends the walk."""
+    return min(1 << 15, max(32, spread // 40 + 32))
+
+
+def _two_state_block(pos: np.ndarray, caps: np.ndarray, rngs: list, m: int):
+    """``_first_passage_two_state(pos[r], m, caps[r], rngs[r])`` for every
+    row r, as arrays (winners, steps).
+
+    Rows inside (0, m) go through ``_two_state_rows`` in blocks of at most
+    ``_TAIL_BYTES`` of drawn words.  Where a block would hold fewer than two
+    rows, they run the per-trial kernel instead.
+    """
+    winners = np.where(pos <= 0, 1, 0)
+    steps = np.zeros(pos.size, dtype=np.int64)
+    inside = np.flatnonzero((pos > 0) & (pos < m))
+    if inside.size == 0:
+        return winners, steps
+    n = _words_per_draw(int((pos[inside] * (m - pos[inside])).max()))
+    per_block = _TAIL_BYTES // (8 * n)
+    if per_block < 2:
+        for r in inside.tolist():
+            winners[r], steps[r] = _first_passage_two_state(
+                int(pos[r]), m, int(caps[r]), rngs[r]
+            )
+        return winners, steps
+    for lo in range(0, inside.size, per_block):
+        rows = inside[lo : lo + per_block]
+        winners[rows], steps[rows] = _two_state_rows(
+            pos[rows], caps[rows], [rngs[r] for r in rows.tolist()], m, n
+        )
+    return winners, steps
+
+
+def _two_state_rows(
+    pos: np.ndarray, caps: np.ndarray, rngs: list, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_passage_two_state``'s pass over one draw, on many rows at once.
+
+    Every row draws the same ``n`` raw words from its own stream and starts
+    inside (0, m).  A two-state outcome depends only on the word sequence,
+    not on how it is split into draws, so rows that outlive the draw go on
+    in ``_first_passage_two_state`` from the same stream position with the
+    same result as one per-trial call.
+    """
+    rows = pos.size
+    words = np.empty((rows, n), dtype=np.uint64)
+    for r, rng in enumerate(rngs):
+        words[r] = rng.bit_generator.random_raw(n)
+    # the per-trial kernel's g, cut and candidate words, row by row
+    base = (-pos) // 2 + 1
+    span = (m - pos + 1) // 2 - 1 - base
+    g = np.subtract(np.bitwise_count(words), 32, dtype=np.int64)
+    g[:, 0] -= base
+    np.cumsum(g, axis=1, out=g)
+    out = g.view(np.uint64) > span.astype(np.uint64)[:, None]
+    cut = np.where(out.any(axis=1), out.argmax(axis=1) + 1, n)
+    pair = np.empty_like(g)
+    pair[:, 0] = g[:, 0] - base
+    np.add(g[:, :-1], g[:, 1:], out=pair[:, 1:])
+    pair -= (33 - pos - 2 * base)[:, None]
+    near = pair.view(np.uint64) >= max(m - 65, 0)
+    near &= np.arange(n) < cut[:, None]
+    row, col = np.nonzero(near)
+    winners = np.full(rows, -1, dtype=np.int64)
+    steps = np.full(rows, -1, dtype=np.int64)
+    if row.size:
+        octets = words[row, col].astype("<u8", copy=False).view(np.uint8)
+        # flat byte ends: each candidate's first byte jumps from the end of
+        # the previous candidate (of any row) to its own start
+        offset = pos[row] + 2 * base[row]
+        ends_at = offset + 2 * g[row, col]
+        jump = np.where(col > 0, offset + 2 * g[row, col - 1], pos[row])
+        jump[1:] -= ends_at[:-1]
+        ends = _BYTE_NET.take(octets)
+        ends[::8] += jump
+        np.cumsum(ends, out=ends)
+        touch = (ends + _BYTE_LOW.take(octets) <= 0) | (
+            ends + _BYTE_HIGH.take(octets) >= m
+        )
+        hit = np.flatnonzero(touch)
+        if hit.size:
+            hit_row = row[hit // 8]
+            first = hit[np.diff(hit_row, prepend=-1) != 0]
+            r = row[first // 8]
+            octet = octets[first]
+            start = ends[first] - _BYTE_NET[octet]
+            down = _BYTE_DOWN[octet, np.minimum(start, 9)]
+            up = _BYTE_UP[octet, np.minimum(m - start, 9)]
+            steps[r] = 64 * col[first // 8] + 8 * (first % 8) + np.minimum(down, up)
+            winners[r] = np.where(steps[r] > caps[r], -1, np.where(up < down, 0, 1))
+    drawn = 64 * n
+    for r in np.flatnonzero(steps < 0).tolist():
+        if caps[r] > drawn:
+            end = int(pos[r] + 2 * (g[r, -1] + base[r]))
+            winners[r], steps[r] = _first_passage_two_state(
+                end, m, int(caps[r]) - drawn, rngs[r]
+            )
+            steps[r] += drawn
+    capped = winners < 0
+    steps[capped] = caps[capped]
+    return winners, steps
+
+
 def _first_passage_two_state(
     k0: int, m: int, max_steps: int, rng: np.random.Generator
 ) -> tuple[int, int]:
@@ -446,7 +605,7 @@ def _first_passage_two_state(
         return 0, 0
     steps = 0
     while steps < max_steps:
-        n = min(1 << 15, max(32, (pos * (m - pos)) // 40 + 32))
+        n = _words_per_draw(pos * (m - pos))
         words = rng.bit_generator.random_raw(n)
         # g_i = h_i - base, where pos + 2 h_i is the position after word i:
         # that word ends strictly inside (0, m) exactly when 0 <= g_i <= span
@@ -500,58 +659,134 @@ def _first_passage_two_state(
     return -1, max_steps
 
 
+def _lane_unit(states: np.ndarray) -> np.ndarray:
+    """One unit in each state's 16-bit lane: state i owns lane i % 4 of the
+    packed uint64 column i // 4."""
+    return np.left_shift(np.uint64(1), (states % _LANES * 16).astype(np.uint64))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_moves(n: int) -> np.ndarray | None:
+    """Packed move of every ordered pair among ``n`` alive states, or None
+    where the table would pass ``_PAIR_TABLE_BYTES``.
+
+    Row ``src * (n - 1) + draw`` is the pair that ``walk_step`` draws as
+    (src, draw): -1 in the source's lane and +1 in the destination's, in
+    uint64 arithmetic modulo 2**64.
+    """
+    cols = -(-n // _LANES)
+    if n * (n - 1) * cols * 8 > _PAIR_TABLE_BYTES:
+        return None
+    src, dst = np.divmod(np.arange(n * (n - 1)), n - 1)
+    dst += dst >= src
+    rows = np.arange(src.size)
+    pair = np.zeros((src.size, cols), dtype=np.uint64)
+    pair[rows, src // _LANES] -= _lane_unit(src)
+    pair[rows, dst // _LANES] += _lane_unit(dst)
+    pair.setflags(write=False)
+    return pair
+
+
+def _packed_path(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(batch, ceil(n / 4)) packed moves of the steps drawn as ``src`` and
+    ``dst`` (``dst`` not yet shifted past ``src``); overwrites both."""
+    pair = _pair_moves(n)
+    if pair is not None:
+        src *= n - 1
+        src += dst
+        return pair.take(src, axis=0)
+    dst += dst >= src
+    path = np.zeros((src.size, -(-n // _LANES)), dtype=np.uint64)
+    flat = path.reshape(-1)
+    rows = np.arange(0, flat.size, path.shape[1])
+    flat[rows + src // _LANES] -= _lane_unit(src)
+    flat[rows + dst // _LANES] += _lane_unit(dst)
+    return path
+
+
+def _multi_first_phase(k0, m: int, max_steps: int, rng):
+    """Walk N >= 3 quantized weights until at most two states are alive.
+
+    Returns (k, alive, steps, eliminations) as Python lists and ints: the
+    grid counts, the indices of the states still alive, the steps taken and
+    the (state, step) history.  Steps come in batches of ordered (source,
+    destination) pairs; each batch is one cumsum over packed 16-bit lanes
+    (``_packed_path``).  Lane i starts at 2**15 + min(k_i, batch) - 1, so
+    its top bit first clears on the step where state i reaches zero.  With
+    k_i > batch the state cannot die within the batch: its lane spans
+    [2**15 - 1, 2**16 - 1] and clears its top bit only if every step of the
+    batch took from it, which the exact counts read at the flagged step then
+    rule out.  No lane leaves [0, 2**16), so none carries into the next.
+    Past the cap the caller reads ``steps >= max_steps``.
+    """
+    k = [int(x) for x in k0]
+    alive = [i for i, x in enumerate(k) if x > 0]
+    eliminations = [(i, 0) for i, x in enumerate(k) if x == 0]
+    steps = 0
+    while len(alive) > 2 and steps < max_steps:
+        n = len(alive)
+        cols = -(-n // _LANES)
+        longest = max(1, min(_BATCH_STEPS, _BATCH_BYTES // (8 * cols)))
+        ka = [k[i] for i in alive]
+        # diffusive guess for the time to the next elimination
+        k_min = min(ka)
+        batch = min(max(k_min * (m - k_min) * n // 4, 64), longest)
+        while steps < max_steps:
+            # uniform ordered (source, destination) pairs, as in walk_step
+            src = rng.integers(n, size=batch)
+            dst = rng.integers(n - 1, size=batch)
+            path = _packed_path(n, src, dst)
+            start = [min(x, batch) + _LANE_TOP - 1 for x in ka]
+            path[0] += _pack_lanes(start, cols)
+            np.cumsum(path, axis=0, out=path)
+            live = path[:, 0] & _LANE_HIGH
+            for col in range(1, cols):
+                live &= path[:, col]
+            flagged = live != _LANE_HIGH
+            r = int(flagged.argmax())
+            if not flagged[r]:
+                r = batch - 1
+            row = path[r].tolist()
+            ka = [
+                x - s + (row[i // _LANES] >> i % _LANES * 16 & 0xFFFF)
+                for i, (x, s) in enumerate(zip(ka, start))
+            ]
+            for i, x in zip(alive, ka):
+                k[i] = x
+            if 0 in ka:
+                steps += r + 1
+                eliminations.append((alive.pop(ka.index(0)), steps))
+                break
+            steps += batch
+            batch = min(batch * 2, longest)
+    return k, alive, steps, eliminations
+
+
+def _pack_lanes(lanes: list[int], cols: int) -> np.ndarray:
+    """Pack 16-bit lane values into ``cols`` uint64 words; missing lanes
+    read 2**15, whose top bit is set."""
+    words = [0] * cols
+    for i, lane in enumerate(lanes + [_LANE_TOP] * (_LANES * cols - len(lanes))):
+        words[i // _LANES] |= lane << i % _LANES * 16
+    return np.array(words, dtype=np.uint64)
+
+
 def _first_passage_multi(
     k0: np.ndarray, m: int, max_steps: int, rng: np.random.Generator
 ) -> tuple[int, int, list[tuple[int, int]]]:
     """First passage to a simplex vertex for N >= 3 quantized weights.
 
-    Batched pair-transfer events with exact in-batch elimination detection;
-    drops to the two-state kernel once only two states remain.  Returns
-    (winner, steps, eliminations) with winner -1 on a cap hit.
+    Runs ``_multi_first_phase``, then the two-state kernel once only two
+    states remain.  Returns (winner, steps, eliminations) with winner -1 on
+    a cap hit.
     """
-    k = np.array(k0, dtype=np.int64)
-    alive_idx = np.flatnonzero(k > 0)
-    eliminations = [(int(i), 0) for i in np.flatnonzero(k == 0)]
-    steps = 0
-    while alive_idx.size > 2 and steps < max_steps:
-        n = alive_idx.size
-        # diffusive guess for the time to the next elimination
-        k_min = int(k[alive_idx].min())
-        batch = min(max(k_min * (m - k_min) * n // 4, 64), 1 << 14)
-        hit_row = -1
-        while hit_row < 0 and steps < max_steps:
-            # uniform ordered (source, destination) pairs, as in walk_step
-            src = rng.integers(n, size=batch)
-            dst = rng.integers(n - 1, size=batch)
-            dst += dst >= src
-            # moved[i, t]: net units state i has gained after step t
-            moved = np.zeros((n, batch), dtype=np.int32)
-            cols = np.arange(batch)
-            moved[src, cols] = -1
-            moved[dst, cols] = 1
-            np.cumsum(moved, axis=1, out=moved)
-            dead_mask = moved == -k[alive_idx, None]
-            any_dead = dead_mask.any(axis=0)
-            r = int(np.argmax(any_dead))
-            if any_dead[r]:
-                hit_row = r
-                steps += r + 1
-                local = int(np.argmax(dead_mask[:, r]))
-                k[alive_idx] += moved[:, r]
-                eliminations.append((int(alive_idx[local]), steps))
-                alive_idx = np.delete(alive_idx, local)
-            else:
-                k[alive_idx] += moved[:, -1]
-                steps += batch
-                batch = min(batch * 2, 1 << 14)
-    if alive_idx.size == 1:
-        return int(alive_idx[0]), steps, eliminations
+    k, alive, steps, eliminations = _multi_first_phase(k0, m, max_steps, rng)
+    if len(alive) == 1:
+        return alive[0], steps, eliminations
     if steps >= max_steps:
         return -1, max_steps, eliminations
-    i, j = int(alive_idx[0]), int(alive_idx[1])
-    winner01, tail = _first_passage_two_state(
-        int(k[i]), m, max_steps - steps, rng
-    )
+    i, j = alive
+    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
     if winner01 < 0:
         return -1, max_steps, eliminations
     steps += tail

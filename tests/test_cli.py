@@ -91,6 +91,14 @@ def test_usage_error_exit_code(tmp_path):
         ["greens", "--x0", "0.5", "--laplace-s", "0"],
         ["born", "--amplitudes", "1,0"],
         ["born", "--amplitudes", "0,0;0,0"],
+        ["c2", "--theta-grid", "nan:nan:1"],
+        ["c2", "--theta-grid", "0:inf:1"],
+        ["c2", "--theta-grid", "0:180:1e-13"],
+        ["c2", "--theta-grid=-1e308:1e308:1"],
+        ["greens", "--x0", "0.5", "--x-grid", "0:1:1e-14"],
+        ["bell", "--model", "image-analytic", "--theta-grid", "0:90:nan"],
+        ["chsh", "--model", "quantum", "--settings", "0,nan,45,135"],
+        ["chsh", "--model", "quantum", "--settings", "0,90,inf,135"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):

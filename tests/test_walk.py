@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from collapsewalk import (
     DegenerateGridError,
@@ -27,12 +29,19 @@ from collapsewalk.walk import (
     _BYTE_LOW,
     _BYTE_NET,
     _BYTE_UP,
+    _BATCH_BYTES,
     _SEED_BLOCK,
+    _TAIL_BYTES,
     _first_passage_multi,
     _first_passage_two_state,
+    _multi_first_phase,
+    _pair_moves,
     _SeedWords,
     _trial_rngs,
     _trial_seed_words,
+    _two_state_block,
+    _two_state_rows,
+    _words_per_draw,
 )
 
 
@@ -567,3 +576,256 @@ def test_multi_kernel_mean_exit_time(k0, m):
         assert winner >= 0
     expect = (m * m - sum(k * k for k in k0)) / 2
     assert abs(steps.mean() - expect) < 4 * steps.std(ddof=1) / np.sqrt(trials)
+
+
+def longest_batch(n):
+    """The N-state kernel's longest batch: 2**14 steps, capped so that the
+    (batch, ceil(n / 4)) uint64 path stays within _BATCH_BYTES."""
+    return max(1, min(1 << 14, _BATCH_BYTES // (8 * -(-n // 4))))
+
+
+def matrix_first_phase(k0, m, max_steps, rng):
+    """Oracle for _multi_first_phase: the same draws and batch sizes, with
+    each batch's path built as an (n, batch) int32 matrix of per-state net
+    moves, one cumsum per row and an exact test against -k_i."""
+    k = np.array(k0, dtype=np.int64)
+    alive_idx = np.flatnonzero(k > 0)
+    eliminations = [(int(i), 0) for i in np.flatnonzero(k == 0)]
+    steps = 0
+    while alive_idx.size > 2 and steps < max_steps:
+        n = alive_idx.size
+        k_min = int(k[alive_idx].min())
+        batch = min(max(k_min * (m - k_min) * n // 4, 64), longest_batch(n))
+        hit_row = -1
+        while hit_row < 0 and steps < max_steps:
+            src = rng.integers(n, size=batch)
+            dst = rng.integers(n - 1, size=batch)
+            dst += dst >= src
+            moved = np.zeros((n, batch), dtype=np.int32)
+            cols = np.arange(batch)
+            moved[src, cols] = -1
+            moved[dst, cols] = 1
+            np.cumsum(moved, axis=1, out=moved)
+            dead_mask = moved == -k[alive_idx, None]
+            any_dead = dead_mask.any(axis=0)
+            r = int(np.argmax(any_dead))
+            if any_dead[r]:
+                hit_row = r
+                steps += r + 1
+                local = int(np.argmax(dead_mask[:, r]))
+                k[alive_idx] += moved[:, r]
+                eliminations.append((int(alive_idx[local]), steps))
+                alive_idx = np.delete(alive_idx, local)
+            else:
+                k[alive_idx] += moved[:, -1]
+                steps += batch
+                batch = min(batch * 2, longest_batch(n))
+    return k.tolist(), alive_idx.tolist(), steps, eliminations
+
+
+def matrix_multi(k0, m, max_steps, rng):
+    """Oracle for _first_passage_multi: matrix_first_phase, then the
+    two-state kernel (itself pinned to the bitwise oracle)."""
+    k, alive, steps, eliminations = matrix_first_phase(k0, m, max_steps, rng)
+    if len(alive) == 1:
+        return alive[0], steps, eliminations
+    if steps >= max_steps:
+        return -1, max_steps, eliminations
+    i, j = alive
+    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
+    if winner01 < 0:
+        return -1, max_steps, eliminations
+    steps += tail
+    winner, loser = (i, j) if winner01 == 0 else (j, i)
+    eliminations.append((loser, steps))
+    return winner, steps, eliminations
+
+
+def random_multi_cases(count, sizes, seed, alpha=0.7):
+    """(k0, m, cap) with some zero weights, grids from N to max(100, 4N)
+    and caps from one step to 100 M^2; a larger ``alpha`` leaves fewer
+    states at zero."""
+    gen = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(gen.choice(sizes))
+        m = int(gen.integers(n, max(101, 4 * n + 1)))
+        k0 = gen.multinomial(m, gen.dirichlet(np.full(n, alpha)))
+        if case % 5 == 0:
+            k0[gen.integers(n)] = 0
+            k0[gen.integers(n)] += m - k0.sum()
+        cap = int(gen.choice([1, 7, 63, 64, 65, 500, 4000, 100 * m * m]))
+        yield k0, m, cap
+
+
+def test_multi_first_phase_matches_matrix_oracle():
+    batches = set()
+    for case, (k0, m, cap) in enumerate(random_multi_cases(300, range(3, 10), 61)):
+        expect = matrix_first_phase(k0, m, cap, trial_rng(61, case))
+        got = _multi_first_phase(k0, m, cap, trial_rng(61, case))
+        assert got == expect, (case, k0.tolist(), m, cap)
+        alive = k0[k0 > 0]
+        batches.add(min(max(alive.min() * (m - alive.min()) * alive.size // 4, 64), 1 << 14))
+    assert any(b % 2 for b in batches)  # odd batch sizes were exercised
+
+
+def test_multi_kernel_matches_matrix_oracle():
+    """Whole outputs, including the scattered moves of 33 and more alive
+    states (no ordered-pair table) and batches capped by _BATCH_BYTES."""
+    cases = itertools.chain(
+        random_multi_cases(120, range(3, 10), 62),
+        random_multi_cases(30, [33, 40, 47, 64], 63, alpha=20.0),
+    )
+    for case, (k0, m, cap) in enumerate(cases):
+        expect = matrix_multi(k0, m, cap, trial_rng(62, case))
+        got = _first_passage_multi(k0, m, cap, trial_rng(62, case))
+        assert got == expect, (case, k0.tolist(), m, cap)
+    assert _pair_moves(32) is not None and _pair_moves(33) is None
+    assert longest_batch(40) < 1 << 14
+
+
+def test_multi_batch_memory_is_bounded_for_large_n():
+    """One batch of 1000 states (250 packed columns) stays within a fixed
+    budget; an (n, batch) int32 matrix would take 65 MB."""
+    k0 = np.full(1000, 10)
+    tracemalloc.start()
+    try:
+        winner, steps, _ = _first_passage_multi(k0, 10_000, 1, trial_rng(5, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (winner, steps) == (-1, 1)
+    assert peak < 2 * _BATCH_BYTES
+
+
+def test_born_statistics_memory_is_bounded_for_large_n():
+    """3000 states need no N x N matrix: the weights come straight from the
+    amplitudes.  The one trial hits its one-step cap, which raises."""
+    state = normalize(np.ones(3000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaxStepsExceededError):
+            born_statistics(state, 1, WalkConfig(grid_resolution=30_000, max_steps=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _BATCH_BYTES
+
+
+TAIL_GRIDS = [2, 3, 10, 64, 65, 100, 1000]
+TAIL_CAPS = [1, 7, 8, 9, 63, 64, 65]
+
+
+@pytest.mark.parametrize("m", TAIL_GRIDS)
+def test_two_state_block_matches_per_trial_kernel(m):
+    """Mixed start positions (walls included) and caps; at M = 1000 every
+    block holds one row, so the rows take the per-trial kernel."""
+    gen = np.random.default_rng(m)
+    for cap in TAIL_CAPS + [100 * m * m]:
+        pos = gen.integers(0, m + 1, size=24)
+        pos[:3] = (1, m - 1, m // 2)
+        caps = np.full(pos.size, cap)
+        expect = [
+            _first_passage_two_state(int(p), m, cap, trial_rng(m, t))
+            for t, p in enumerate(pos)
+        ]
+        got = _two_state_block(pos, caps, [trial_rng(m, t) for t in range(pos.size)], m)
+        assert list(zip(*(a.tolist() for a in got))) == expect, (m, cap)
+    n = _words_per_draw(m * m // 4)
+    assert (_TAIL_BYTES // (8 * n) < 2) == (m == 1000)
+
+
+@pytest.mark.parametrize("m", TAIL_GRIDS)
+@pytest.mark.parametrize("n", [1, 3, None])
+def test_two_state_rows_match_per_trial_kernel(m, n):
+    """Draws of 1 and 3 words leave most rows to outlive them and go on in
+    the per-trial kernel; one-row blocks included."""
+    gen = np.random.default_rng(1000 + m)
+    for cap in TAIL_CAPS + [100 * m * m]:
+        for rows in (1, 9):
+            pos = gen.integers(1, m, size=rows)
+            caps = gen.integers(1, cap + 1, size=rows)
+            caps[0] = cap
+            words = n or _words_per_draw(int((pos * (m - pos)).max()))
+            seeds = [(m, cap, rows, t) for t in range(rows)]
+            expect = [
+                _first_passage_two_state(int(p), m, int(c), np.random.default_rng(s))
+                for p, c, s in zip(pos, caps, seeds)
+            ]
+            got = _two_state_rows(
+                pos, caps, [np.random.default_rng(s) for s in seeds], m, words
+            )
+            assert list(zip(*(a.tolist() for a in got))) == expect, (m, cap, rows)
+
+
+def composition_law(k0, max_t=4000):
+    """Exact law of _first_passage_multi for small M by a forward DP over
+    the compositions of M into len(k0) parts, each tagged with the states
+    eliminated so far (in order).
+
+    Returns ({elimination order: probability}, E[T], Var T); the mass left
+    unabsorbed after max_t steps must be negligible.
+    """
+    m, n = sum(k0), len(k0)
+    comps = [c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m]
+    keys, index = [], {}
+    for c in comps:
+        dead = [i for i in range(n) if c[i] == 0]
+        for order in itertools.permutations(dead):
+            index[(c, order)] = len(keys)
+            keys.append((c, order))
+    src, dst, prob = [], [], []
+    absorbed = {}
+    for c, order in keys:
+        alive = [i for i in range(n) if c[i] > 0]
+        if len(alive) == 1:
+            absorbed[index[(c, order)]] = order
+            continue
+        p = 1.0 / (len(alive) * (len(alive) - 1))
+        for a, b in itertools.permutations(alive, 2):
+            nxt = list(c)
+            nxt[a] -= 1
+            nxt[b] += 1
+            src.append(index[(c, order)])
+            dst.append(index[(tuple(nxt), order + ((a,) if nxt[a] == 0 else ()))])
+            prob.append(p)
+    src, dst, prob = map(np.array, (src, dst, prob))
+    mass = np.zeros(len(keys))
+    mass[index[(tuple(k0), ())]] = 1.0
+    law = dict.fromkeys(absorbed.values(), 0.0)
+    moments = np.zeros(3)
+    for t in range(1, max_t + 1):
+        mass = np.bincount(dst, weights=mass[src] * prob, minlength=len(keys))
+        for i, order in absorbed.items():
+            law[order] += mass[i]
+            moments += mass[i] * np.array([1.0, t, t * t])
+            mass[i] = 0.0
+    assert 1.0 - moments[0] < 1e-12
+    mean = moments[1]
+    return law, mean, moments[2] - mean * mean
+
+
+def test_multi_kernel_matches_exact_composition_law():
+    """[5, 3, 2] at M = 10: elimination-order frequencies by chi^2 over the
+    six orders (bins fixed from the exact law before sampling) and the mean
+    exit time by a z-test, both at 4 sigma.  E[T] = (100 - 38) / 2 = 31."""
+    k0 = (5, 3, 2)
+    law, mean, var = composition_law(k0)
+    assert abs(mean - 31) < 1e-9
+    orders = sorted(law)
+    assert len(orders) == 6 and min(law.values()) > 0.01
+    trials = 6000
+    counts = dict.fromkeys(orders, 0)
+    total = 0
+    for t in range(trials):
+        winner, steps, eliminations = _first_passage_multi(
+            np.array(k0), 10, 100 * 10 * 10, trial_rng(4242, t)
+        )
+        order = tuple(state for state, _ in eliminations)
+        assert winner >= 0 and eliminations[-1][1] == steps
+        counts[order] += 1
+        total += steps
+    expected = np.array([law[o] for o in orders]) * trials
+    observed = np.array([counts[o] for o in orders])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < stats.chi2.isf(stats.norm.sf(4) * 2, len(orders) - 1), (chi2, counts)
+    assert abs(total / trials - mean) < 4 * np.sqrt(var / trials)
