@@ -27,15 +27,30 @@ paths remain independent routes to the same numbers.
 
 The samplers never build lam itself.  The joint law of (a.lam, b.lam)
 depends on the settings only through a.b, so every estimator draws the two
-projections directly in the plane of the settings.  The image density
-(c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a mixture of its four
-terms (the composition method): the |.| and constant terms are drawn
-directly, and only the overlap term c1^2 |a.lam||b.lam| needs rejection,
-with exact acceptance I(theta) / 2 pi >= 0.42.
+projections directly in the plane of the settings, from one point (p, q)
+uniform in the unit disc and no trigonometry (see ``_dot_pairs``):
 
-Every Monte Carlo estimator draws through fixed-size chunks with independent
-child streams, so results are reproducible for a given (seed, chunk size)
-regardless of scheduling.
+* uniform lam: Marsaglia's (1972) map of the disc onto the sphere gives
+  a.lam = 1 - 2s and the in-plane normal part 2p sqrt(1 - s), s = p^2 + q^2;
+* lam with density proportional to |a.lam|: the sphere's area element over
+  the disc of lam's projection normal to a is d^2w / |a.lam|, so that
+  projection is uniform in the disc, a.lam = +-sqrt(1 - s) with a fair sign,
+  and the in-plane normal part is q.
+
+The image density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
+mixture of its four terms (the composition method): the |.| and constant
+terms are drawn directly, and only the overlap term c1^2 |a.lam||b.lam|
+needs rejection.  Its proposals come from the density |a.lam| / 2 pi and
+are kept with probability |b.lam|, so the acceptance is exactly
+integral |a.lam||b.lam| dOmega / 2 pi = I(theta) / 2 pi >= 0.42.  The
+disc's own rejection step only makes each proposal and is not counted.
+
+Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
+independent child streams, so results are reproducible for a given seed
+regardless of scheduling.  Per-seed draws depend on CHUNK_SIZE and on the
+order in which the samplers consume their streams; changing either changes
+the per-seed output of all three estimators (sign model, image-analytic
+Monte Carlo, image events), not their laws.
 """
 
 from __future__ import annotations
@@ -49,7 +64,7 @@ from .errors import NoRealRootError, RejectionStallError
 
 C1 = math.sqrt(3.0 / (4.0 * math.pi))
 UNIT_TOL = 1e-12
-CHUNK_SIZE = 1 << 16
+CHUNK_SIZE = 1 << 14  # events per chunk: one chunk's arrays stay within L2
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
 
 
@@ -213,6 +228,33 @@ def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
     return cos_ab, float(np.linalg.norm(np.cross(a.direction, b.direction)))
 
 
+def _disc_points(rng: np.random.Generator, n: int):
+    """(p, q, s) for n points uniform in the unit disc, with s = p^2 + q^2.
+
+    Rejection from the square [-1, 1)^2 keeps a point with probability
+    pi / 4; each round is sized with a 4 sigma margin, so one round nearly
+    always suffices.  Points are compressed by index, never by mask.
+    """
+    parts = []
+    left = n
+    while True:
+        m = int((left + 4.0 * math.sqrt(left)) / (math.pi / 4.0)) + 1
+        pq = rng.random(2 * m)
+        pq *= 2.0
+        pq -= 1.0
+        p, q = pq[:m], pq[m:]
+        s = p * p
+        s += q * q
+        keep = np.flatnonzero(s < 1.0)[:left]
+        parts.append((p.take(keep), q.take(keep), s.take(keep)))
+        left -= keep.size
+        if left == 0:
+            break
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _dot_pairs(
     rng: np.random.Generator,
     n: int,
@@ -222,17 +264,36 @@ def _dot_pairs(
 ):
     """(x.lam, y.lam) for n hidden vectors, x and y unit at angle (cos_ab, sin_ab).
 
-    Drawn in the plane of x and y: u = x.lam is uniform on [-1, 1] for
-    uniform lam (Archimedes), or has density |u| / 2 for the density
-    proportional to |x.lam| when ``tilted``; the part of lam orthogonal to
-    x has a uniform azimuth phi, so y.lam = cos_ab u + sin_ab sqrt(1 - u^2)
-    cos phi.  The joint law of the two projections depends on the settings
-    only through x.y, so this matches projecting a full lam batch.
+    Drawn in the plane of x and y from one point (p, q) uniform in the unit
+    disc, s = p^2 + q^2, with no trigonometry.  Write lam = u x + w, with w
+    normal to x and e the unit vector normal to x in the plane of x and y,
+    so y.lam = cos_ab u + sin_ab (e.w).
+
+    * Uniform lam (Marsaglia 1972): (2p sqrt(1 - s), 2q sqrt(1 - s), 1 - 2s)
+      is uniform on the sphere, so u = 1 - 2s and e.w = 2p sqrt(1 - s).
+    * Density proportional to |x.lam| (``tilted``): the sphere's area
+      element is d^2w / |u| over the disc of w, so the weight |u| makes w
+      itself uniform in the disc, and the sign of u is a fair bit
+      independent of it.  So e.w = q and u = sqrt(1 - s) with the sign of
+      p: p enters s only squared, so its sign is a fair bit independent of
+      s and q.  |u| then has density 2|u| on [0, 1], i.e. u has density
+      |u| / 2.
+
+    The joint law of the two projections depends on the settings only
+    through x.y, so this matches projecting a full lam batch.  For parallel
+    or antiparallel settings sin_ab is exactly zero and y.lam = cos_ab u.
     """
-    w = rng.uniform(-1.0, 1.0, n)
-    u = np.copysign(np.sqrt(np.abs(w)), w) if tilted else w
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    v = cos_ab * u + sin_ab * np.sqrt(1.0 - u * u) * np.cos(phi)
+    p, q, s = _disc_points(rng, n)
+    root = np.sqrt(1.0 - s)
+    if tilted:
+        u = np.copysign(root, p, out=root)
+        perp = q
+    else:
+        u = 1.0 - 2.0 * s
+        perp = root
+        perp *= 2.0 * p
+    v = cos_ab * u
+    v += sin_ab * perp
     return u, v
 
 
@@ -269,7 +330,8 @@ def bell_sign_correlation(
         while np.any(tie):
             da[tie], db[tie] = _dot_pairs(sub, int(tie.sum()), cos_ab, sin_ab)
             tie = (da == 0.0) | (db == 0.0)
-        total += int((np.sign(da) * -np.sign(db)).sum())
+        # E^A E^B = -1 where the projections share a sign, +1 elsewhere
+        total += count - 2 * int(np.count_nonzero(np.signbit(da) == np.signbit(db)))
     value = total / n
     stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
     return CorrelationEstimate(value=value, stderr=stderr, n=n, model="bell-sign")
@@ -405,13 +467,13 @@ def _overlap_term_draws(
         left = need - have
         m = int((left + 4.0 * math.sqrt(left)) / rate) + 1
         u, v = _dot_pairs(sub, m, cos_ab, sin_ab, tilted=True)
-        keep = sub.random(m) < np.abs(v)
-        kept = int(keep.sum())
+        keep = np.flatnonzero(sub.random(m) < np.abs(v))
         proposed += m
-        accepted += kept
-        us.append(u[keep][:left])
-        vs.append(v[keep][:left])
-        have += min(kept, left)
+        accepted += keep.size
+        keep = keep[:left]
+        us.append(u.take(keep))
+        vs.append(v.take(keep))
+        have += keep.size
     return np.concatenate(us), np.concatenate(vs), proposed, accepted
 
 
@@ -422,13 +484,23 @@ def _wing_branches(
 
     mu is 0 with probability c1 |dot| / (c1 |dot| + 2 c2), else +-1
     equiprobably; the outcome is sign(dot) on the mu = 0 branch and mu
-    itself otherwise.
+    itself otherwise.  One uniform per event: with w = c1 |dot| and
+    x = U (w + 2 c2), mu is 0 for x < w, +1 for x < w + c2 and -1 otherwise.
+    Given mu != 0, x is uniform on [w, w + 2 c2), so +-1 stay equiprobable
+    and independent of dot.  mu = 0 needs x < w, hence dot != 0, so the
+    sign bit of dot gives sign(dot) there.
     """
     weight = c1 * np.abs(dot)
-    zero = sub.random(dot.size) * (weight + 2.0 * c2) < weight
-    flip = sub.integers(0, 2, dot.size, dtype=np.int8) * np.int8(2) - np.int8(1)
-    mu = np.where(zero, np.int8(0), flip)
-    return mu, np.where(zero, np.sign(dot).astype(np.int8), flip)
+    x = sub.random(dot.size)
+    x *= weight + 2.0 * c2
+    zero = x < weight
+    weight += c2
+    plus = x < weight
+    mu = plus.view(np.int8) * np.int8(2)
+    mu -= np.int8(1)
+    mu -= zero.view(np.int8)
+    sign = np.int8(1) - np.int8(2) * np.signbit(dot).view(np.int8)
+    return mu, np.where(zero, sign, mu)
 
 
 def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
@@ -447,27 +519,26 @@ def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
     rate = consts.overlap / (2.0 * math.pi)
     side = 4.0 * math.pi * c1 * c2
     mass = np.array([c1 * c1 * consts.overlap, side, side, 16.0 * math.pi * c2 * c2])
-    edges = np.cumsum(mass / mass.sum())[:-1]
+    edges = np.cumsum(mass / mass.sum())[:-1].tolist()
 
     def chunks():
         for count, sub in _chunks(_as_rng(rng), n):
-            term = np.searchsorted(edges, sub.random(count), side="right")
+            r = sub.random(count)
+            term = (r >= edges[0]).view(np.int8)
+            term += r >= edges[1]
+            term += r >= edges[2]
             da = np.empty(count)
             db = np.empty(count)
-            pick = term == 0
+            pick = np.flatnonzero(term == 0)
             da[pick], db[pick], proposed, accepted = _overlap_term_draws(
-                sub, int(pick.sum()), cos_ab, sin_ab, rate
+                sub, pick.size, cos_ab, sin_ab, rate
             )
-            pick = term == 1
-            da[pick], db[pick] = _dot_pairs(
-                sub, int(pick.sum()), cos_ab, sin_ab, tilted=True
-            )
-            pick = term == 2
-            db[pick], da[pick] = _dot_pairs(
-                sub, int(pick.sum()), cos_ab, sin_ab, tilted=True
-            )
-            pick = term == 3
-            da[pick], db[pick] = _dot_pairs(sub, int(pick.sum()), cos_ab, sin_ab)
+            pick = np.flatnonzero(term == 1)
+            da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
+            pick = np.flatnonzero(term == 2)
+            db[pick], da[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
+            pick = np.flatnonzero(term == 3)
+            da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab)
             mu_a, out_a = _wing_branches(sub, da, c1, c2)
             mu_b, out_b = _wing_branches(sub, db, c1, c2)
             yield (da, db, mu_a, mu_b, out_a, out_b), proposed, accepted
@@ -513,6 +584,11 @@ def sample_image_events(
     )
 
 
+def _outcome_sum(out_a: np.ndarray, out_b: np.ndarray) -> int:
+    """Sum of E^A E^B over events whose outcomes are +-1: +1 where they agree."""
+    return 2 * int(np.count_nonzero(out_a == out_b)) - out_a.size
+
+
 def _event_estimate(total: int, n: int, convention: int) -> CorrelationEstimate:
     """Estimate from the sum of E^A E^B over n events."""
     value = convention * (total / n)
@@ -526,7 +602,7 @@ def estimate_from_events(
     """Correlation estimate (mean of E^A E^B) for an event batch."""
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    total = int((batch.outcome_a.astype(np.int64) * batch.outcome_b).sum())
+    total = _outcome_sum(batch.outcome_a, batch.outcome_b)
     return _event_estimate(total, batch.outcome_a.size, convention)
 
 
@@ -557,8 +633,7 @@ def _image_event_estimate(
     _, chunks = _image_event_chunks(a, b, n, rng)
     total = proposed = accepted = 0
     for events, chunk_proposed, chunk_accepted in chunks:
-        out_a, out_b = events[4], events[5]
-        total += int((out_a.astype(np.int64) * out_b).sum())
+        total += _outcome_sum(events[4], events[5])
         proposed += chunk_proposed
         accepted += chunk_accepted
     rate = accepted / proposed if proposed else 1.0

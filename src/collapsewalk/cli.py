@@ -230,7 +230,10 @@ def parse_config(argv) -> RunConfig:
     return config
 
 
-def _parse_grid(spec: str, name: str) -> np.ndarray:
+def _parse_grid(
+    spec: str, name: str, lo: float = -math.inf, hi: float = math.inf
+) -> np.ndarray:
+    """Points start, start + step, ... up to stop, all within [lo, hi]."""
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
@@ -242,7 +245,12 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
     intervals = (stop - start) / step  # inf when the span overflows
     if intervals >= GRID_MAX_POINTS:
         raise UsageError(f"--{name} has more than {GRID_MAX_POINTS} points")
-    return start + step * np.arange(round(intervals) + 1)
+    # no point past stop, but a quotient like 0.3 / 0.1 = 2.9999999999999996
+    # still counts its last interval
+    grid = start + step * np.arange(math.floor(intervals * (1.0 + 1e-9)) + 1)
+    if grid[0] < lo or grid[-1] > hi + 1e-9 * max(1.0, abs(hi)):
+        raise UsageError(f"--{name} must lie within [{lo:g}, {hi:g}]")
+    return np.minimum(grid, hi)  # absorbs rounding of the last point
 
 
 def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
@@ -350,7 +358,7 @@ def _run_greens(config: RunConfig, diagnostics: dict):
         raise UsageError(str(exc)) from exc
     if not config.laplace_s > 0.0:
         raise UsageError("--laplace-s must be positive")
-    xs = np.clip(_parse_grid(config.x_grid, "x-grid"), 0.0, 1.0)
+    xs = _parse_grid(config.x_grid, "x-grid", 0.0, 1.0)
     values = greens_tilde(xs, config.laplace_s, params)
     header = ("x", "value")
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
@@ -410,7 +418,7 @@ def _run_chsh(config: RunConfig, diagnostics: dict):
 
 
 def _run_c2(config: RunConfig, diagnostics: dict):
-    thetas = _parse_grid(config.theta_grid, "theta-grid")
+    thetas = _parse_grid(config.theta_grid, "theta-grid", 0.0, 180.0)
     header = ("theta_deg", "c2")
     rows = []
     worst = 0.0

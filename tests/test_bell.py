@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from collapsewalk import (
@@ -26,6 +27,7 @@ from collapsewalk import (
 )
 from collapsewalk.bell import (
     CHUNK_SIZE,
+    _disc_points,
     _dot_pairs,
     _lambda_batch,
     _plane,
@@ -126,6 +128,79 @@ def test_dot_pairs_tilted_moments():
     assert abs(au.mean() - 2 / 3) < 4 * au.std(ddof=1) / np.sqrt(n)
     assert abs(u2.mean() - 1 / 2) < 4 * u2.std(ddof=1) / np.sqrt(n)
     assert abs(u.mean()) < 4 * u.std(ddof=1) / np.sqrt(n)
+
+
+def test_disc_points_fill_over_several_rounds():
+    """A first round that keeps only a few points is topped up by more."""
+
+    class FewInsideFirst:
+        def __init__(self):
+            self.rng = np.random.default_rng(73)
+            self.calls = 0
+
+        def random(self, size):
+            self.calls += 1
+            values = self.rng.random(size)
+            if self.calls == 1:
+                values[size // 20 :] = 0.999  # q near 1: almost all outside
+            return values
+
+    rng = FewInsideFirst()
+    p, q, s = _disc_points(rng, 1000)
+    assert rng.calls >= 2
+    assert p.size == q.size == s.size == 1000
+    assert np.all(s < 1.0) and np.array_equal(s, p * p + q * q)
+
+
+def dot_pairs_cos_oracle(rng, n, cos_ab, sin_ab, tilted=False):
+    """Independent pair sampler with trigonometry: x.lam by inverting its
+    CDF (uniform on [-1, 1], or density |u| / 2 when tilted) and the azimuth
+    phi of lam about x uniform, so y.lam = cos_ab u + sin_ab sqrt(1 - u^2)
+    cos(phi)."""
+    w = rng.uniform(-1.0, 1.0, n)
+    u = np.copysign(np.sqrt(np.abs(w)), w) if tilted else w
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    return u, cos_ab * u + sin_ab * np.sqrt(1.0 - u * u) * np.cos(phi)
+
+
+def chi2_4sigma(dof):
+    return stats.chi2.isf(2 * stats.norm.sf(4), dof)
+
+
+def two_sample_chi2(a, b, pool_below=10):
+    """Two-sample chi^2 (statistic, dof) of two equal-size samples' counts
+    over the same fixed bins.  Bins whose pooled count is below
+    ``pool_below`` are merged into one, a rule symmetric in the samples."""
+    a, b = np.ravel(a), np.ravel(b)
+    small = a + b < pool_below
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    used = a + b > 0
+    a, b = a[used], b[used]
+    return float(((a - b) ** 2 / (a + b)).sum()), a.size - 1
+
+
+def square_bins(u, v, per_side=16):
+    """Counts of (u, v) over a fixed per_side x per_side grid on [-1, 1]^2."""
+    iu = np.clip(((u + 1.0) * (per_side / 2)).astype(int), 0, per_side - 1)
+    iv = np.clip(((v + 1.0) * (per_side / 2)).astype(int), 0, per_side - 1)
+    return np.bincount(iu * per_side + iv, minlength=per_side * per_side)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("cos_ab", [1.0, math.cos(math.pi / 4), 0.0, -0.5])
+def test_dot_pairs_match_cos_oracle(cos_ab, tilted):
+    """Two-sample chi^2 at 4 sigma of the disc sampler against the
+    trigonometric oracle over a 16 x 16 grid fixed before sampling (cells
+    with a pooled count below 10 merged); sin_ab = 0 must give v = u."""
+    sin_ab = 0.0 if cos_ab == 1.0 else math.sqrt(1.0 - cos_ab * cos_ab)
+    n = 600_000
+    u, v = _dot_pairs(np.random.default_rng(70), n, cos_ab, sin_ab, tilted)
+    if sin_ab == 0.0:
+        assert np.array_equal(u, v)
+    ou, ov = dot_pairs_cos_oracle(np.random.default_rng(71), n, cos_ab, sin_ab, tilted)
+    chi2, dof = two_sample_chi2(square_bins(u, v), square_bins(ou, ov))
+    assert chi2 < chi2_4sigma(dof), (chi2, dof)
 
 
 # ------------------------------------------------------ quantum correlation
@@ -321,6 +396,26 @@ def test_image_event_mu_zero_probability():
         plus = int((batch.mu_a == 1).sum())
         minus = int((batch.mu_a == -1).sum())
         assert abs(plus - minus) < 4 * math.sqrt(plus + minus)
+
+
+def test_image_event_wing_branches_by_tercile():
+    """Within each tercile of |setting.lam|, mu = +1 and mu = -1 agree within
+    4 sigma, and the mu = 0 count matches the sum over the tercile of
+    c1 |dot| / (c1 |dot| + 2 c2) within 4 sigma; both wings at 90 degrees."""
+    consts = solve_c2(math.pi / 2)
+    batch = sample_image_events(setting(0), setting(90), 300_000, np.random.default_rng(72))
+    for dot, mu in ((batch.dot_a, batch.mu_a), (batch.dot_b, batch.mu_b)):
+        d = np.abs(dot)
+        p_zero = consts.c1 * d / (consts.c1 * d + 2 * consts.c2)
+        tercile = np.searchsorted(np.quantile(d, [1 / 3, 2 / 3]), d)
+        for j in range(3):
+            mine = tercile == j
+            plus = int((mu[mine] == 1).sum())
+            minus = int((mu[mine] == -1).sum())
+            assert abs(plus - minus) < 4 * math.sqrt(plus + minus), (j, plus, minus)
+            p = p_zero[mine]
+            zero = int((mu[mine] == 0).sum())
+            assert abs(zero - p.sum()) < 4 * math.sqrt((p * (1 - p)).sum()), (j, zero)
 
 
 def test_image_event_single_events():

@@ -15,7 +15,7 @@ from collapsewalk.bell import (
     estimate_from_events,
     sample_image_events,
 )
-from collapsewalk.cli import main, parse_config
+from collapsewalk.cli import _parse_grid, main, parse_config
 from collapsewalk.errors import UsageError
 
 
@@ -99,6 +99,10 @@ def test_usage_error_exit_code(tmp_path):
         ["bell", "--model", "image-analytic", "--theta-grid", "0:90:nan"],
         ["chsh", "--model", "quantum", "--settings", "0,nan,45,135"],
         ["chsh", "--model", "quantum", "--settings", "0,90,inf,135"],
+        ["greens", "--x0", "0.5", "--x-grid", "0:100:1"],
+        ["greens", "--x0", "0.5", "--x-grid=-0.5:1:0.5"],
+        ["greens", "--x0", "0.5", "--x-grid", "0:1.5:0.5"],
+        ["c2", "--theta-grid", "0:270:90"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -203,6 +207,37 @@ def test_c2_grid_endpoints_zero(tmp_path):
     assert float(rows[0][1]) == 0.0
     assert float(rows[2][1]) == 0.0
     assert float(rows[1][1]) > 0.02
+
+
+@pytest.mark.parametrize(
+    "spec, expect",
+    [
+        ("0:180:70", [0.0, 70.0, 140.0]),
+        ("0:180:90", [0.0, 90.0, 180.0]),
+        ("0:1:0.1", [i / 10 for i in range(11)]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+        ("5:5:1", [5.0]),
+    ],
+)
+def test_parse_grid_stops_at_stop(spec, expect):
+    """The last point lies at stop or below it, up to rounding."""
+    grid = _parse_grid(spec, "grid")
+    assert grid.size == len(expect)
+    assert np.allclose(grid, expect, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["c2", "--theta-grid", "0:180:70"],
+        ["bell", "--model", "quantum", "--theta-grid", "0:180:70"],
+    ],
+)
+def test_theta_grid_does_not_overshoot(argv, capsys):
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "70", "140"]
 
 
 def test_greens_profile(tmp_path):

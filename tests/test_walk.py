@@ -829,3 +829,67 @@ def test_multi_kernel_matches_exact_composition_law():
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.isf(stats.norm.sf(4) * 2, len(orders) - 1), (chi2, counts)
     assert abs(total / trials - mean) < 4 * np.sqrt(var / trials)
+
+
+def two_state_time_law(k, m, max_t):
+    """P(T = t, absorbed at 0) and P(T = t, absorbed at M) for t = 0..max_t,
+    by a forward DP over the positions {0..M} of the walk started at k."""
+    mass = np.zeros(m + 1)
+    mass[k] = 1.0
+    at_zero = np.zeros(max_t + 1)
+    at_m = np.zeros(max_t + 1)
+    for t in range(1, max_t + 1):
+        nxt = np.zeros(m + 1)
+        nxt[:-2] += 0.5 * mass[1:-1]
+        nxt[2:] += 0.5 * mass[1:-1]
+        at_zero[t], at_m[t] = nxt[0], nxt[m]
+        nxt[0] = nxt[m] = 0.0
+        mass = nxt
+    assert mass.sum() < 1e-12
+    return at_zero, at_m
+
+
+def test_two_state_block_variance_and_conditional_mean():
+    """(M, k) = (100, 30): Var T = k(M-k)(k^2 + (M-k)^2 - 2)/3 and
+    E[T | absorbed at M] = (M^2 - k^2)/3 (winner 0 is absorption at M), each
+    by a z-test at 4 sigma.  The closed forms are checked against the DP at
+    (20, 7) first."""
+    at_zero, at_m = two_state_time_law(7, 20, 4000)
+    t = np.arange(at_zero.size)
+    law = at_zero + at_m
+    mean = float((t * law).sum())
+    assert abs(mean - 7 * 13) < 1e-8
+    assert abs(float((t * t * law).sum()) - mean**2 - 6552) < 1e-6
+    assert abs(float((t * at_m).sum() / at_m.sum()) - (400 - 49) / 3) < 1e-8
+
+    m, k, trials = 100, 30, 30_000
+    winners, steps = _two_state_block(
+        np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(77, trials)), m
+    )
+    steps = steps.astype(float)
+    assert winners.min() >= 0
+    var = k * (m - k) * (k * k + (m - k) ** 2 - 2) / 3
+    dev2 = (steps - steps.mean()) ** 2
+    assert abs(dev2.mean() - var) < 4 * dev2.std(ddof=1) / np.sqrt(trials), dev2.mean()
+    top = steps[winners == 0]
+    expect = (m * m - k * k) / 3
+    assert abs(top.mean() - expect) < 4 * top.std(ddof=1) / np.sqrt(top.size), top.mean()
+
+
+def test_two_state_block_time_law_chi2():
+    """(M, k) = (20, 7): chi^2 of T over ten bins of (nearly) equal
+    probability, cut from the forward-DP CDF before sampling, at 4 sigma."""
+    m, k, trials = 20, 7, 20_000
+    at_zero, at_m = two_state_time_law(k, m, 4000)
+    cdf = np.cumsum(at_zero + at_m)
+    cuts = np.searchsorted(cdf, np.arange(1, 10) / 10)
+    assert np.all(np.diff(cuts) > 0)
+    probs = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]]))
+    winners, steps = _two_state_block(
+        np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(78, trials)), m
+    )
+    assert winners.min() >= 0
+    observed = np.bincount(np.searchsorted(cuts, steps), minlength=probs.size)
+    expected = probs * trials
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < stats.chi2.isf(stats.norm.sf(4) * 2, probs.size - 1), (chi2, observed)
