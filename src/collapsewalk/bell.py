@@ -25,7 +25,7 @@ per setting pair.  I(theta) and the mu = 0 correlation c1^2 integral
 (a.lam)(b.lam) dOmega = a.b are evaluated in closed form; the Monte Carlo
 paths remain independent routes to the same numbers.
 
-The samplers never build lam itself.  The joint law of (a.lam, b.lam)
+The estimators never build lam itself.  The joint law of (a.lam, b.lam)
 depends on the settings only through a.b, so every estimator draws the two
 projections directly in the plane of the settings, from one point (p, q)
 uniform in the unit disc and no trigonometry (see ``_dot_pairs``):
@@ -37,6 +37,8 @@ uniform in the unit disc and no trigonometry (see ``_dot_pairs``):
   projection is uniform in the disc, a.lam = +-sqrt(1 - s) with a fair sign,
   and the in-plane normal part is q.
 
+``sample_lambda`` maps the same disc point onto the sphere by Marsaglia's map.
+
 The image density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
 mixture of its four terms (the composition method): the |.| and constant
 terms are drawn directly, and only the overlap term c1^2 |a.lam||b.lam|
@@ -44,6 +46,7 @@ needs rejection.  Its proposals come from the density |a.lam| / 2 pi and
 are kept with probability |b.lam|, so the acceptance is exactly
 integral |a.lam||b.lam| dOmega / 2 pi = I(theta) / 2 pi >= 0.42.  The
 disc's own rejection step only makes each proposal and is not counted.
+Image-event batches and estimates carry this rate as ``acceptance_rate``.
 
 Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
 independent child streams, so results are reproducible for a given seed
@@ -149,12 +152,14 @@ class ModelConstants:
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Correlation value with its standard error and provenance tag."""
+    """Correlation value with its standard error and provenance tag; image-event
+    estimates also carry their overlap term's acceptance rate."""
 
     value: float
     stderr: float
     n: int
     model: str
+    acceptance_rate: float | None = None
 
     def __post_init__(self):
         if self.model not in MODEL_TAGS:
@@ -207,14 +212,6 @@ def _chunks(rng: np.random.Generator, n: int, chunk: int = CHUNK_SIZE):
     streams = rng.spawn(n_chunks)
     for c, sub in enumerate(streams):
         yield min(chunk, n - c * chunk), sub
-
-
-def _lambda_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere: cos(polar) and azimuth uniform."""
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
@@ -297,6 +294,14 @@ def _dot_pairs(
     return u, v
 
 
+def _lambda_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the unit sphere by Marsaglia's map of the disc:
+    (2p sqrt(1 - s), 2q sqrt(1 - s), 1 - 2s), as in ``_dot_pairs``."""
+    p, q, s = _disc_points(rng, n)
+    root = 2.0 * np.sqrt(1.0 - s)
+    return np.stack([root * p, root * q, 1.0 - 2.0 * s], axis=1)
+
+
 def sample_lambda(rng) -> HiddenVector:
     """Draw one hidden vector uniformly over the sphere."""
     return HiddenVector(_lambda_batch(_as_rng(rng), 1)[0])
@@ -309,6 +314,16 @@ def angle_between(a: DetectorSetting, b: DetectorSetting) -> float:
 def quantum_correlation(a: DetectorSetting, b: DetectorSetting) -> float:
     """Spin correlation of the anticorrelated pair: -a.b."""
     return -float(a.direction @ b.direction)
+
+
+def _sign_estimate(
+    total: int, n: int, model: str, convention: int = 1, acceptance_rate=None
+) -> CorrelationEstimate:
+    """Estimate from the sum of n products E^A E^B in {-1, +1}: the mean,
+    with stderr sqrt((1 - mean^2) / (n - 1))."""
+    value = convention * (total / n)
+    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
+    return CorrelationEstimate(value, stderr, n, model, acceptance_rate)
 
 
 def bell_sign_correlation(
@@ -332,9 +347,7 @@ def bell_sign_correlation(
             tie = (da == 0.0) | (db == 0.0)
         # E^A E^B = -1 where the projections share a sign, +1 elsewhere
         total += count - 2 * int(np.count_nonzero(np.signbit(da) == np.signbit(db)))
-    value = total / n
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
-    return CorrelationEstimate(value=value, stderr=stderr, n=n, model="bell-sign")
+    return _sign_estimate(total, n, "bell-sign")
 
 
 def overlap_integral(theta: float) -> float:
@@ -504,12 +517,13 @@ def _wing_branches(
 
 
 def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
-    """Constants and per-chunk draws of n image events for settings a, b.
+    """Constants, per-chunk draws and acceptance rate of n image events.
 
-    Returns (consts, chunks): consts from solve_c2 for the pair, and a
-    generator of (events, proposed, accepted) per CHUNK_SIZE chunk, where
-    events is (dot_a, dot_b, mu_a, mu_b, outcome_a, outcome_b) and proposed
-    and accepted count the chunk's draws for the overlap term.
+    Returns (consts, chunks, acceptance_rate): consts from solve_c2 for the
+    settings a, b; a generator of (dot_a, dot_b, mu_a, mu_b, outcome_a,
+    outcome_b) per CHUNK_SIZE chunk; and acceptance_rate(), accepted /
+    proposed over the overlap term's draws in the chunks consumed so far
+    (1.0 when none was proposed).
     """
     if n < 1:
         raise ValueError("need at least one event")
@@ -520,8 +534,10 @@ def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
     side = 4.0 * math.pi * c1 * c2
     mass = np.array([c1 * c1 * consts.overlap, side, side, 16.0 * math.pi * c2 * c2])
     edges = np.cumsum(mass / mass.sum())[:-1].tolist()
+    proposed = accepted = 0
 
     def chunks():
+        nonlocal proposed, accepted
         for count, sub in _chunks(_as_rng(rng), n):
             r = sub.random(count)
             term = (r >= edges[0]).view(np.int8)
@@ -530,9 +546,11 @@ def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
             da = np.empty(count)
             db = np.empty(count)
             pick = np.flatnonzero(term == 0)
-            da[pick], db[pick], proposed, accepted = _overlap_term_draws(
+            da[pick], db[pick], tried, kept = _overlap_term_draws(
                 sub, pick.size, cos_ab, sin_ab, rate
             )
+            proposed += tried
+            accepted += kept
             pick = np.flatnonzero(term == 1)
             da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
             pick = np.flatnonzero(term == 2)
@@ -541,9 +559,12 @@ def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
             da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab)
             mu_a, out_a = _wing_branches(sub, da, c1, c2)
             mu_b, out_b = _wing_branches(sub, db, c1, c2)
-            yield (da, db, mu_a, mu_b, out_a, out_b), proposed, accepted
+            yield da, db, mu_a, mu_b, out_a, out_b
 
-    return consts, chunks()
+    def acceptance_rate():
+        return accepted / proposed if proposed else 1.0
+
+    return consts, chunks(), acceptance_rate
 
 
 def sample_image_events(
@@ -570,16 +591,11 @@ def sample_image_events(
     after ten chunks' worth of proposals) cannot happen for valid constants
     and raises RejectionStallError.
     """
-    consts, chunks = _image_event_chunks(a, b, n, rng)
-    parts = []
-    proposed = accepted = 0
-    for events, chunk_proposed, chunk_accepted in chunks:
-        parts.append(events)
-        proposed += chunk_proposed
-        accepted += chunk_accepted
+    consts, chunks, acceptance_rate = _image_event_chunks(a, b, n, rng)
+    parts = list(chunks)
     return ImageEventBatch(
         *(np.concatenate(column) for column in zip(*parts)),
-        acceptance_rate=accepted / proposed if proposed else 1.0,
+        acceptance_rate=acceptance_rate(),
         constants=consts,
     )
 
@@ -589,21 +605,17 @@ def _outcome_sum(out_a: np.ndarray, out_b: np.ndarray) -> int:
     return 2 * int(np.count_nonzero(out_a == out_b)) - out_a.size
 
 
-def _event_estimate(total: int, n: int, convention: int) -> CorrelationEstimate:
-    """Estimate from the sum of E^A E^B over n events."""
-    value = convention * (total / n)
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
-    return CorrelationEstimate(value=value, stderr=stderr, n=n, model="image-event")
-
-
 def estimate_from_events(
     batch: ImageEventBatch, convention: int = 1
 ) -> CorrelationEstimate:
-    """Correlation estimate (mean of E^A E^B) for an event batch."""
+    """Correlation estimate (mean of E^A E^B) for an event batch; it carries
+    the batch's acceptance rate."""
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
     total = _outcome_sum(batch.outcome_a, batch.outcome_b)
-    return _event_estimate(total, batch.outcome_a.size, convention)
+    return _sign_estimate(
+        total, batch.outcome_a.size, "image-event", convention, batch.acceptance_rate
+    )
 
 
 def image_correlation_event(
@@ -616,28 +628,15 @@ def image_correlation_event(
     """Event-level estimate of the image-model correlation.
 
     Mean of E^A E^B over n sampled events; converges to cos(theta) (times
-    the sign convention) as the mu = +-1 branches cancel.  The events are
-    the ones sample_image_events draws from the same rng, reduced chunk by
-    chunk, so memory stays at one chunk for any n.
+    the sign convention) as the mu = +-1 branches cancel.  The events and
+    acceptance rate are those sample_image_events draws from the same rng,
+    reduced chunk by chunk, so memory stays at one chunk for any n.
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    return _image_event_estimate(a, b, n, rng, convention)[0]
-
-
-def _image_event_estimate(
-    a: DetectorSetting, b: DetectorSetting, n: int, rng, convention: int
-) -> tuple[CorrelationEstimate, float]:
-    """image_correlation_event's estimate and the acceptance rate that
-    sample_image_events reports for the same draws, reduced chunk by chunk."""
-    _, chunks = _image_event_chunks(a, b, n, rng)
-    total = proposed = accepted = 0
-    for events, chunk_proposed, chunk_accepted in chunks:
-        total += _outcome_sum(events[4], events[5])
-        proposed += chunk_proposed
-        accepted += chunk_accepted
-    rate = accepted / proposed if proposed else 1.0
-    return _event_estimate(total, n, convention), rate
+    _, chunks, acceptance_rate = _image_event_chunks(a, b, n, rng)
+    total = sum(_outcome_sum(events[4], events[5]) for events in chunks)
+    return _sign_estimate(total, n, "image-event", convention, acceptance_rate())
 
 
 def correlation_estimate(

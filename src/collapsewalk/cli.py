@@ -30,14 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import DiffusionParams, greens_tilde
-from .bell import (
-    MODEL_TAGS,
-    DetectorSetting,
-    _image_event_estimate,
-    chsh,
-    correlation_estimate,
-    solve_c2,
-)
+from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve_c2
 from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
 from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, born_statistics, run_walk
@@ -106,8 +99,16 @@ _REQUIRED = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are usage errors (one line, exit 2);
+    its subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collapsewalk",
         description="First-passage walk and Bell-correlation experiment runner",
     )
@@ -367,24 +368,19 @@ def _run_greens(config: RunConfig, diagnostics: dict):
 
 def _run_bell(config: RunConfig, diagnostics: dict):
     thetas = _parse_grid(config.theta_grid, "theta-grid")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    streams = rng.spawn(len(thetas))
+    streams = np.random.default_rng(config.seed).spawn(len(thetas))
     header = ("theta_deg", "value", "stderr", "n", "model")
     rows = []
     rates = []
     a = DetectorSetting.from_plane_angle_degrees(0.0)
     for theta_deg, stream in zip(thetas, streams):
         b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
-        if config.model == "image-event":
-            est, rate = _image_event_estimate(
-                a, b, config.samples, stream, config.convention
-            )
-            rates.append(rate)
-        else:
-            est = correlation_estimate(
-                config.model, a, b, config.samples, stream, config.convention
-            )
+        est = correlation_estimate(
+            config.model, a, b, config.samples, stream, config.convention
+        )
         rows.append((float(theta_deg), est.value, est.stderr, est.n, est.model))
+        if est.acceptance_rate is not None:
+            rates.append(est.acceptance_rate)
     if rates:
         diagnostics["acceptance_rate"] = {
             "min": min(rates), "max": max(rates), "mean": sum(rates) / len(rates)
@@ -394,7 +390,7 @@ def _run_bell(config: RunConfig, diagnostics: dict):
 
 def _run_chsh(config: RunConfig, diagnostics: dict):
     a, a_alt, b, b_alt = _parse_settings(config.settings)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(config.seed)
     report = chsh(
         config.model, a, a_alt, b, b_alt, config.samples, rng, config.convention
     )

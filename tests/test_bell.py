@@ -452,6 +452,21 @@ def test_image_event_streaming_equals_batch():
         assert streamed == estimate_from_events(batch, convention)
 
 
+def test_estimates_carry_the_image_event_acceptance_rate():
+    """correlation_estimate("image-event") and estimate_from_events carry the
+    acceptance rate sample_image_events reports on the same seed; the other
+    three models leave it unset."""
+    a, b, n = setting(0), setting(70), CHUNK_SIZE + 7
+    batch = sample_image_events(a, b, n, np.random.default_rng(62))
+    est = correlation_estimate("image-event", a, b, n, np.random.default_rng(62))
+    assert 0.0 < batch.acceptance_rate < 1.0
+    assert est.acceptance_rate == batch.acceptance_rate
+    assert estimate_from_events(batch).acceptance_rate == batch.acceptance_rate
+    for model in ("quantum", "bell-sign", "image-analytic"):
+        est = correlation_estimate(model, a, b, 1000, np.random.default_rng(62))
+        assert est.acceptance_rate is None, model
+
+
 def test_image_event_outcomes_are_signs():
     batch = sample_image_events(setting(0), setting(120), 10_000, np.random.default_rng(14))
     assert set(np.unique(batch.outcome_a)) <= {-1, 1}

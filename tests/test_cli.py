@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import collapsewalk
+import collapsewalk.cli
 from collapsewalk.bell import (
     CHUNK_SIZE,
     DetectorSetting,
@@ -103,6 +106,10 @@ def test_usage_error_exit_code(tmp_path):
         ["greens", "--x0", "0.5", "--x-grid=-0.5:1:0.5"],
         ["greens", "--x0", "0.5", "--x-grid", "0:1.5:0.5"],
         ["c2", "--theta-grid", "0:270:90"],
+        ["born", "--amplitudes"],
+        ["c2", "--theta-grid", "0:90:45", "--bogus"],
+        ["bell", "--model", "nonsense", "--theta-grid", "0:90:45"],
+        ["greens", "--x0", "0.5", "--x-grid", "-0.5:1:0.5"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -110,6 +117,27 @@ def test_invalid_input_values_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bell", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: collapsewalk")
+
+
+def test_cli_imports_no_private_bell_name():
+    """The CLI reaches the Bell laboratory through public entry points only."""
+    tree = ast.parse(inspect.getsource(collapsewalk.cli))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("bell", "collapsewalk.bell")
+        for alias in node.names
+    ]
+    assert "correlation_estimate" in names
+    assert not [name for name in names if name.startswith("_")], names
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -200,6 +200,44 @@ def test_walk_step_conserves_total_weight():
 def test_walk_step_needs_two_alive():
     with pytest.raises(NoAlivePairError):
         walk_step(np.array([10, 0]), np.array([True, False]), trial_rng(0, 0))
+
+
+@st.composite
+def grid_states(draw):
+    """Grid weights k: a composition of M <= 50 into N <= 6 parts, zeros
+    allowed, at least two positive; and one phase per state."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 50))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+    k = np.diff([0, *cuts, m])
+    assume(np.count_nonzero(k) >= 2)
+    return k, np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(start=grid_states(), seed=st.integers(0, 2**32 - 1))
+def test_reference_engine_invariants(start, seed):
+    """Walked to absorption: after every walk_step, sum k = M and dead states
+    stay dead; after update_cross_terms, |kappa_ij| = sqrt(w_i w_j) for alive
+    pairs and 0 for pairs with a dead state."""
+    k, phases = start
+    m = int(k.sum())
+    joint = form_joint(normalize(np.sqrt(k / m) * np.exp(1j * phases)))
+    alive = k > 0
+    rng = np.random.default_rng(seed)
+    while np.count_nonzero(alive) > 1:
+        dead = ~alive
+        k, alive = walk_step(k, alive, rng)
+        assert k.sum() == m and k.min() >= 0
+        assert not alive[dead].any() and not k[dead].any()
+        assert np.array_equal(alive, k > 0)
+        w = k / m
+        synced = update_cross_terms(joint, weights=w, alive=alive)
+        pairs = np.outer(alive, alive)
+        np.fill_diagonal(pairs, False)
+        expect = np.where(pairs, np.sqrt(np.outer(w, w)), 0.0)
+        assert np.abs(np.abs(synced.cross) - expect).max() < 1e-12
+        assert np.array_equal(synced.alive, alive)
 
 
 # ------------------------------------------------------- update_cross_terms
@@ -824,6 +862,31 @@ def test_multi_kernel_matches_exact_composition_law():
         assert winner >= 0 and eliminations[-1][1] == steps
         counts[order] += 1
         total += steps
+    expected = np.array([law[o] for o in orders]) * trials
+    observed = np.array([counts[o] for o in orders])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < stats.chi2.isf(stats.norm.sf(4) * 2, len(orders) - 1), (chi2, counts)
+    assert abs(total / trials - mean) < 4 * np.sqrt(var / trials)
+
+
+def test_run_walk_matches_exact_composition_law():
+    """The reference engine on the same exact law: [5, 3, 2] at M = 10 over
+    6,000 walks on trial_rng streams, elimination-order frequencies by chi^2
+    over the six orders and the mean exit time 31 by a z-test, both at
+    4 sigma."""
+    k0 = (5, 3, 2)
+    law, mean, var = composition_law(k0)
+    orders = sorted(law)
+    joint = form_joint(normalize(np.sqrt(np.array(k0) / 10)))
+    config = WalkConfig(grid_resolution=10, seed=4242)
+    assert quantize_weights(joint.weights, 10).tolist() == list(k0)
+    trials = 6000
+    counts = dict.fromkeys(orders, 0)
+    total = 0
+    for t in range(trials):
+        out = run_walk(joint, config, rng=trial_rng(config.seed, t))
+        counts[tuple(state for state, _ in out.elimination_order)] += 1
+        total += out.steps_taken
     expected = np.array([law[o] for o in orders]) * trials
     observed = np.array([counts[o] for o in orders])
     chi2 = float(((observed - expected) ** 2 / expected).sum())
