@@ -22,8 +22,8 @@ The lam integrals run over the solid angle with density rho(lam) = 1 (total
 mass 4 pi); c2 depends on the angle between the two settings through the
 overlap integral I(theta) = integral |a.lam||b.lam| dOmega, so it is solved
 per setting pair.  I(theta) and the mu = 0 correlation c1^2 integral
-(a.lam)(b.lam) dOmega = a.b are evaluated in closed form; the Monte Carlo
-paths remain independent routes to the same numbers.
+(a.lam)(b.lam) dOmega = a.b are evaluated in closed form only; Monte Carlo
+checks of both closed forms live in the tests.
 
 The estimators never build lam itself.  The joint law of (a.lam, b.lam)
 depends on the settings only through a.b, so every estimator draws the two
@@ -52,8 +52,8 @@ Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
 independent child streams, so results are reproducible for a given seed
 regardless of scheduling.  Per-seed draws depend on CHUNK_SIZE and on the
 order in which the samplers consume their streams; changing either changes
-the per-seed output of all three estimators (sign model, image-analytic
-Monte Carlo, image events), not their laws.
+the per-seed output of both estimators (sign model, image events), not their
+laws.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """CHSH and three-setting inequality results for one model run."""
+    """CHSH and three-setting inequality results for one model run, with the
+    correlation estimates they combine."""
 
     model: str
     settings: tuple
@@ -186,6 +187,7 @@ class InequalityReport:
     bell64_rhs: float | None = None
     bell64_stderr: float | None = None
     bell64_violated: bool | None = None
+    estimates: tuple = ()
 
     def __post_init__(self):
         if self.chsh_s is not None:
@@ -206,12 +208,12 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _chunks(rng: np.random.Generator, n: int, chunk: int = CHUNK_SIZE):
-    """Yield (count, stream) pieces with independent child streams."""
-    n_chunks = (n + chunk - 1) // chunk
-    streams = rng.spawn(n_chunks)
+def _chunks(rng: np.random.Generator, n: int):
+    """Yield (count, stream) pieces of CHUNK_SIZE events with independent
+    child streams."""
+    streams = rng.spawn((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
     for c, sub in enumerate(streams):
-        yield min(chunk, n - c * chunk), sub
+        yield min(CHUNK_SIZE, n - c * CHUNK_SIZE), sub
 
 
 def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
@@ -394,50 +396,18 @@ def solve_c2(theta: float) -> ModelConstants:
 
 
 def image_correlation_analytic(
-    a: DetectorSetting,
-    b: DetectorSetting,
-    method: str = "quadrature",
-    n: int = 10**6,
-    rng=None,
-    convention: int = 1,
+    a: DetectorSetting, b: DetectorSetting, convention: int = 1
 ) -> CorrelationEstimate:
     """c1^2 integral of (a.lam)(b.lam) dOmega: the mu = 0 contribution.
 
-    The "quadrature" path returns the exact value c1^2 (4 pi / 3) a.b = a.b
-    (stderr 0); the Monte Carlo path averages the 4 pi weighted integrand
-    over uniform lam as an independent route to the same number.
-    ``convention`` flips the overall sign (the reported default keeps
-    +cos theta; the anticorrelated convention uses -1).
+    Exactly c1^2 (4 pi / 3) a.b = a.b (stderr 0).  ``convention`` flips the
+    overall sign (the reported default keeps +cos theta; the anticorrelated
+    convention uses -1).
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    if method == "quadrature":
-        return CorrelationEstimate(
-            value=convention * float(a.direction @ b.direction),
-            stderr=0.0,
-            n=0,
-            model="image-analytic",
-        )
-    if method != "mc":
-        raise ValueError("method must be 'quadrature' or 'mc'")
-    if n < 2:
-        raise ValueError("need at least two samples for the MC path")
-    rng = _as_rng(rng)
-    s1 = 0.0
-    s2 = 0.0
-    cos_ab, sin_ab = _plane(a, b)
-    for count, sub in _chunks(rng, n):
-        da, db = _dot_pairs(sub, count, cos_ab, sin_ab)
-        vals = 4.0 * np.pi * C1 * C1 * da * db
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-    mean = s1 / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
     return CorrelationEstimate(
-        value=convention * mean,
-        stderr=math.sqrt(var / n),
-        n=n,
-        model="image-analytic",
+        convention * float(a.direction @ b.direction), 0.0, 0, "image-analytic"
     )
 
 
@@ -697,6 +667,7 @@ def chsh(
         chsh_bound=2.0,
         chsh_stderr=combined,
         chsh_violated=abs(s) > 2.0 + 3.0 * combined,
+        estimates=tuple(est),
     )
 
 
@@ -729,4 +700,5 @@ def bell64(
         bell64_rhs=rhs,
         bell64_stderr=combined,
         bell64_violated=lhs > rhs + 3.0 * combined,
+        estimates=(c_ab, c_ab2, c_bb2),
     )

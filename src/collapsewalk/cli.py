@@ -7,11 +7,12 @@ result as CSV or JSON plus a manifest echoing the resolved configuration.
 Re-running the echoed configuration reproduces the result file byte for byte.
 
 CSV carries one header row, '.' decimals and 15 significant digits; angles
-are accepted in degrees and converted to radians internally.  Seed 0 is a
-valid seed; --entropy asks the OS for one and records the drawn value in
-the manifest.  --threads (config key ``threads``) and the
-COLLAPSE_WALK_THREADS environment variable are still accepted, and
---threads is recorded in the manifest, but every run uses one thread.
+are accepted in degrees and converted to radians internally.  Seeds lie in
+[0, 2**64), 0 included; --entropy asks the OS for one and records the drawn
+value in the manifest.  A walk run buffers at most WALK_MAX_ROWS rows.
+--threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
+environment variable are still accepted, and --threads is recorded in the
+manifest, but every run uses one thread.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,10 +34,11 @@ from .analytic import DiffusionParams, greens_tilde
 from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve_c2
 from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
 from .states import form_joint, normalize, parse_amplitudes
-from .walk import WalkConfig, born_statistics, run_walk
+from .walk import WalkConfig, born_statistics, quantize_weights, run_walk
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
+WALK_MAX_ROWS = 1 << 18  # longest trajectory a walk run buffers
 
 
 @dataclass
@@ -228,6 +230,8 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     if config.max_steps is not None and config.max_steps < 1:
         raise UsageError("--max-steps must be positive")
+    if not 0 <= config.seed < 2**64:
+        raise UsageError("--seed must lie in [0, 2**64)")
     return config
 
 
@@ -333,6 +337,17 @@ def _run_born(config: RunConfig, diagnostics: dict):
 
 def _run_walk(config: RunConfig, diagnostics: dict):
     state, walk_config = _walk_inputs(config)
+    m = walk_config.grid_resolution
+    k0 = quantize_weights(state.weights(), m)
+    # E[T] = (M^2 - sum k_i^2) / 2 steps, plus the row of step 0
+    if (m * m - int((k0 * k0).sum())) / 2 + 1 > WALK_MAX_ROWS:
+        raise UsageError(
+            f"walk expects more than {WALK_MAX_ROWS} trajectory rows; "
+            "lower --grid-resolution"
+        )
+    walk_config = replace(
+        walk_config, max_steps=min(walk_config.max_steps, WALK_MAX_ROWS - 1)
+    )
     joint = form_joint(state)
     trajectory = []
 
@@ -366,12 +381,22 @@ def _run_greens(config: RunConfig, diagnostics: dict):
     return header, rows, {"laplace_s": config.laplace_s, "rows": _rows_to_json(header, rows)}
 
 
+def _report_acceptance(estimates, diagnostics: dict) -> None:
+    """min/max/mean of the image-event acceptance rates among the estimates;
+    nothing when no estimate carries one."""
+    rates = [e.acceptance_rate for e in estimates if e.acceptance_rate is not None]
+    if rates:
+        diagnostics["acceptance_rate"] = {
+            "min": min(rates), "max": max(rates), "mean": sum(rates) / len(rates)
+        }
+
+
 def _run_bell(config: RunConfig, diagnostics: dict):
     thetas = _parse_grid(config.theta_grid, "theta-grid")
     streams = np.random.default_rng(config.seed).spawn(len(thetas))
     header = ("theta_deg", "value", "stderr", "n", "model")
     rows = []
-    rates = []
+    estimates = []
     a = DetectorSetting.from_plane_angle_degrees(0.0)
     for theta_deg, stream in zip(thetas, streams):
         b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
@@ -379,12 +404,8 @@ def _run_bell(config: RunConfig, diagnostics: dict):
             config.model, a, b, config.samples, stream, config.convention
         )
         rows.append((float(theta_deg), est.value, est.stderr, est.n, est.model))
-        if est.acceptance_rate is not None:
-            rates.append(est.acceptance_rate)
-    if rates:
-        diagnostics["acceptance_rate"] = {
-            "min": min(rates), "max": max(rates), "mean": sum(rates) / len(rates)
-        }
+        estimates.append(est)
+    _report_acceptance(estimates, diagnostics)
     return header, rows, {"rows": _rows_to_json(header, rows)}
 
 
@@ -394,6 +415,7 @@ def _run_chsh(config: RunConfig, diagnostics: dict):
     report = chsh(
         config.model, a, a_alt, b, b_alt, config.samples, rng, config.convention
     )
+    _report_acceptance(report.estimates, diagnostics)
     header = ("model", "S", "bound", "combined_stderr", "violated", "settings_deg")
     row = (
         report.model,

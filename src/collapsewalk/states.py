@@ -101,12 +101,17 @@ class JointState:
 def normalize(raw) -> QuantumState:
     """Normalize a raw complex vector to a QuantumState.
 
-    Raises AllZeroError for a (numerically) zero vector and
-    TooFewStatesError for fewer than two entries.
+    Raises AllZeroError for a (numerically) zero vector, TooFewStatesError
+    for fewer than two entries and ValueError for a nan or infinite entry.
     """
     amps = np.asarray(raw, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 2:
         raise TooFewStatesError("need an amplitude vector with at least 2 entries")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    peak = np.abs(amps).max()
+    if peak > 1e150:  # |a|^2 would overflow
+        amps = amps / peak
     norm = np.linalg.norm(amps)
     if norm < 1e-300:
         raise AllZeroError("cannot normalize an all-zero amplitude vector")

@@ -323,10 +323,15 @@ def test_image_quadrature_convention_flag():
 
 
 def test_image_mc_path_agrees():
+    """Monte Carlo oracle for the closed form: 4 pi c1^2 (a.lam)(b.lam) averaged
+    over lam uniform on the sphere, drawn as normalized Gaussian triples."""
     a, b = setting(0), setting(60)
-    est = image_correlation_analytic(a, b, method="mc", n=400_000, rng=np.random.default_rng(8))
-    assert est.stderr > 0
-    assert abs(est.value - 0.5) < 4 * est.stderr
+    lam = np.random.default_rng(8).standard_normal((400_000, 3))
+    lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+    vals = 4 * np.pi * C1 * C1 * (lam @ a.direction) * (lam @ b.direction)
+    stderr = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert stderr > 0
+    assert abs(vals.mean() - image_correlation_analytic(a, b).value) < 4 * stderr
 
 
 # --------------------------------------------------------- image model, event

@@ -1,20 +1,27 @@
 import ast
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import collapsewalk
 import collapsewalk.cli
 from collapsewalk.bell import (
     CHUNK_SIZE,
     DetectorSetting,
+    chsh,
     estimate_from_events,
     sample_image_events,
 )
@@ -110,6 +117,13 @@ def test_usage_error_exit_code(tmp_path):
         ["c2", "--theta-grid", "0:90:45", "--bogus"],
         ["bell", "--model", "nonsense", "--theta-grid", "0:90:45"],
         ["greens", "--x0", "0.5", "--x-grid", "-0.5:1:0.5"],
+        ["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"],
+        ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"],
+        [
+            "bell", "--model", "quantum", "--theta-grid", "0:90:45",
+            "--seed", "18446744073709551616",
+        ],
+        ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -155,6 +169,11 @@ def test_cli_imports_no_private_bell_name():
         (
             {"samples": "abc"},
             ["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
+        ),
+        ({"seed": -1}, ["bell", "--model", "quantum", "--theta-grid", "0:90:45"]),
+        (
+            {"seed": 2**64},
+            ["chsh", "--model", "quantum", "--settings", "0,90,45,135"],
         ),
     ],
 )
@@ -215,6 +234,53 @@ def test_bell_image_event_streams_same_as_batch(tmp_path):
         "max": max(batch_rates),
         "mean": sum(batch_rates) / len(batch_rates),
     }
+
+
+@pytest.mark.parametrize(
+    "model", ["image-event", "quantum", "bell-sign", "image-analytic"]
+)
+def test_chsh_manifest_reports_acceptance_rates(model, tmp_path):
+    """chsh reports the acceptance rates of its four image-event estimates as
+    bell does, and its result file is the report's values."""
+    out = tmp_path / "chsh.csv"
+    argv = [
+        "chsh", "--model", model, "--settings", "0,90,45,135",
+        "--samples", "40000", "--seed", "5", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    diagnostics = json.loads((tmp_path / "chsh.csv.manifest.json").read_text())[
+        "diagnostics"
+    ]
+    frames = (DetectorSetting.from_plane_angle_degrees(d) for d in (0, 90, 45, 135))
+    report = chsh(model, *frames, 40000, np.random.default_rng(5))
+    assert out.read_text().splitlines()[1].split(",")[:4] == [
+        model, f"{report.chsh_s:.15g}", "2", f"{report.chsh_stderr:.15g}"
+    ]
+    if model != "image-event":
+        assert diagnostics == {}
+        return
+    rates = [est.acceptance_rate for est in report.estimates]
+    assert diagnostics["acceptance_rate"] == {
+        "min": min(rates), "max": max(rates), "mean": sum(rates) / len(rates)
+    }
+    assert 0.42 <= min(rates) and max(rates) <= 0.67
+
+
+def test_walk_run_capped_at_max_rows(tmp_path, monkeypatch):
+    """A walk expecting more than WALK_MAX_ROWS rows is refused; an accepted
+    walk that outlives WALK_MAX_ROWS - 1 steps fails with exit 1 and a
+    manifest.  M = 10 from [.5, .5] expects (100 - 50) / 2 + 1 = 26 rows."""
+    argv = ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "10"]
+    monkeypatch.setattr(collapsewalk.cli, "WALK_MAX_ROWS", 25)
+    assert main(argv) == 2
+    monkeypatch.setattr(collapsewalk.cli, "WALK_MAX_ROWS", 40)
+    out = tmp_path / "walk.csv"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0  # 17 steps
+    assert len(out.read_text().splitlines()) == 1 + 18
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 1  # 41 steps
+    manifest = json.loads((tmp_path / "walk.csv.manifest.json").read_text())
+    assert "MaxStepsExceededError" in manifest["error"]
+    assert "39 steps" in manifest["error"]
 
 
 def test_chsh_quantum_json(tmp_path):
@@ -509,3 +575,211 @@ def test_main_entry_point_runs_in_process(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == -1.0
+
+
+# -------------------------------------------------------------------- fuzz
+
+def _mostly(valid, invalid):
+    """Values from ``valid`` seven times in eight, else from ``invalid``."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else invalid)
+
+
+def _words(valid, invalid):
+    return _mostly(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_POSITIVE = _mostly(st.floats(0.01, 100.0), st.sampled_from([math.nan, math.inf, 0.0, -1]))
+_X0 = _mostly(st.floats(0.01, 0.99), st.sampled_from([math.nan, 1.0, 1.5, 1e-320]))
+_GRID = _mostly(
+    st.builds(
+        "{}:{}:{}".format, st.integers(0, 90), st.integers(90, 180), st.integers(20, 90)
+    ),
+    st.sampled_from(
+        ["0:270:90", "nan:nan:1", "0:90:0", "0:180:1e-13", "1:0:1", "abc", "-1e308:1e308:1"]
+    ),
+)
+_UNIT_GRID = _words(
+    ["0:1:0.5", "0:1:0.05", "0.2:0.8:0.3"], ["-0.5:1:0.5", "0:1.5:0.5", "0:1:1e-14", "0:1"]
+)
+_AMPLITUDES = _words(
+    ["1,0;1,0", "0.6,0;0,0.8", "0.5,0;0.3,0;0.2,0", "1,0;0,1;1,1;0.1,0", "1,0;1e-200,0",
+     "1e200,0;1e200,0"],
+    ["1,0", "0,0;0,0", "nan,0;1,0", "inf,0;1,0", "abc", "1;0"],
+)
+_SETTINGS = _words(
+    ["0,90,45,135", "0,45,22.5,67.5", "10,20,30,40", "1e300,0,0,0"],
+    ["0,90,45", "0,nan,45,135", "0,90,inf,135", "a,b,c,d"],
+)
+_MODEL = _words(list(collapsewalk.cli.MODEL_TAGS), ["nonsense"])
+_SEED = _mostly(st.integers(0, 40), st.sampled_from([-1, 2**64 - 1, 2**64]))
+_FORMAT = _words(["csv", "json"], ["xml"])
+_CONVENTION = _words([1, -1], [0, 5])
+_THREADS = _mostly(st.integers(1, 4), st.just(0))
+_MAX_STEPS = _mostly(st.integers(1, 3000), st.sampled_from([0, 2**70]))
+_TRIALS = _mostly(st.integers(1, 30), st.just(0))
+_SAMPLES = _mostly(st.integers(1, 3000), st.just(-1))
+_RESOLUTION = _mostly(st.integers(2, 60), st.sampled_from([0, 1]))
+
+# flags every run of a subcommand carries: its required ones, and sizes, so
+# that no large default applies
+_REQUIRED_FLAGS = {
+    "born": {
+        "--amplitudes": _AMPLITUDES, "--trials": _TRIALS, "--grid-resolution": _RESOLUTION
+    },
+    "walk": {  # 100000 is over the trajectory row budget
+        "--amplitudes": _AMPLITUDES,
+        "--grid-resolution": _mostly(_RESOLUTION, st.just(100_000)),
+    },
+    "greens": {"--x0": _X0},
+    "bell": {"--model": _MODEL, "--theta-grid": _GRID, "--samples": _SAMPLES},
+    "chsh": {"--model": _MODEL, "--settings": _SETTINGS, "--samples": _SAMPLES},
+    "c2": {"--theta-grid": _GRID},
+}
+# flag -> strategy of its value (None for a switch)
+_OPTIONAL_FLAGS = {
+    "--seed": _mostly(_SEED, st.sampled_from(["1.5", "x"])),
+    "--entropy": st.none(),
+    "--format": _FORMAT,
+    "--threads": _THREADS,
+}
+_MORE_FLAGS = {
+    "born": {"--max-steps": _MAX_STEPS},
+    "walk": {"--max-steps": _MAX_STEPS},
+    "greens": {"--diffusion": _POSITIVE, "--laplace-s": _POSITIVE, "--x-grid": _UNIT_GRID},
+    "bell": {"--convention": _CONVENTION},
+    "chsh": {"--convention": _CONVENTION},
+    "c2": {},
+}
+# config-file values: the flags' own values, at times with one entry of a
+# wrong type, an unknown key or another subcommand
+_CONFIG_KEYS = {
+    "seed": _SEED, "entropy": st.booleans(), "format": _FORMAT, "threads": _THREADS,
+    "trials": _TRIALS, "samples": _SAMPLES, "grid_resolution": _RESOLUTION,
+    "max_steps": _MAX_STEPS, "amplitudes": _AMPLITUDES, "model": _MODEL,
+    "settings": _SETTINGS, "theta_grid": _GRID, "x0": _X0, "diffusion": _POSITIVE,
+    "laplace_s": _POSITIVE, "x_grid": _UNIT_GRID, "convention": _CONVENTION,
+}
+_BAD_ENTRY = st.dictionaries(
+    st.sampled_from([*_CONFIG_KEYS, "subcommand", "trils"]),
+    st.sampled_from(["abc", 1.5, True, None, [1]]),
+    min_size=1,
+    max_size=1,
+)
+_CONFIG_VALUES = st.builds(
+    lambda values, bad: {**values, **bad},
+    st.fixed_dictionaries({}, optional=_CONFIG_KEYS),
+    _mostly(st.just({}), _BAD_ENTRY),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_REQUIRED_FLAGS)))
+    optional = {**_OPTIONAL_FLAGS, **_MORE_FLAGS[command]}
+    values = draw(st.fixed_dictionaries(_REQUIRED_FLAGS[command], optional=optional))
+    return [command] + [
+        flag if value is None else f"{flag}={value}" for flag, value in values.items()
+    ]
+
+
+_PEAK_BUDGET = 8 << 20  # bytes of traced Python and numpy allocations per run
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv=_cli_argv(),
+    config=_mostly(st.none() | _CONFIG_VALUES, st.sampled_from(["{", "[]"])),
+    out=st.booleans(),
+)
+@example(
+    argv=["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed", str(2**64)],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["chsh", "--model", "image-event", "--settings", "0,90,45,135", "--samples=4000"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["born", "--amplitudes", "nan,0;1,0", "--trials", "5", "--grid-resolution", "10"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["walk", "--amplitudes", "nan,0;1,0", "--grid-resolution", "10"],
+    config=None,
+    out=True,
+)
+@example(
+    argv=["walk", "--amplitudes", "1e200,0;1e200,0", "--grid-resolution", "10"],
+    config=None,
+    out=False,
+)
+@example(argv=["born", "--amplitudes", "1,0;0,1"], config={"trials": "abc"}, out=True)
+@example(
+    argv=["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
+    config={"samples": "abc"},
+    out=True,
+)
+def test_cli_fuzz_exit_contract(argv, config, out):
+    """Over the flag grammar and config-file values: no exception escapes;
+    the exit code is 0 with nothing on stderr, 1 with one error line or 2
+    with one usage-error line and no file written; a run with --out writes
+    its manifest (exit 1 included), and an image-event run's manifest
+    carries the acceptance rates; the traced allocation peak stays within
+    budget."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", path]
+        result = os.path.join(tmp, "result")
+        if out:
+            argv += ["--out", result]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = stderr.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert peak < _PEAK_BUDGET, peak
+        manifest_path = result + ".manifest.json"
+        prefix = {0: "", 1: "error: ", 2: "usage error: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == (code > 0), err
+        if code == 2:
+            assert not os.path.exists(result) and not os.path.exists(manifest_path)
+            return
+        if not out:
+            return
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert (manifest["error"] is None) == (code == 0)
+        resolved = manifest["config"]
+        if code == 0 and resolved["subcommand"] in ("bell", "chsh") and (
+            resolved["model"] == "image-event"
+        ):
+            rates = manifest["diagnostics"]["acceptance_rate"]
+            assert 0.0 <= rates["min"] <= rates["mean"] <= rates["max"] <= 1.0

@@ -34,6 +34,17 @@ def test_normalize_rejects_zero_vector():
         normalize([1e-310, 1e-312])
 
 
+def test_normalize_rejects_nonfinite_and_scales_huge_entries():
+    """A nan or infinite entry is refused, not carried into nan weights; huge
+    finite entries, whose squares overflow, still normalize."""
+    for raw in ([np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]):
+        with pytest.raises(ValueError, match="finite"):
+            normalize(raw)
+    with np.errstate(all="raise"):
+        state = normalize([1e200, 1e200j])
+    assert np.allclose(state.amplitudes, [2**-0.5, 2**-0.5 * 1j], rtol=0.0, atol=1e-15)
+
+
 def test_normalize_rejects_single_entry():
     with pytest.raises(TooFewStatesError):
         normalize([1.0])

@@ -912,11 +912,22 @@ def two_state_time_law(k, m, max_t):
     return at_zero, at_m
 
 
-def test_two_state_block_variance_and_conditional_mean():
-    """(M, k) = (100, 30): Var T = k(M-k)(k^2 + (M-k)^2 - 2)/3 and
-    E[T | absorbed at M] = (M^2 - k^2)/3 (winner 0 is absorption at M), each
-    by a z-test at 4 sigma.  The closed forms are checked against the DP at
-    (20, 7) first."""
+def two_state_time_cdf(k, m, t):
+    """P(T <= t) for the walk on {0..M} started at k, by the spectral sum
+    sum_j sin(pi j/M)[sin(pi j k/M) + sin(pi j (M-k)/M)](1 - cos^t(pi j/M))
+    / (M (1 - cos(pi j/M))) over j = 1..M-1; t may be an array."""
+    x = np.pi * np.arange(1, m) / m
+    c = np.cos(x)
+    weight = np.sin(x) * (np.sin(x * k) + np.sin(x * (m - k))) / (m * (1.0 - c))
+    return (weight * (1.0 - c ** np.asarray(t)[..., None])).sum(axis=-1)
+
+
+@pytest.mark.parametrize("m, k", [(100, 30), (1000, 300)])
+def test_two_state_block_variance_and_conditional_mean(m, k):
+    """Var T = k(M-k)(k^2 + (M-k)^2 - 2)/3 and E[T | absorbed at M] =
+    (M^2 - k^2)/3 (winner 0 is absorption at M), each by a z-test at
+    4 sigma; M = 1000 runs the per-trial kernel.  The closed forms are
+    checked against the DP at (20, 7) first."""
     at_zero, at_m = two_state_time_law(7, 20, 4000)
     t = np.arange(at_zero.size)
     law = at_zero + at_m
@@ -925,7 +936,7 @@ def test_two_state_block_variance_and_conditional_mean():
     assert abs(float((t * t * law).sum()) - mean**2 - 6552) < 1e-6
     assert abs(float((t * at_m).sum() / at_m.sum()) - (400 - 49) / 3) < 1e-8
 
-    m, k, trials = 100, 30, 30_000
+    trials = 30_000
     winners, steps = _two_state_block(
         np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(77, trials)), m
     )
@@ -939,15 +950,27 @@ def test_two_state_block_variance_and_conditional_mean():
     assert abs(top.mean() - expect) < 4 * top.std(ddof=1) / np.sqrt(top.size), top.mean()
 
 
-def test_two_state_block_time_law_chi2():
-    """(M, k) = (20, 7): chi^2 of T over ten bins of (nearly) equal
-    probability, cut from the forward-DP CDF before sampling, at 4 sigma."""
-    m, k, trials = 20, 7, 20_000
-    at_zero, at_m = two_state_time_law(k, m, 4000)
-    cdf = np.cumsum(at_zero + at_m)
-    cuts = np.searchsorted(cdf, np.arange(1, 10) / 10)
+@pytest.mark.parametrize("m, k", [(20, 7), (1000, 300)])
+def test_two_state_block_time_law_chi2(m, k):
+    """chi^2 of T over ten bins of (nearly) equal probability at 4 sigma.
+    The bins are cut before sampling from the spectral CDF, by bisection
+    (the DP cannot reach T ~ 10^6 at M = 1000); the spectral CDF is checked
+    against the forward DP at (20, 7) first."""
+    at_zero, at_m = two_state_time_law(7, 20, 4000)
+    gap = two_state_time_cdf(7, 20, np.arange(4001)) - np.cumsum(at_zero + at_m)
+    assert np.abs(gap).max() < 1e-12
+
+    trials = 20_000
+    targets = np.arange(1, 10) / 10
+    lo = np.zeros(targets.size, dtype=np.int64)  # P(T <= lo) < target
+    hi = np.full(targets.size, 100 * m * m)  # P(T <= hi) >= target
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        up = two_state_time_cdf(k, m, mid) >= targets
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    cuts = hi
     assert np.all(np.diff(cuts) > 0)
-    probs = np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]]))
+    probs = np.diff(np.concatenate([[0.0], two_state_time_cdf(k, m, cuts), [1.0]]))
     winners, steps = _two_state_block(
         np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(78, trials)), m
     )
