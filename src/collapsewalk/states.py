@@ -25,6 +25,11 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("weights and cross terms must be finite")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Normalized complex amplitude vector over N >= 2 basis states."""
@@ -72,23 +77,35 @@ class JointState:
             raise TooFewStatesError("need at least 2 states")
         if k.shape != (n, n) or al.shape != (n,):
             raise ValueError("weights, cross and alive have inconsistent shapes")
-        if np.any(w < 0):
+        # A nan or infinite entry fails one of the checks below (it makes the
+        # sum or the Hermitian residual non-finite), and every failure first
+        # looks for one, so non-finite input always gets that one message.
+        if w.min() < 0:
+            _require_finite(w, k)
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > NORM_TOL:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if not np.allclose(k, k.conj().T, rtol=0.0, atol=NORM_TOL):
-            raise ValueError("cross terms must be Hermitian")
-        mag = np.sqrt(np.outer(w, w))
-        both_alive = np.outer(al, al)
-        off = ~np.eye(n, dtype=bool)
-        bad = np.abs(np.abs(k) - mag)[both_alive & off]
-        if bad.size and bad.max() > NORM_TOL:
+        total = w.sum()
+        if not abs(total - 1.0) <= NORM_TOL:
+            _require_finite(w, k)
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        with np.errstate(invalid="ignore"):  # inf - inf: nan, which fails below
+            skew = np.abs(k - k.conj().T)
+        gap = np.abs(np.abs(k) - np.sqrt(w[:, None] * w))
+        gap.flat[:: n + 1] = 0.0  # the diagonal is unused
+        any_dead = np.count_nonzero(al) < n
+        if any_dead:
+            dead = ~al
+            rim = dead[:, None] | dead  # the rows and columns of dead states
+            gap[rim] = 0.0
+        if not np.maximum(skew, gap).max() <= NORM_TOL:
+            _require_finite(w, k)
+            if skew.max() > NORM_TOL:
+                raise ValueError("cross terms must be Hermitian")
             raise ValueError("|cross_ij| must equal sqrt(w_i w_j) for alive pairs")
-        dead = ~al
-        if np.any(w[dead] != 0.0):
-            raise ValueError("dead states must carry zero weight")
-        if np.any(k[dead, :] != 0) or np.any(k[:, dead] != 0):
-            raise ValueError("dead states must have zero cross terms")
+        if any_dead:
+            if w[dead].any():
+                raise ValueError("dead states must carry zero weight")
+            if k[rim].any():
+                raise ValueError("dead states must have zero cross terms")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cross", k)
         object.__setattr__(self, "alive", al)
@@ -110,10 +127,12 @@ def normalize(raw) -> QuantumState:
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     peak = np.abs(amps).max()
-    if peak > 1e150:  # |a|^2 would overflow
-        amps = amps / peak
+    # |a_i|^2 can overflow or underflow; the norm is then peak * |a / peak|
+    scale = peak if peak > 1e150 or 0.0 < peak < 1e-150 else 1.0
+    if scale != 1.0:  # by parts: complex division takes 1 / scale, inf if subnormal
+        amps = amps.real / scale + 1j * (amps.imag / scale)
     norm = np.linalg.norm(amps)
-    if norm < 1e-300:
+    if scale * norm < 1e-300:
         raise AllZeroError("cannot normalize an all-zero amplitude vector")
     return QuantumState(amps / norm)
 

@@ -58,7 +58,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_SEED_BLOCK = 1 << 12  # trials whose seed words are derived at a time
+_SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 
 # N-state batches: 16-bit lanes, four to a uint64 column
 _LANES = 4
@@ -321,14 +321,27 @@ def update_cross_terms(
         al = joint.alive & (w > 0)
     else:
         al = joint.alive
-    mag = np.abs(joint.cross)
+    return _synced_joint(_unit_phases(joint.cross), np.where(al, w, 0.0), al)
+
+
+def _unit_phases(cross) -> np.ndarray:
+    """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0."""
+    mag = np.abs(cross)
     safe = np.where(mag > 0, mag, 1.0)
-    unit = np.where(mag > 0, joint.cross / safe, 0.0)
-    kappa = unit * np.sqrt(np.outer(w, w))
-    kappa[~al, :] = 0.0
-    kappa[:, ~al] = 0.0
-    np.fill_diagonal(kappa, 0.0)
-    return JointState(weights=np.where(al, w, 0.0), cross=kappa, alive=al)
+    return np.where(mag > 0, cross / safe, 0.0)
+
+
+def _synced_joint(phases, w, alive) -> JointState:
+    """The joint state with weights ``w`` (zero at dead states) and
+    |kappa_ij| = sqrt(w_i w_j) on the given unit phases; the diagonal and the
+    rows and columns of dead states are zero."""
+    n = w.size
+    kappa = phases * np.sqrt(w[:, None] * w)
+    if np.count_nonzero(alive) < n:
+        dead = ~alive
+        kappa[dead[:, None] | dead] = 0.0
+    kappa.flat[:: n + 1] = 0.0
+    return JointState(weights=w, cross=kappa, alive=alive)
 
 
 def run_walk(
@@ -349,26 +362,29 @@ def run_walk(
     alive = k > 0
     eliminations = [(int(i), 0) for i in np.flatnonzero(~alive)]
 
+    # the phases come from the input joint at every step, so derive them once
+    phases = None if observer is None else _unit_phases(joint.cross)
+
     def snapshot(step):
-        if observer is None:
-            return
-        observer(step, update_cross_terms(joint, weights=k / m, alive=alive))
+        if observer is not None:
+            observer(step, _synced_joint(phases, k / m, alive))
 
     snapshot(0)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     steps = 0
-    while int(alive.sum()) > 1:
+    left = np.count_nonzero(alive)
+    while left > 1:
         if steps >= config.max_steps:
             raise MaxStepsExceededError(
                 f"walk not absorbed after {config.max_steps} steps"
             )
-        before = alive.copy()
-        k, alive = walk_step(k, alive, rng)
+        before = alive
+        k, alive = walk_step(k, alive, rng)  # fresh arrays
         steps += 1
-        died = np.flatnonzero(before & ~alive)
-        for state in died:
-            eliminations.append((int(state), steps))
+        if np.count_nonzero(alive) < left:
+            left -= 1  # a step moves one unit, so at most one state dies
+            eliminations.append((int(np.flatnonzero(before & ~alive)[0]), steps))
         snapshot(steps)
     winner = int(np.flatnonzero(alive)[0])
     return WalkOutcome(

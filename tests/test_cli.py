@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -514,6 +515,52 @@ def test_born_csv_golden_bytes(tmp_path):
         b"0,1480,0.296,0.00645575712058624\n"
         b"1,3520,0.704,0.00645575712058624\n"
     )
+
+
+WALK_GOLDEN = {
+    # two states, M = 6: four steps
+    ("0.6,0;0.8,0", "6", "2"): (
+        b"step,w0,w1\n"
+        b"0,0.333333333333333,0.666666666666667\n"
+        b"1,0.5,0.5\n"
+        b"2,0.333333333333333,0.666666666666667\n"
+        b"3,0.166666666666667,0.833333333333333\n"
+        b"4,0,1\n",
+        "109b254833b570c14abacfb6e9ecec460baa504a36f19907d4b2601b5d6939dd",
+    ),
+    # three states with phases, M = 5: state 2 dies at step 2
+    ("0.5,0;0.3,0.2;0,0.4", "5", "7"): (
+        b"step,w0,w1,w2\n"
+        b"0,0.4,0.2,0.4\n"
+        b"1,0.4,0.4,0.2\n"
+        b"2,0.4,0.6,0\n"
+        b"3,0.6,0.4,0\n"
+        b"4,0.8,0.2,0\n"
+        b"5,1,0,0\n",
+        "37bfa4e56dcd7389a2172c71a0b5649d170658b377d4e7d0fd32c13576ee05eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("amplitudes, m, seed", list(WALK_GOLDEN))
+def test_walk_golden_bytes(amplitudes, m, seed, tmp_path):
+    """walk's CSV bytes, and the sha256 of its JSON bytes, fixed."""
+    csv_bytes, json_sha256 = WALK_GOLDEN[(amplitudes, m, seed)]
+    argv = ["walk", "--amplitudes", amplitudes, "--grid-resolution", m, "--seed", seed]
+    out = tmp_path / "walk.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == csv_bytes
+    out = tmp_path / "walk.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
+
+
+def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
+    out = tmp_path / "born.csv"
+    argv = ["born", "--amplitudes", "1e-200,0;1e-200,0", "--trials", "5",
+            "--grid-resolution", "10", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == "state,count,frequency,stderr"
 
 
 def test_manifest_round_trip_reproduces_result(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collapsewalk import (
     AllZeroError,
@@ -43,6 +45,14 @@ def test_normalize_rejects_nonfinite_and_scales_huge_entries():
     with np.errstate(all="raise"):
         state = normalize([1e200, 1e200j])
     assert np.allclose(state.amplitudes, [2**-0.5, 2**-0.5 * 1j], rtol=0.0, atol=1e-15)
+
+
+def test_normalize_tiny_entries_whose_squares_underflow():
+    """|a_i|^2 underflows to zero at 1e-200, but the vector is not zero."""
+    with np.errstate(all="raise"):
+        state = normalize([1e-200, 1e-200])
+    assert np.allclose(state.amplitudes, [2**-0.5, 2**-0.5], rtol=0.0, atol=1e-15)
+    assert np.allclose(state.weights(), [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 def test_normalize_rejects_single_entry():
@@ -119,6 +129,124 @@ def test_joint_state_dead_rows_must_be_zero():
         JointState(weights, cross, np.array([True, False]))
     clean = JointState(weights, np.zeros((2, 2), complex), np.array([True, False]))
     assert clean.weights[1] == 0.0
+
+
+def test_joint_state_rejects_nonfinite_weights():
+    with pytest.raises(ValueError, match="finite"):
+        JointState(weights=[np.nan, np.nan], cross=np.zeros((2, 2)), alive=[True, True])
+    with pytest.raises(ValueError, match="finite"):
+        JointState(weights=[np.inf, 1.0], cross=np.zeros((2, 2)), alive=[True, True])
+
+
+def test_joint_state_rejects_nonfinite_cross_terms():
+    """Even on the unused diagonal, where no other check looks."""
+    good = form_joint(normalize([1.0, 1.0]))
+    for bad in (np.inf, complex(0.0, -np.inf), np.nan):
+        cross = good.cross.copy()
+        cross[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            JointState(good.weights, cross, good.alive)
+    cross = good.cross.copy()
+    cross[0, 1] = cross[1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        JointState(good.weights, cross, good.alive)
+
+
+def reference_verdict(weights, cross, alive):
+    """The original JointState validator, check for check, as the oracle:
+    None when it accepts, else (exception type, message)."""
+    w = np.array(weights, dtype=np.float64)
+    k = np.array(cross, dtype=np.complex128)
+    al = np.array(alive, dtype=bool)
+    n = w.size
+    if w.ndim != 1 or n < 2:
+        return TooFewStatesError, "need at least 2 states"
+    if k.shape != (n, n) or al.shape != (n,):
+        return ValueError, "weights, cross and alive have inconsistent shapes"
+    if np.any(w < 0):
+        return ValueError, "weights must be nonnegative"
+    if abs(w.sum() - 1.0) > 1e-12:
+        return ValueError, f"weights must sum to 1, got {w.sum()!r}"
+    if not np.allclose(k, k.conj().T, rtol=0.0, atol=1e-12):
+        return ValueError, "cross terms must be Hermitian"
+    mag = np.sqrt(np.outer(w, w))
+    both_alive = np.outer(al, al)
+    off = ~np.eye(n, dtype=bool)
+    bad = np.abs(np.abs(k) - mag)[both_alive & off]
+    if bad.size and bad.max() > 1e-12:
+        return ValueError, "|cross_ij| must equal sqrt(w_i w_j) for alive pairs"
+    dead = ~al
+    if np.any(w[dead] != 0.0):
+        return ValueError, "dead states must carry zero weight"
+    if np.any(k[dead, :] != 0) or np.any(k[:, dead] != 0):
+        return ValueError, "dead states must have zero cross terms"
+    return None
+
+
+CORRUPTIONS = (None, "negative", "sum", "hermitian", "magnitude", "dead weight", "dead cross")
+# sizes on both sides of the 1e-12 tolerance, and far beyond it
+SIZES = (3e-13, 9e-13, 1.1e-12, 3e-12, 1e-9, 1e-3, 0.5)
+
+
+@st.composite
+def joint_inputs(draw):
+    """A valid (weights, cross, alive), then at most one corruption."""
+    n = draw(st.integers(2, 6))
+    alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    alive[draw(st.integers(0, n - 1))] = True
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    raw = np.where(alive, raw, 0.0)
+    assume(raw.sum() > 0)
+    w = raw / raw.sum()
+    phases = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    a = np.sqrt(w) * np.exp(1j * phases)
+    cross = np.outer(a, a.conj())
+    diag = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    np.fill_diagonal(cross, np.where(alive, diag, 0.0) * draw(st.booleans()))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    size = draw(st.sampled_from(SIZES))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    dead = np.flatnonzero(~alive)
+    if kind == "negative":
+        w[i] = -size
+    elif kind == "sum":
+        w[i] += size * draw(st.sampled_from((-1.0, 1.0)))
+    elif kind == "hermitian":
+        j = draw(st.sampled_from((i, j)))
+        cross[i, j] += size * np.exp(1j * draw(st.floats(-4.0, 4.0)))
+    elif kind == "magnitude":
+        live = np.flatnonzero(alive).tolist()
+        assume(len(live) >= 2)
+        i, j = draw(st.permutations(live))[:2]
+        cross[i, j] *= 1.0 + size
+        cross[j, i] = np.conj(cross[i, j])
+    elif kind is not None:
+        assume(dead.size)
+        i = draw(st.sampled_from(dead.tolist()))
+        if kind == "dead weight":
+            w[i] = size
+        else:
+            cross[i, j] = size
+            cross[j, i] = size
+    return w, cross, alive
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(inputs=joint_inputs())
+def test_joint_state_verdicts_match_reference_validator(inputs):
+    """Same exception type and message as the original validator on valid
+    states and on each single corruption; accepted states keep their
+    values."""
+    expect = reference_verdict(*inputs)
+    try:
+        joint = JointState(*inputs)
+    except (ValueError, TooFewStatesError) as exc:
+        assert (type(exc), str(exc)) == expect
+        return
+    assert expect is None
+    for got, raw in zip((joint.weights, joint.cross, joint.alive), inputs):
+        assert np.array_equal(got, raw)
 
 
 def test_parse_amplitudes_round_trip():

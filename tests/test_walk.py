@@ -10,6 +10,7 @@ from scipy import stats
 
 from collapsewalk import (
     DegenerateGridError,
+    JointState,
     MaxStepsExceededError,
     NoAlivePairError,
     WalkConfig,
@@ -270,6 +271,80 @@ def test_update_cross_terms_idempotent_without_arguments():
     again = update_cross_terms(joint)
     assert np.allclose(again.cross, joint.cross)
     assert np.allclose(again.weights, joint.weights)
+
+
+def reference_sync(cross, w, alive):
+    """The original one-function ``update_cross_terms`` formula, kept as the
+    oracle: (weights, cross, alive) of the re-synced state."""
+    mag = np.abs(cross)
+    safe = np.where(mag > 0, mag, 1.0)
+    unit = np.where(mag > 0, cross / safe, 0.0)
+    kappa = unit * np.sqrt(np.outer(w, w))
+    kappa[~alive, :] = 0.0
+    kappa[:, ~alive] = 0.0
+    np.fill_diagonal(kappa, 0.0)
+    return np.where(alive, w, 0.0), kappa, alive
+
+
+def assert_same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_observer_snapshots_match_reference_formula():
+    """Every snapshot of 60 observed walks equals the reference formula bit
+    for bit, on a replay of the same walk through walk_step."""
+    gen = np.random.default_rng(60)
+    for walk in range(60):
+        n = int(gen.integers(2, 6))
+        m = int(gen.integers(4, 25))
+        raw = gen.normal(size=n) * np.exp(1j * gen.uniform(-np.pi, np.pi, n))
+        raw[gen.random(n) < 0.15] = 0.0
+        raw[0] = raw[0] or 1.0
+        joint = form_joint(normalize(raw))
+        config = WalkConfig(grid_resolution=m, seed=walk)
+        try:
+            k = quantize_weights(joint.weights, m)
+        except DegenerateGridError:
+            continue
+        snaps = []
+        run_walk(joint, config, observer=lambda step, s: snaps.append(s))
+        alive = k > 0
+        rng = np.random.default_rng(walk)
+        for step, snap in enumerate(snaps):
+            if step:
+                k, alive = walk_step(k, alive, rng)
+            expect = reference_sync(joint.cross, k / m, alive)
+            for got, want in zip((snap.weights, snap.cross, snap.alive), expect):
+                assert_same_bits(got, want)
+        assert np.count_nonzero(alive) == 1
+
+
+def test_update_cross_terms_matches_reference_formula():
+    """All three ways of naming weights and alive flags, on joints with dead
+    states and a nonzero (unused) real diagonal."""
+    gen = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(gen.integers(2, 6))
+        raw = gen.normal(size=n) + 1j * gen.normal(size=n)
+        raw[gen.random(n) < 0.3] = 0.0
+        raw[0] = raw[0] or 1.0
+        base = form_joint(normalize(raw))
+        alive = base.weights > 0
+        cross = base.cross + np.diag(gen.normal(size=n) * alive)
+        joint = JointState(base.weights, cross, alive)
+        w = gen.dirichlet(np.ones(n)) * alive
+        w[1:][gen.random(n - 1) < 0.3] = 0.0
+        w /= w.sum()
+        for kwargs, (ww, al) in (
+            ({}, (joint.weights, joint.alive)),
+            ({"weights": w}, (w, joint.alive & (w > 0))),
+            ({"weights": w, "alive": w > 0}, (w, w > 0)),
+        ):
+            got = update_cross_terms(joint, **kwargs)
+            expect = reference_sync(joint.cross, ww, al)
+            for g, e in zip((got.weights, got.cross, got.alive), expect):
+                assert_same_bits(g, e)
 
 
 # ------------------------------------------------------------------ run_walk
@@ -747,6 +822,21 @@ def test_born_statistics_memory_is_bounded_for_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 2 * _BATCH_BYTES
+
+
+def test_seed_block_memory_is_bounded():
+    """A seed block's generators all live until its two-state tail pass, at
+    about 1 KB each; one 4096-trial batch stays under 1 MiB."""
+    state = normalize(np.sqrt([0.5, 0.3, 0.2]))
+    config = WalkConfig(grid_resolution=100, seed=7)
+    tracemalloc.start()
+    try:
+        result = born_statistics(state, 4096, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.trials == 4096
+    assert peak < 1 << 20, peak
 
 
 TAIL_GRIDS = [2, 3, 10, 64, 65, 100, 1000]
