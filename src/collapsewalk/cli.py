@@ -9,7 +9,8 @@ Re-running the echoed configuration reproduces the result file byte for byte.
 CSV carries one header row, '.' decimals and 15 significant digits; angles
 are accepted in degrees and converted to radians internally.  Seeds lie in
 [0, 2**64), 0 included; --entropy asks the OS for one and records the drawn
-value in the manifest.  A walk run buffers at most WALK_MAX_ROWS rows.
+value in the manifest.  A walk run buffers at most WALK_MAX_ROWS rows, and
+a born run may expect at most BORN_MAX_STEPS walk steps.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but every run uses one thread.
@@ -39,6 +40,9 @@ from .walk import WalkConfig, born_statistics, quantize_weights, run_walk
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
 WALK_MAX_ROWS = 1 << 18  # longest trajectory a walk run buffers
+# most expected walk steps of one born run, tens of seconds on a 2-vCPU VM; a
+# step of a two-state walk counts 1/64, as its kernel reads 64 steps per word
+BORN_MAX_STEPS = 1 << 30
 
 
 @dataclass
@@ -314,8 +318,23 @@ def _walk_inputs(config: RunConfig):
     return state, walk_config
 
 
+def _expected_steps(k0: np.ndarray, m: int) -> int:
+    """E[T] = (M^2 - sum k_i^2) / 2 steps of a walk from k0, in Python ints."""
+    return (m * m - sum(int(k) ** 2 for k in k0)) // 2
+
+
 def _run_born(config: RunConfig, diagnostics: dict):
     state, walk_config = _walk_inputs(config)
+    k0 = quantize_weights(state.weights(), walk_config.grid_resolution)
+    # E[min(T, cap)] <= min(E[T], cap) per trial
+    steps = min(_expected_steps(k0, walk_config.grid_resolution), walk_config.max_steps)
+    if np.count_nonzero(k0) <= 2:
+        steps /= 64
+    if config.trials * steps > BORN_MAX_STEPS:
+        raise UsageError(
+            f"born expects more than {BORN_MAX_STEPS} walk steps; "
+            "lower --trials or --grid-resolution"
+        )
     stats = born_statistics(state, config.trials, walk_config)
     diagnostics["excluded_trials"] = stats.excluded
     diagnostics["mean_steps"] = stats.mean_steps
@@ -339,8 +358,8 @@ def _run_walk(config: RunConfig, diagnostics: dict):
     state, walk_config = _walk_inputs(config)
     m = walk_config.grid_resolution
     k0 = quantize_weights(state.weights(), m)
-    # E[T] = (M^2 - sum k_i^2) / 2 steps, plus the row of step 0
-    if (m * m - int((k0 * k0).sum())) / 2 + 1 > WALK_MAX_ROWS:
+    # E[T] steps, plus the row of step 0
+    if _expected_steps(k0, m) + 1 > WALK_MAX_ROWS:
         raise UsageError(
             f"walk expects more than {WALK_MAX_ROWS} trajectory rows; "
             "lower --grid-resolution"

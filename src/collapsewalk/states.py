@@ -41,7 +41,7 @@ class QuantumState:
         if amps.ndim != 1 or amps.size < 2:
             raise TooFewStatesError("need an amplitude vector with at least 2 entries")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a nan norm fails too
             raise ValueError(f"amplitudes not normalized: |a| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -20,9 +20,14 @@ highest point, first step at each distance) to find the first hit.
 With N >= 3 states the walk runs in batches of steps until two states are
 left.  Every state owns a 16-bit lane of a uint64 word, so a batch is one
 table lookup of each step's packed move and one cumsum; a lane's top bit
-marks the step where its state dies.  ``born_statistics`` then gathers the
-two-state tails of a block of trials and runs the two-state pass on all of
-them at once, one row per trial, as long as a block of rows fits in
+marks the step where its state dies.  Every trial of a block starts at the
+same counts, so with exactly three alive states ``born_statistics`` runs the
+block's first phases in cross-trial rounds: each round draws one batch of
+raw words per trial, reads its uint32 halves as the ``integers`` draws by
+threshold comparisons, and gives all rows one cumsum; a trial whose draws
+hit a Lemire rejection reruns on the per-trial path.  It then gathers the
+two-state tails of the block and runs the two-state pass on all of them at
+once, one row per trial, as long as a block of rows fits in
 ``_TAIL_BYTES``; rows that outlive that draw, and draws too long to share a
 block, go on in the per-trial kernel.  Every path reads the same stream
 words as the step-by-step definitions, so outputs are bit-identical.
@@ -68,6 +73,17 @@ _BATCH_STEPS = 1 << 14  # longest batch, so a lane moves at most 2**14
 _BATCH_BYTES = 1 << 20  # largest (batch, columns) uint64 path of one batch
 _PAIR_TABLE_BYTES = 1 << 16  # largest table of packed moves by ordered pair
 _TAIL_BYTES = 1 << 16  # raw words of one block of two-state rows
+
+# Three-state cross-trial rounds.  integers(3) and integers(2) are Lemire's
+# method on the stream's uint32 halves h: integers(3) = #{j : h >=
+# ceil(j 2**32 / 3)} unless h = 0, which it rejects, and integers(2) =
+# [h >= 2**31], which never rejects.
+_THIRDS = (np.uint32(0x5555_5556), np.uint32(0xAAAA_AAAB))
+_HALF = np.uint32(1 << 31)
+_LANE_SHIFTS = np.arange(0, 48, 16, dtype=np.uint64)
+_LANE_UNITS = np.uint64(1) << _LANE_SHIFTS
+_LANE_PAD = np.uint64(_LANE_TOP << 48)  # the unused fourth lane
+_ROUND_BYTES = 1 << 17  # raw words of one sub-block of a round
 
 
 def _byte_tables():
@@ -262,6 +278,8 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
         raise ValueError("grid resolution must be >= 2")
     if w.ndim != 1 or w.size < 2:
         raise ValueError("need a weight vector with at least 2 entries")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be nonnegative and sum to 1")
     target = m * w
@@ -462,35 +480,123 @@ def born_statistics(
 def _born_block(k0: np.ndarray, m: int, max_steps: int, rngs: list):
     """Winners (-1 on a cap hit) and steps of one block of trials.
 
-    N-state trials run their first phases one by one; those left with two
-    states then share one ``_two_state_block`` call, which two-state trials
-    enter directly.
+    With three alive states the first phases of the whole block run in
+    cross-trial rounds (``_three_state_rounds``); rows whose draws hit a
+    Lemire rejection, and blocks with any other alive count, run
+    ``_multi_first_phase`` one trial at a time.  Trials left with two states
+    then share one ``_two_state_block`` call, which two-state trials enter
+    directly.
     """
+    rows = len(rngs)
     if k0.size == 2:
-        rows = len(rngs)
         return _two_state_block(
             np.full(rows, k0[0]), np.full(rows, max_steps), rngs, m
         )
-    winners = np.full(len(rngs), -1, dtype=np.int64)
-    steps = np.zeros(len(rngs), dtype=np.int64)
-    tails, pos, pairs = [], [], []
-    for t, rng in enumerate(rngs):
-        k, alive, steps[t], _ = _multi_first_phase(k0, m, max_steps, rng)
+    winners = np.full(rows, -1, dtype=np.int64)
+    steps = np.zeros(rows, dtype=np.int64)
+    pos = np.zeros(rows, dtype=np.int64)
+    pairs = np.zeros((rows, 2), dtype=np.int64)
+    tail = np.zeros(rows, dtype=bool)
+    alive0 = np.flatnonzero(k0)
+    if alive0.size == 3:
+        counts, steps, rerun = _three_state_rounds(k0[alive0], m, max_steps, rngs)
+        tail = (counts == 0).any(axis=1) & (steps < max_steps) & ~rerun
+        left = counts[tail]
+        survivors = np.nonzero(left)  # two per row, in index order
+        pairs[tail] = alive0[survivors[1]].reshape(-1, 2)
+        pos[tail] = left[survivors].reshape(-1, 2)[:, 0]
+        per_trial = np.flatnonzero(rerun).tolist()
+    else:
+        per_trial = range(rows)
+    for t in per_trial:
+        k, alive, steps[t], _ = _multi_first_phase(k0, m, max_steps, rngs[t])
         if len(alive) == 1:
             winners[t] = alive[0]
         elif steps[t] < max_steps:
-            tails.append(t)
-            pos.append(k[alive[0]])
-            pairs.append(alive)
-    if tails:
-        tails = np.array(tails)
+            tail[t] = True
+            pos[t] = k[alive[0]]
+            pairs[t] = alive
+    tails = np.flatnonzero(tail)
+    if tails.size:
         won, tail_steps = _two_state_block(
-            np.array(pos), max_steps - steps[tails], [rngs[t] for t in tails], m
+            pos[tails], max_steps - steps[tails], [rngs[t] for t in tails], m
         )
-        pairs = np.array(pairs)
-        winners[tails] = np.where(won < 0, -1, pairs[np.arange(tails.size), won])
+        winners[tails] = np.where(won < 0, -1, pairs[tails, won])
         steps[tails] += tail_steps
     return winners, steps
+
+
+def _three_state_rounds(k: np.ndarray, m: int, max_steps: int, rngs: list):
+    """``_multi_first_phase`` from the three positive counts ``k`` on every
+    stream of a block, in cross-trial rounds.
+
+    Every trial starts at ``k``, so each takes the same batch sizes until its
+    first elimination.  Round j draws min(2**j b, 2**14) steps for every row
+    still in the rounds (``_three_state_round``).  A row leaves them at its
+    first death, which with three states ends its first phase; at the step
+    cap; or on a Lemire rejection.  Returns (counts, steps, rerun): the
+    (rows, 3) counts and the steps where each row left, and the rows whose
+    draws hit a rejection.  Those streams are rewound to their start for
+    ``_multi_first_phase`` to run again, so their counts and steps mean
+    nothing.
+    """
+    rows = len(rngs)
+    counts = np.tile(k, (rows, 1))
+    steps = np.zeros(rows, dtype=np.int64)
+    rerun = np.zeros(rows, dtype=bool)
+    bits = [rng.bit_generator for rng in rngs]
+    k_min = int(k.min())
+    batch = min(max(k_min * (m - k_min) * 3 // 4, 64), _BATCH_STEPS)
+    going = np.arange(rows)
+    while going.size:
+        per_block = max(1, _ROUND_BYTES // (8 * batch))
+        for lo in range(0, going.size, per_block):
+            sub = going[lo : lo + per_block]
+            counts[sub], steps[sub], rerun[sub] = _three_state_round(
+                counts[sub], steps[sub], [bits[r] for r in sub.tolist()], batch
+            )
+        going = going[
+            (steps[going] < max_steps) & ~rerun[going] & counts[going].all(axis=1)
+        ]
+        batch = min(2 * batch, _BATCH_STEPS)
+    return counts, steps, rerun
+
+
+def _three_state_round(counts: np.ndarray, steps: np.ndarray, bits: list, batch: int):
+    """One ``batch`` of ``_multi_first_phase`` on every row at once.
+
+    Each row draws ``batch`` raw words, whose uint32 halves, low half first,
+    are the ``integers(3)`` sources and then the ``integers(2)``
+    destinations, computed as ``_THIRDS`` and ``_HALF`` comparisons.  The
+    packed moves of all rows then take one (rows, batch) cumsum.  Returns
+    the rows' new (counts, steps, rejected).  A rejected row, whose source
+    halves hold a 0 (the one value ``integers(3)`` redraws), is rewound to
+    the start of its stream by ``PCG64.advance``.
+    """
+    words = np.empty((len(bits), batch), dtype=np.uint64)
+    for r, bit in enumerate(bits):
+        words[r] = bit.random_raw(batch)
+    halves = words.view("<u4")
+    src, dst = halves[:, :batch], halves[:, batch:]
+    rejected = src.min(axis=1) == 0
+    for r in np.flatnonzero(rejected).tolist():
+        bits[r].advance(-int(steps[r] + batch))
+    # ordered-pair row src * 2 + dst of _pair_moves(3)
+    pair = (src >= _THIRDS[0]).view(np.uint8)
+    pair += src >= _THIRDS[1]
+    pair <<= 1
+    pair += dst >= _HALF
+    path = _pair_moves(3).reshape(-1).take(pair)
+    start = np.minimum(counts, batch) + (_LANE_TOP - 1)
+    path[:, 0] += start.astype(np.uint64) @ _LANE_UNITS + _LANE_PAD
+    np.cumsum(path, axis=1, out=path)
+    flagged = (path & _LANE_HIGH) != _LANE_HIGH
+    r = flagged.argmax(axis=1)
+    r[~flagged[np.arange(r.size), r]] = batch - 1
+    lanes = path[np.arange(r.size), r][:, None] >> _LANE_SHIFTS & 0xFFFF
+    counts = counts - start + lanes.astype(np.int64)
+    died = (counts == 0).any(axis=1)
+    return counts, steps + np.where(died, r + 1, batch), rejected
 
 
 def _words_per_draw(spread: int) -> int:
@@ -786,26 +892,3 @@ def _pack_lanes(lanes: list[int], cols: int) -> np.ndarray:
         words[i // _LANES] |= lane << i % _LANES * 16
     return np.array(words, dtype=np.uint64)
 
-
-def _first_passage_multi(
-    k0: np.ndarray, m: int, max_steps: int, rng: np.random.Generator
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """First passage to a simplex vertex for N >= 3 quantized weights.
-
-    Runs ``_multi_first_phase``, then the two-state kernel once only two
-    states remain.  Returns (winner, steps, eliminations) with winner -1 on
-    a cap hit.
-    """
-    k, alive, steps, eliminations = _multi_first_phase(k0, m, max_steps, rng)
-    if len(alive) == 1:
-        return alive[0], steps, eliminations
-    if steps >= max_steps:
-        return -1, max_steps, eliminations
-    i, j = alive
-    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
-    if winner01 < 0:
-        return -1, max_steps, eliminations
-    steps += tail
-    winner, loser = (i, j) if winner01 == 0 else (j, i)
-    eliminations.append((loser, steps))
-    return winner, steps, eliminations

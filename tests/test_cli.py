@@ -125,6 +125,10 @@ def test_usage_error_exit_code(tmp_path):
             "--seed", "18446744073709551616",
         ],
         ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
+        [
+            "born", "--amplitudes", "0.5,0;0.3,0;0.2,0",
+            "--grid-resolution", "100000", "--trials", "2",
+        ],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -563,6 +567,41 @@ def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
     assert out.read_text().splitlines()[0] == "state,count,frequency,stderr"
 
 
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        # the README example and criterion 01: 2.1e10 two-state steps
+        (["born", "--amplitudes", "0.547722,0;0.836660,0", "--trials", "100000"], True),
+        # criterion 02 through the CLI: 3.1e8 three-state steps
+        (["born", "--amplitudes", "0.707107,0;0.547723,0;0.447214,0",
+          "--grid-resolution", "100", "--trials", "100000"], True),
+        # a cap bounds the expected steps of every trial
+        (["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
+          "--trials", "2", "--max-steps", "1000"], True),
+        (["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
+          "--trials", "2"], False),
+        (["born", "--amplitudes", "1,0;1,0", "--trials", str(2**60)], False),
+    ],
+)
+def test_born_step_budget(argv, accepted, monkeypatch, capsys):
+    """Runs within BORN_MAX_STEPS reach born_statistics (stubbed here, so
+    nothing runs); the others stop with one usage-error line."""
+    called = []
+
+    def stub(state, trials, config):
+        called.append(trials)
+        raise collapsewalk.MaxStepsExceededError("stub")
+
+    monkeypatch.setattr(collapsewalk.cli, "born_statistics", stub)
+    code = main(argv)
+    err = capsys.readouterr().err
+    if accepted:
+        assert (code, called) == (1, [int(argv[argv.index("--trials") + 1])])
+    else:
+        assert (code, called) == (2, [])
+        assert err.startswith("usage error: born expects more than") and err.count("\n") == 1
+
+
 def test_manifest_round_trip_reproduces_result(tmp_path):
     # born has no --model, so its manifest records "model": null
     runs = (
@@ -779,6 +818,12 @@ _PEAK_BUDGET = 8 << 20  # bytes of traced Python and numpy allocations per run
     out=False,
 )
 @example(argv=["born", "--amplitudes", "1,0;0,1"], config={"trials": "abc"}, out=True)
+@example(
+    argv=["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
+          "--trials", "2"],
+    config=None,
+    out=True,
+)
 @example(
     argv=["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
     config={"samples": "abc"},

@@ -74,6 +74,13 @@ def test_quantum_state_rejects_unnormalized():
         QuantumState(np.array([1.0, 1.0]))
 
 
+def test_quantum_state_rejects_nonfinite_amplitudes():
+    """A nan norm fails the normalization test instead of passing it."""
+    for raw in ([np.nan, 1.0], [1.0, complex(np.nan, 0.0)], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="not normalized"):
+            QuantumState(np.array(raw))
+
+
 def test_form_joint_symmetric_pair():
     joint = form_joint(normalize([1.0, 1.0]))
     assert np.allclose(joint.weights, [0.5, 0.5])

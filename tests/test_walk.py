@@ -32,12 +32,14 @@ from collapsewalk.walk import (
     _BYTE_UP,
     _BATCH_BYTES,
     _SEED_BLOCK,
+    _ROUND_BYTES,
     _TAIL_BYTES,
-    _first_passage_multi,
+    _born_block,
     _first_passage_two_state,
     _multi_first_phase,
     _pair_moves,
     _SeedWords,
+    _three_state_rounds,
     _trial_rngs,
     _trial_seed_words,
     _two_state_block,
@@ -94,6 +96,14 @@ def test_quantize_degenerate_grid_raises_only_when_coarse():
         quantize_weights(w, 15)  # M < 10 N and the tiny weight rounds to 0
     k = quantize_weights(w, 1000)  # coarse weight still rounds to 0, M large
     assert k.tolist() == [0, 1000]
+
+
+def test_quantize_rejects_nonfinite_weights():
+    """nan weights pass a sum test written as |sum - 1| > tol; they would
+    round to int64 garbage."""
+    for w in ([np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_weights(w, 10)
 
 
 def largest_remainder(weights, m):
@@ -754,6 +764,26 @@ def matrix_multi(k0, m, max_steps, rng):
     return winner, steps, eliminations
 
 
+def _first_passage_multi(k0, m, max_steps, rng):
+    """First passage to a simplex vertex for N >= 3 quantized weights, one
+    trial: _multi_first_phase, then the two-state kernel once only two
+    states remain.  Returns (winner, steps, eliminations) with winner -1 on
+    a cap hit."""
+    k, alive, steps, eliminations = _multi_first_phase(k0, m, max_steps, rng)
+    if len(alive) == 1:
+        return alive[0], steps, eliminations
+    if steps >= max_steps:
+        return -1, max_steps, eliminations
+    i, j = alive
+    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
+    if winner01 < 0:
+        return -1, max_steps, eliminations
+    steps += tail
+    winner, loser = (i, j) if winner01 == 0 else (j, i)
+    eliminations.append((loser, steps))
+    return winner, steps, eliminations
+
+
 def random_multi_cases(count, sizes, seed, alpha=0.7):
     """(k0, m, cap) with some zero weights, grids from N to max(100, 4N)
     and caps from one step to 100 M^2; a larger ``alpha`` leaves fewer
@@ -837,6 +867,146 @@ def test_seed_block_memory_is_bounded():
         tracemalloc.stop()
     assert result.trials == 4096
     assert peak < 1 << 20, peak
+
+
+def per_trial_block(k0, m, cap, rngs):
+    """Oracle for _born_block on N >= 3 states: _multi_first_phase one trial
+    at a time, then one _two_state_block call on the rows left with two
+    states.  Returns (winners, steps) arrays."""
+    rows = len(rngs)
+    winners = np.full(rows, -1, dtype=np.int64)
+    steps = np.zeros(rows, dtype=np.int64)
+    tails, pos, pairs = [], [], []
+    for t, rng in enumerate(rngs):
+        k, alive, steps[t], _ = _multi_first_phase(k0, m, cap, rng)
+        if len(alive) == 1:
+            winners[t] = alive[0]
+        elif steps[t] < cap:
+            tails.append(t)
+            pos.append(k[alive[0]])
+            pairs.append(alive)
+    if tails:
+        won, tail_steps = _two_state_block(
+            np.array(pos), cap - steps[tails], [rngs[t] for t in tails], m
+        )
+        for t, w, s, pair in zip(tails, won.tolist(), tail_steps.tolist(), pairs):
+            winners[t] = -1 if w < 0 else pair[w]
+            steps[t] += s
+    return winners, steps
+
+
+def first_batch(k0, m):
+    """_multi_first_phase's first batch from k0."""
+    alive = k0[k0 > 0]
+    k_min = int(alive.min())
+    return min(max(k_min * (m - k_min) * alive.size // 4, 64), longest_batch(alive.size))
+
+
+def test_born_block_matches_per_trial_composition():
+    """180 blocks of N = 3-9 states, half of them with exactly three alive
+    states among zero weights: the cross-trial rounds and the per-trial path
+    give the same winners and steps, caps around the first batch included."""
+    gen = np.random.default_rng(64)
+    seen = set()
+    for case in range(180):
+        n = int(gen.integers(3, 10))
+        m = int(gen.integers(max(n, 6), 121))
+        if case % 2:
+            k0 = np.zeros(n, dtype=np.int64)
+            k0[gen.choice(n, 3, replace=False)] = 1 + gen.multinomial(m - 3, [1 / 3] * 3)
+        else:
+            k0 = gen.multinomial(m, gen.dirichlet(np.full(n, 0.8)))
+        b = first_batch(k0, m)
+        cap_kind = case // 2 % 6
+        cap = [1, b - 1, b, b + 1, 3 * b, 100 * m * m][cap_kind]
+        rows = int(gen.integers(1, 41))
+        seeds = [(64, case, t) for t in range(rows)]
+        got = _born_block(k0, m, cap, [np.random.default_rng(s) for s in seeds])
+        expect = per_trial_block(k0, m, cap, [np.random.default_rng(s) for s in seeds])
+        assert [a.tolist() for a in got] == [a.tolist() for a in expect], (
+            case, k0.tolist(), m, cap
+        )
+        if np.count_nonzero(k0) == 3:
+            seen.add(("cap", cap_kind))
+            seen.add(("odd batch", b % 2 == 1))
+            seen.add(("zero weights", k0.size > 3))
+            seen.add(("sub-blocks", rows > _ROUND_BYTES // (8 * b)))
+    assert seen == {("cap", c) for c in range(6)} | {
+        (name, flag)
+        for name in ("odd batch", "zero weights", "sub-blocks")
+        for flag in (False, True)
+    }
+
+
+PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+
+
+def low_half_rng(seed, at, value):
+    """A PCG64 generator whose raw word ``at`` has the low uint32 half
+    ``value``.
+
+    PCG64 steps its 128-bit state s -> s * mult + inc, then outputs the xor
+    of the new state's halves rotated by its top 6 bits; so a state with top
+    bits 0 whose halves xor to ``value`` in their low 32 bits outputs such a
+    word.
+    """
+    gen = np.random.default_rng(seed)
+    inc = int(gen.integers(2**62)) << 66 | int(gen.integers(2**62)) << 1 | 1
+    high = int(gen.integers(2**58))
+    low = int(gen.integers(2**32)) << 32 | (high ^ value) & 0xFFFF_FFFF
+    before = ((high << 64 | low) - inc) * pow(PCG64_MULT, -1, 2**128) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": before, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits.advance(-at)
+    return np.random.Generator(bits)
+
+
+# (word, its low half): 0 is the one source half integers(3) rejects and
+# draws again; the others sit on either side of the thresholds 2**32 j / 3
+# (sources) and 2**31 (destinations)
+EDGE_HALVES = [
+    ("first source", 0),
+    ("last source", 0),
+    ("destination", 0),
+    ("first source", 0x5555_5555),
+    ("first source", 0x5555_5556),
+    ("first source", 0xAAAA_AAAA),
+    ("first source", 0xAAAA_AAAB),
+    ("destination", 0x7FFF_FFFF),
+    ("destination", 0x8000_0000),
+]
+
+
+@pytest.mark.parametrize("k0, m", [((50, 30, 20), 100), ((49, 30, 20), 99)])
+@pytest.mark.parametrize("where, value", EDGE_HALVES)
+def test_born_block_draws_at_lemire_edges(k0, m, where, value):
+    """One stream of a block carries an edge half in its first batch (1,200
+    or 1,185 steps).  A zero source half makes integers(3) draw again, so
+    the row's draws no longer line up with its raw words: it must leave the
+    rounds and rerun on the per-trial path.  Every other edge half stays in
+    the rounds, and the block matches the per-trial path either way."""
+    k0 = np.array(k0)
+    b = first_batch(k0, m)
+    at = {"first source": 0, "last source": (b - 1) // 2, "destination": (b + 1) // 2}[where]
+    cap = 100 * m * m
+
+    def block():
+        rngs = [trial_rng(5, t) for t in range(6)]
+        rngs[3] = low_half_rng(3, at, value)
+        return rngs
+
+    assert block()[3].bit_generator.random_raw(at + 1)[at] & 0xFFFF_FFFF == value
+    rejected = value == 0 and where != "destination"
+    rerun = _three_state_rounds(k0, m, cap, block())[2]
+    assert rerun.tolist() == [t == 3 and rejected for t in range(6)]
+    got = _born_block(k0, m, cap, block())
+    expect = per_trial_block(k0, m, cap, block())
+    assert [a.tolist() for a in got] == [a.tolist() for a in expect]
 
 
 TAIL_GRIDS = [2, 3, 10, 64, 65, 100, 1000]
