@@ -50,7 +50,6 @@ from .errors import (
     NoAlivePairError,
     NoRealRootError,
     NumericOverflowError,
-    OracleMismatchError,
     RejectionStallError,
     TooFewStatesError,
     UsageError,

@@ -21,11 +21,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import NumericOverflowError, OracleMismatchError
+from .errors import NumericOverflowError
 
 FLUX_TEST_S = 1e-8      # Laplace variable used for the s -> 0 flux limit
 FLUX_TEST_H = 1e-6      # central-difference step for the boundary flux
-FLUX_TOL = 1e-4
 CHAIN_DENSE_BYTES = 256 << 20  # largest dense float64 matrix the chain solve builds
 
 
@@ -86,7 +85,7 @@ def absorption_flux_residual(x0: float, diffusion: float = 1.0) -> float:
 
     Evaluates D dc~/dx at each wall by a central difference (step 1e-6)
     at s = 1e-8 and compares against (1 - x0, x0).  Self-test for the
-    Green's function; anything above FLUX_TOL is an implementation bug.
+    Green's function; anything above 1e-4 is an implementation bug.
     """
     params = DiffusionParams(x0=x0, diffusion=diffusion)
     h = FLUX_TEST_H
@@ -98,20 +97,12 @@ def absorption_flux_residual(x0: float, diffusion: float = 1.0) -> float:
 
 
 def absorption_probs(x0: float) -> tuple[float, float]:
-    """Probability of absorbing at x = 0 and at x = 1 from start x0.
-
-    Returns the closed form (1 - x0, x0) after the numeric flux self-test
-    passes; a disagreement beyond FLUX_TOL raises OracleMismatchError.
-    The walls themselves are trivially absorbing.
+    """Probability of absorbing at x = 0 and at x = 1 from start x0: the
+    closed form (1 - x0, x0).  The walls themselves are trivially absorbing;
+    absorption_flux_residual checks the form against the Green's function.
     """
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("x0 must lie in [0, 1]")
-    if 4 * FLUX_TEST_H < x0 < 1.0 - 4 * FLUX_TEST_H:
-        residual = absorption_flux_residual(x0)
-        if residual > FLUX_TOL:
-            raise OracleMismatchError(
-                f"numeric flux deviates from closed form by {residual:.3e}"
-            )
     return (1.0 - x0, x0)
 
 

@@ -3,14 +3,20 @@
 Subcommands: born, walk, greens, bell, chsh, c2.  Every run resolves a full
 configuration (flags override an optional JSON config file, which overrides
 defaults), executes with explicitly seeded RNG streams, and writes the
-result as CSV or JSON plus a manifest echoing the resolved configuration.
-Re-running the echoed configuration reproduces the result file byte for byte.
+result as CSV or JSON plus a manifest echoing the resolved options of its
+subcommand.  Re-running the echoed configuration reproduces the result file
+byte for byte.  Each option is described once, in _OPTIONS; the flags, the
+config-file checks, RunConfig and the manifest are built from that table.  A
+config key of another subcommand is a usage error unless it holds null or its
+default, so a manifest that echoes every option still replays.
 
 CSV carries one header row, '.' decimals and 15 significant digits; angles
 are accepted in degrees and converted to radians internally.  Seeds lie in
 [0, 2**64), 0 included; --entropy asks the OS for one and records the drawn
-value in the manifest.  A walk run buffers at most WALK_MAX_ROWS rows, and
-a born run may expect at most BORN_MAX_STEPS walk steps.
+value in the manifest.  The grid resolution M of born and walk is at most
+2**53, as float64 holds every integer only up to there.  A walk run buffers
+at most WALK_MAX_ROWS rows, and a born run may expect at most BORN_MAX_STEPS
+walk steps.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but every run uses one thread.
@@ -25,8 +31,7 @@ import math
 import os
 import sys
 import time
-import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 
 import numpy as np
 
@@ -45,64 +50,92 @@ WALK_MAX_ROWS = 1 << 18  # longest trajectory a walk run buffers
 BORN_MAX_STEPS = 1 << 30
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved parameters of one experiment run."""
-
-    subcommand: str
-    seed: int = 0
-    entropy: bool = False
-    trials: int = 100_000
-    samples: int = 1_000_000
-    grid_resolution: int = 1000
-    max_steps: int | None = None
-    threads: int = 1
-    amplitudes: str | None = None
-    model: str | None = None
-    settings: str | None = None
-    theta_grid: str | None = None
-    x0: float | None = None
-    diffusion: float = 1.0
-    laplace_s: float = 1.0
-    x_grid: str = "0:1:0.05"
-    convention: int = 1
-    out: str | None = None
-    format: str = "csv"
+_SUBCOMMANDS = {
+    "born": "winner frequencies over many walks",
+    "walk": "single walk trajectory dump",
+    "greens": "Laplace-domain profile over an x grid",
+    "bell": "correlation curve over a theta grid",
+    "chsh": "four-setting inequality report",
+    "c2": "branch normalization constant over a theta grid",
+}
+_ALL = tuple(_SUBCOMMANDS)
 
 
-_DEFAULTS = RunConfig(subcommand="")
+@dataclass(frozen=True)
+class _Option:
+    """One option of the table below: its JSON and argparse type, default,
+    the subcommands that take it, whether those require it, its allowed
+    values, whether it must be at least 1, and its help text.  An option
+    whose default is None also takes null from a config file."""
 
-# Allowed values of the options that have a fixed set; the parser's flags and
-# the config file's values are both checked against them.
-_CHOICES = {
-    "format": ("csv", "json"),
-    "model": MODEL_TAGS,
-    "convention": (1, -1),
+    kind: type
+    default: object
+    takes: tuple[str, ...]
+    required: bool = False
+    choices: tuple | None = None
+    positive: bool = False
+    help: str | None = None
+
+
+# Every option, keyed by its config key; its flag is --key with dashes.
+_OPTIONS = {
+    "seed": _Option(int, 0, _ALL, help="RNG seed in [0, 2**64), 0 included"),
+    "entropy": _Option(
+        bool, False, _ALL, help="draw the seed from the OS and record it in the manifest"
+    ),
+    "out": _Option(str, None, _ALL, help="result file (stdout if omitted)"),
+    "format": _Option(str, "csv", _ALL, choices=("csv", "json")),
+    "threads": _Option(
+        int, 1, _ALL, positive=True,
+        help="accepted and recorded only; every run uses one thread",
+    ),
+    "amplitudes": _Option(
+        str, None, ("born", "walk"), required=True, help="semicolon-separated re,im pairs"
+    ),
+    "trials": _Option(int, 100_000, ("born",), positive=True),
+    "grid_resolution": _Option(
+        int, 1000, ("born", "walk"), positive=True, help="grid size M, at most 2**53"
+    ),
+    "max_steps": _Option(int, None, ("born", "walk"), positive=True),
+    "x0": _Option(float, None, ("greens",), required=True, help="source point in (0, 1)"),
+    "diffusion": _Option(float, 1.0, ("greens",)),
+    "laplace_s": _Option(float, 1.0, ("greens",)),
+    "x_grid": _Option(str, "0:1:0.05", ("greens",), help="start:stop:step"),
+    "model": _Option(str, None, ("bell", "chsh"), required=True, choices=MODEL_TAGS),
+    "theta_grid": _Option(
+        str, None, ("bell", "c2"), required=True, help="degrees start:stop:step"
+    ),
+    "settings": _Option(
+        str, None, ("chsh",), required=True,
+        help="coplanar degrees a,a',b,b' e.g. 0,90,45,135",
+    ),
+    "samples": _Option(int, 1_000_000, ("bell", "chsh"), positive=True),
+    "convention": _Option(int, 1, ("bell", "chsh"), choices=(1, -1)),
 }
 
-# Which JSON values a config file may give a RunConfig field of each type: an
-# int field takes no bool or float, a float field also takes an int, and an
-# "X | None" field also takes null (manifests record unset options as null).
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("subcommand", str)]
+    + [(name, opt.kind, field(default=opt.default)) for name, opt in _OPTIONS.items()],
+    namespace={"__doc__": "Fully resolved parameters of one experiment run."},
+)
+
+# Which JSON values a config file may give an option of each kind: an int
+# option takes no bool or float, and a float option also takes an int.
 _ACCEPTS = {
     int: lambda v: isinstance(v, int) and not isinstance(v, bool),
     float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     bool: lambda v: isinstance(v, bool),
     str: lambda v: isinstance(v, str),
-    type(None): lambda v: v is None,
-}
-_FIELD_TYPES = {
-    name: typing.get_args(hint) or (hint,)
-    for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
-_REQUIRED = {
-    "born": ("amplitudes",),
-    "walk": ("amplitudes",),
-    "greens": ("x0",),
-    "bell": ("model", "theta_grid"),
-    "chsh": ("model", "settings"),
-    "c2": ("theta_grid",),
-}
+
+def _options_of(subcommand: str) -> list[str]:
+    return [name for name, opt in _OPTIONS.items() if subcommand in opt.takes]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,121 +152,70 @@ def _build_parser() -> argparse.ArgumentParser:
         description="First-passage walk and Bell-correlation experiment runner",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for subcommand, help_text in _SUBCOMMANDS.items():
+        p = sub.add_parser(subcommand, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (0 is valid)")
-        p.add_argument(
-            "--entropy",
-            action="store_true",
-            default=None,
-            help="draw the seed from the OS and record it in the manifest",
-        )
-        p.add_argument("--out", default=None, help="result file (stdout if omitted)")
-        p.add_argument("--format", choices=_CHOICES["format"], default=None)
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted and recorded only; every run uses one thread",
-        )
-
-    p = sub.add_parser("born", help="winner frequencies over many walks")
-    common(p)
-    p.add_argument("--amplitudes", help="semicolon-separated re,im pairs")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--grid-resolution", type=int, default=None, dest="grid_resolution")
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-
-    p = sub.add_parser("walk", help="single walk trajectory dump")
-    common(p)
-    p.add_argument("--amplitudes")
-    p.add_argument("--grid-resolution", type=int, default=None, dest="grid_resolution")
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-
-    p = sub.add_parser("greens", help="Laplace-domain profile over an x grid")
-    common(p)
-    p.add_argument("--x0", type=float, default=None, help="source point in (0, 1)")
-    p.add_argument("--diffusion", type=float, default=None)
-    p.add_argument("--laplace-s", type=float, default=None, dest="laplace_s")
-    p.add_argument("--x-grid", default=None, dest="x_grid", help="start:stop:step")
-
-    p = sub.add_parser("bell", help="correlation curve over a theta grid")
-    common(p)
-    p.add_argument("--model", choices=_CHOICES["model"], default=None)
-    p.add_argument(
-        "--theta-grid", default=None, dest="theta_grid", help="degrees start:stop:step"
-    )
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument(
-        "--convention", type=int, choices=_CHOICES["convention"], default=None
-    )
-
-    p = sub.add_parser("chsh", help="four-setting inequality report")
-    common(p)
-    p.add_argument("--model", choices=_CHOICES["model"], default=None)
-    p.add_argument(
-        "--settings", default=None, help="coplanar degrees a,a',b,b' e.g. 0,90,45,135"
-    )
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument(
-        "--convention", type=int, choices=_CHOICES["convention"], default=None
-    )
-
-    p = sub.add_parser("c2", help="branch normalization constant over a theta grid")
-    common(p)
-    p.add_argument(
-        "--theta-grid", default=None, dest="theta_grid", help="degrees start:stop:step"
-    )
+        for name in _options_of(subcommand):
+            opt = _OPTIONS[name]
+            if opt.kind is bool:
+                p.add_argument(_flag(name), action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument(
+                    _flag(name), type=opt.kind, choices=opt.choices, default=None,
+                    help=opt.help,
+                )
     return parser
+
+
+def _read_config_file(path: str, subcommand: str) -> dict:
+    """The options a JSON config file sets for ``subcommand``.  A key of
+    another subcommand is accepted, and ignored, only at null or its default,
+    so every manifest replays."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_values, dict):
+        raise UsageError("config file must hold a JSON object")
+    values = {}
+    for key, val in file_values.items():
+        if key == "subcommand":
+            if val != subcommand:
+                raise UsageError(
+                    f"config file is for subcommand {val!r}, not {subcommand!r}"
+                )
+            continue
+        opt = _OPTIONS.get(key)
+        if opt is None:
+            raise UsageError(f"unknown config key {key!r}")
+        accepted = _ACCEPTS[opt.kind](val)
+        if subcommand not in opt.takes:
+            if val is None or (accepted and val == opt.default):
+                continue
+            raise UsageError(f"config key {key!r} does not apply to {subcommand}")
+        if not (accepted or (val is None and opt.default is None)):
+            kinds = opt.kind.__name__ + (" or null" if opt.default is None else "")
+            raise UsageError(f"config value {key} = {val!r} is not {kinds}")
+        if opt.choices and val is not None and val not in opt.choices:
+            raise UsageError(f"config value {key} = {val!r} is not one of {opt.choices!r}")
+        values[key] = val
+    return values
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve a RunConfig from argv and an optional JSON config file."""
-    args = _build_parser().parse_args(argv)
-    values = {"subcommand": args.subcommand}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, val in file_values.items():
-            if key == "subcommand":
-                if val != args.subcommand:
-                    raise UsageError(
-                        f"config file is for subcommand {val!r}, not {args.subcommand!r}"
-                    )
-                continue
-            if not hasattr(_DEFAULTS, key):
-                raise UsageError(f"unknown config key {key!r}")
-            if not any(_ACCEPTS[t](val) for t in _FIELD_TYPES[key]):
-                kinds = " or ".join(
-                    "null" if t is type(None) else t.__name__ for t in _FIELD_TYPES[key]
-                )
-                raise UsageError(f"config value {key} = {val!r} is not {kinds}")
-            if key in _CHOICES and val is not None and val not in _CHOICES[key]:
-                raise UsageError(
-                    f"config value {key} = {val!r} is not one of {_CHOICES[key]!r}"
-                )
-            values[key] = val
-    for key in vars(args):
-        if key in ("config", "subcommand"):
-            continue
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = flag_value
-    config = RunConfig(**{**asdict(_DEFAULTS), **values})
-    for name in _REQUIRED[config.subcommand]:
-        if getattr(config, name) is None:
-            raise UsageError(
-                f"--{name.replace('_', '-')} is required for {config.subcommand}"
-            )
-    for name in ("trials", "samples", "grid_resolution", "threads"):
-        if getattr(config, name) < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
-    if config.max_steps is not None and config.max_steps < 1:
-        raise UsageError("--max-steps must be positive")
+    args = vars(_build_parser().parse_args(argv))
+    subcommand, path = args.pop("subcommand"), args.pop("config")
+    values = _read_config_file(path, subcommand) if path else {}
+    values.update((key, val) for key, val in args.items() if val is not None)
+    config = RunConfig(subcommand=subcommand, **values)
+    for name in _options_of(subcommand):
+        opt, value = _OPTIONS[name], getattr(config, name)
+        if opt.required and value is None:
+            raise UsageError(f"{_flag(name)} is required for {subcommand}")
+        if opt.positive and value is not None and value < 1:
+            raise UsageError(f"{_flag(name)} must be positive")
     if not 0 <= config.seed < 2**64:
         raise UsageError("--seed must lie in [0, 2**64)")
     return config
@@ -305,7 +287,8 @@ def _rows_to_json(header, rows):
 
 
 def _walk_inputs(config: RunConfig):
-    """State and WalkConfig of a born or walk run; bad input is a UsageError."""
+    """State, WalkConfig and grid counts k0 of a born or walk run; bad input
+    is a UsageError."""
     try:
         state = normalize(parse_amplitudes(config.amplitudes))
         walk_config = WalkConfig(
@@ -313,9 +296,10 @@ def _walk_inputs(config: RunConfig):
             max_steps=config.max_steps,
             seed=config.seed,
         )
+        k0 = quantize_weights(state.weights(), walk_config.grid_resolution)
     except (ValueError, TooFewStatesError, AllZeroError) as exc:
         raise UsageError(str(exc)) from exc
-    return state, walk_config
+    return state, walk_config, k0
 
 
 def _expected_steps(k0: np.ndarray, m: int) -> int:
@@ -324,8 +308,7 @@ def _expected_steps(k0: np.ndarray, m: int) -> int:
 
 
 def _run_born(config: RunConfig, diagnostics: dict):
-    state, walk_config = _walk_inputs(config)
-    k0 = quantize_weights(state.weights(), walk_config.grid_resolution)
+    state, walk_config, k0 = _walk_inputs(config)
     # E[min(T, cap)] <= min(E[T], cap) per trial
     steps = min(_expected_steps(k0, walk_config.grid_resolution), walk_config.max_steps)
     if np.count_nonzero(k0) <= 2:
@@ -355,11 +338,9 @@ def _run_born(config: RunConfig, diagnostics: dict):
 
 
 def _run_walk(config: RunConfig, diagnostics: dict):
-    state, walk_config = _walk_inputs(config)
-    m = walk_config.grid_resolution
-    k0 = quantize_weights(state.weights(), m)
+    state, walk_config, k0 = _walk_inputs(config)
     # E[T] steps, plus the row of step 0
-    if _expected_steps(k0, m) + 1 > WALK_MAX_ROWS:
+    if _expected_steps(k0, walk_config.grid_resolution) + 1 > WALK_MAX_ROWS:
         raise UsageError(
             f"walk expects more than {WALK_MAX_ROWS} trajectory rows; "
             "lower --grid-resolution"
@@ -499,7 +480,10 @@ def execute(config: RunConfig) -> int:
     if config.out is not None:
         manifest = {
             "version": __version__,
-            "config": asdict(config),
+            "config": {
+                "subcommand": config.subcommand,
+                **{name: getattr(config, name) for name in _options_of(config.subcommand)},
+            },
             "duration_s": duration,
             "diagnostics": diagnostics,
             "error": error,

@@ -1,6 +1,6 @@
 """Exception hierarchy for the toolkit.
 
-Numerical-failure errors (OracleMismatchError, NoRealRootError, ...) map to
+Numerical-failure errors (NoRealRootError, MaxStepsExceededError, ...) map to
 CLI exit code 1; argument problems map to exit code 2 via UsageError.
 """
 
@@ -31,10 +31,6 @@ class MaxStepsExceededError(CollapseWalkError):
 
 class NumericOverflowError(CollapseWalkError):
     """Inputs outside the numerically representable range."""
-
-
-class OracleMismatchError(CollapseWalkError):
-    """Numeric self-test disagrees with the closed form; implementation bug."""
 
 
 class NoRealRootError(CollapseWalkError):

@@ -269,13 +269,15 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     """Round simplex weights to integer grid counts summing to M.
 
     Largest-remainder rounding minimizes sum |k_i - M w_i|; ties go to the
-    lowest index.  Raises DegenerateGridError when a positive weight lands
-    on zero and M < 10 N (the caller should raise M).
+    lowest index.  M may be at most 2**53.  Raises DegenerateGridError when
+    a positive weight lands on zero and M < 10 N (the caller should raise M).
     """
     w = np.asarray(weights, dtype=float)
     m = int(grid_resolution)
     if m < 2:
         raise ValueError("grid resolution must be >= 2")
+    if m > 2**53:  # above 2**53, m * w rounds off whole grid units
+        raise ValueError("grid resolution must be <= 2**53")
     if w.ndim != 1 or w.size < 2:
         raise ValueError("need a weight vector with at least 2 entries")
     if not np.isfinite(w).all():

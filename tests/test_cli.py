@@ -26,7 +26,7 @@ from collapsewalk.bell import (
     estimate_from_events,
     sample_image_events,
 )
-from collapsewalk.cli import _parse_grid, main, parse_config
+from collapsewalk.cli import _OPTIONS, _options_of, _parse_grid, main, parse_config
 from collapsewalk.errors import UsageError
 
 
@@ -603,7 +603,6 @@ def test_born_step_budget(argv, accepted, monkeypatch, capsys):
 
 
 def test_manifest_round_trip_reproduces_result(tmp_path):
-    # born has no --model, so its manifest records "model": null
     runs = (
         [
             "bell",
@@ -627,6 +626,91 @@ def test_manifest_round_trip_reproduces_result(tmp_path):
         proc = run_cli([name, "--config", str(replay)], tmp_path)
         assert proc.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Manifests written before they echoed only their subcommand's options: all
+# nineteen keys, those of other subcommands at null or their default.
+_FULL_MANIFESTS = {
+    "born": (
+        {
+            "amplitudes": "0.6,0;0,0.8", "convention": 1, "diffusion": 1.0,
+            "entropy": False, "format": "csv", "grid_resolution": 20,
+            "laplace_s": 1.0, "max_steps": None, "model": None, "out": None,
+            "samples": 1000000, "seed": 3, "settings": None, "subcommand": "born",
+            "theta_grid": None, "threads": 1, "trials": 40, "x0": None,
+            "x_grid": "0:1:0.05",
+        },
+        b"state,count,frequency,stderr\n"
+        b"0,12,0.3,0.0724568837309472\n"
+        b"1,28,0.7,0.0724568837309472\n",
+    ),
+    "c2": (
+        {
+            "amplitudes": None, "convention": 1, "diffusion": 1.0, "entropy": False,
+            "format": "csv", "grid_resolution": 1000, "laplace_s": 1.0,
+            "max_steps": None, "model": None, "out": None, "samples": 1000000,
+            "seed": 0, "settings": None, "subcommand": "c2", "theta_grid": "0:90:45",
+            "threads": 1, "trials": 100000, "x0": None, "x_grid": "0:1:0.05",
+        },
+        b"theta_deg,c2\n0,0\n45,0.0150565532410585\n90,0.0266781187302068\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_MANIFESTS))
+def test_full_manifest_replays(name, tmp_path):
+    """A manifest echoing every option replays to the bytes it recorded."""
+    config, expected = _FULL_MANIFESTS[name]
+    out = tmp_path / "replay.csv"
+    path = tmp_path / "manifest-config.json"
+    path.write_text(json.dumps({**config, "out": str(out)}))
+    assert main([name, "--config", str(path)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "model, code", [("quantum", 2), ("nonsense", 2), (True, 2), (None, 0)]
+)
+def test_foreign_config_key_only_at_null_or_default(model, code, tmp_path, capsys):
+    """born takes no model: a config file may name it only as null."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": model}))
+    argv = ["born", "--amplitudes", "1,0;1,0", "--trials", "5", "--grid-resolution", "10"]
+    assert main(argv + ["--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["born", "--amplitudes", "1,0;1,0", "--trials", "5", "--grid-resolution", "10"],
+        ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "6"],
+        ["greens", "--x0", "0.5", "--x-grid", "0:1:0.5"],
+        ["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--samples", "10"],
+        ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--samples", "10"],
+        ["c2", "--theta-grid", "0:90:45"],
+    ],
+)
+def test_manifest_echoes_own_options(argv, tmp_path):
+    out = tmp_path / "result.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "result.csv.manifest.json").read_text())
+    assert set(manifest["config"]) == {"subcommand", *_options_of(argv[0])}
+
+
+@pytest.mark.parametrize("command", ["born", "walk"])
+def test_huge_grid_resolution_one_stderr_line(command, tmp_path):
+    """M = 10**20 overflowed int64 in quantize_weights, and numpy's warnings
+    preceded the usage error (pytest catches warnings, hence a subprocess)."""
+    proc = run_cli(
+        [command, "--amplitudes", "1,0;1,0", "--grid-resolution", str(10**20)], tmp_path
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
 def test_entropy_seeds_recorded_and_distinct(tmp_path):
@@ -704,7 +788,7 @@ _THREADS = _mostly(st.integers(1, 4), st.just(0))
 _MAX_STEPS = _mostly(st.integers(1, 3000), st.sampled_from([0, 2**70]))
 _TRIALS = _mostly(st.integers(1, 30), st.just(0))
 _SAMPLES = _mostly(st.integers(1, 3000), st.just(-1))
-_RESOLUTION = _mostly(st.integers(2, 60), st.sampled_from([0, 1]))
+_RESOLUTION = _mostly(st.integers(2, 60), st.sampled_from([0, 1, 2**53 + 1, 10**20]))
 
 # flags every run of a subcommand carries: its required ones, and sizes, so
 # that no large default applies
@@ -736,8 +820,7 @@ _MORE_FLAGS = {
     "chsh": {"--convention": _CONVENTION},
     "c2": {},
 }
-# config-file values: the flags' own values, at times with one entry of a
-# wrong type, an unknown key or another subcommand
+# config-file values of each option: the flag's own values
 _CONFIG_KEYS = {
     "seed": _SEED, "entropy": st.booleans(), "format": _FORMAT, "threads": _THREADS,
     "trials": _TRIALS, "samples": _SAMPLES, "grid_resolution": _RESOLUTION,
@@ -745,97 +828,111 @@ _CONFIG_KEYS = {
     "settings": _SETTINGS, "theta_grid": _GRID, "x0": _X0, "diffusion": _POSITIVE,
     "laplace_s": _POSITIVE, "x_grid": _UNIT_GRID, "convention": _CONVENTION,
 }
-_BAD_ENTRY = st.dictionaries(
-    st.sampled_from([*_CONFIG_KEYS, "subcommand", "trils"]),
-    st.sampled_from(["abc", 1.5, True, None, [1]]),
-    min_size=1,
-    max_size=1,
-)
-_CONFIG_VALUES = st.builds(
-    lambda values, bad: {**values, **bad},
-    st.fixed_dictionaries({}, optional=_CONFIG_KEYS),
-    _mostly(st.just({}), _BAD_ENTRY),
-)
+
+
+def _config_values(command):
+    """A config file of the subcommand's own options (the test sets out), at
+    times with one bad entry: an own key of a wrong type, the subcommand key,
+    an unknown key, or a key of another subcommand."""
+    own = [name for name in _options_of(command) if name != "out"]
+    foreign = [name for name, opt in _OPTIONS.items() if command not in opt.takes]
+    bad_entry = st.dictionaries(
+        st.sampled_from([*own, "subcommand", "trils"]),
+        st.sampled_from(["abc", 1.5, True, None, [1]]),
+        min_size=1,
+        max_size=1,
+    ) | st.sampled_from(foreign).flatmap(
+        lambda key: _CONFIG_KEYS[key].map(lambda value: {key: value})
+    )
+    return st.builds(
+        lambda values, bad: {**values, **bad},
+        st.fixed_dictionaries({}, optional={name: _CONFIG_KEYS[name] for name in own}),
+        _mostly(st.just({}), bad_entry),
+    )
 
 
 @st.composite
-def _cli_argv(draw):
+def _cli_run(draw):
+    """argv of one run and its config file: None, a dict or broken JSON."""
     command = draw(st.sampled_from(sorted(_REQUIRED_FLAGS)))
     optional = {**_OPTIONAL_FLAGS, **_MORE_FLAGS[command]}
     values = draw(st.fixed_dictionaries(_REQUIRED_FLAGS[command], optional=optional))
-    return [command] + [
+    argv = [command] + [
         flag if value is None else f"{flag}={value}" for flag, value in values.items()
     ]
+    config = draw(
+        _mostly(st.none() | _config_values(command), st.sampled_from(["{", "[]"]))
+    )
+    return argv, config
 
 
 _PEAK_BUDGET = 8 << 20  # bytes of traced Python and numpy allocations per run
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    argv=_cli_argv(),
-    config=_mostly(st.none() | _CONFIG_VALUES, st.sampled_from(["{", "[]"])),
-    out=st.booleans(),
-)
+@given(run=_cli_run(), out=st.booleans())
 @example(
-    argv=["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"],
-    config=None,
+    run=(["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"], None),
     out=True,
 )
 @example(
-    argv=["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"],
-    config=None,
+    run=(["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"], None),
     out=True,
 )
 @example(
-    argv=["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed", str(2**64)],
-    config=None,
+    run=(
+        ["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed", str(2**64)],
+        None,
+    ),
     out=True,
 )
 @example(
-    argv=["chsh", "--model", "image-event", "--settings", "0,90,45,135", "--samples=4000"],
-    config=None,
+    run=(
+        ["chsh", "--model", "image-event", "--settings", "0,90,45,135", "--samples=4000"],
+        None,
+    ),
     out=True,
 )
 @example(
-    argv=["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
-    config=None,
+    run=(["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"], None),
     out=True,
 )
 @example(
-    argv=["born", "--amplitudes", "nan,0;1,0", "--trials", "5", "--grid-resolution", "10"],
-    config=None,
+    run=(
+        ["born", "--amplitudes", "nan,0;1,0", "--trials", "5", "--grid-resolution", "10"],
+        None,
+    ),
     out=True,
 )
 @example(
-    argv=["walk", "--amplitudes", "nan,0;1,0", "--grid-resolution", "10"],
-    config=None,
+    run=(["walk", "--amplitudes", "nan,0;1,0", "--grid-resolution", "10"], None),
     out=True,
 )
 @example(
-    argv=["walk", "--amplitudes", "1e200,0;1e200,0", "--grid-resolution", "10"],
-    config=None,
+    run=(["walk", "--amplitudes", "1e200,0;1e200,0", "--grid-resolution", "10"], None),
     out=False,
 )
-@example(argv=["born", "--amplitudes", "1,0;0,1"], config={"trials": "abc"}, out=True)
+@example(run=(["born", "--amplitudes", "1,0;0,1"], {"trials": "abc"}), out=True)
 @example(
-    argv=["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
-          "--trials", "2"],
-    config=None,
+    run=(
+        ["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
+         "--trials", "2"],
+        None,
+    ),
     out=True,
 )
 @example(
-    argv=["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
-    config={"samples": "abc"},
+    run=(["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"], {"samples": "abc"}),
     out=True,
 )
-def test_cli_fuzz_exit_contract(argv, config, out):
+def test_cli_fuzz_exit_contract(run, out):
     """Over the flag grammar and config-file values: no exception escapes;
     the exit code is 0 with nothing on stderr, 1 with one error line or 2
     with one usage-error line and no file written; a run with --out writes
     its manifest (exit 1 included), and an image-event run's manifest
     carries the acceptance rates; the traced allocation peak stays within
     budget."""
+    argv, config = run
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
         if config is not None:

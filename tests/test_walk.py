@@ -106,6 +106,16 @@ def test_quantize_rejects_nonfinite_weights():
             quantize_weights(w, 10)
 
 
+def test_quantize_caps_resolution_at_2_pow_53():
+    """Up to 2**53 float64 holds every grid count, so the counts sum to M;
+    above it m * w rounds off whole units (2**60 + 3 came out 65 short)."""
+    k = quantize_weights([0.3, 0.7], 2**53)
+    assert int(k.sum()) == 2**53
+    for m in (2**53 + 1, 2**60 + 3, 10**20):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            quantize_weights([0.3, 0.7], m)
+
+
 def largest_remainder(weights, m):
     """Reference rounding in plain Python: floor every m*w_i, then give the
     missing units to the largest remainders, ties to the lowest index."""
