@@ -9,15 +9,14 @@ with q = sqrt(s/D), x_< = min(x, x0), x_> = max(x, x0).  The boundary flux
 in the s -> 0 limit gives the absorption probabilities (1 - x0, x0), and the
 mean exit time solves D T'' = -1 with absorbing ends: T = x0 (1 - x0) / 2D.
 
-For N states the grid walk is a finite Markov chain; absorption
-probabilities are solved exactly from the linear system as an independent
-check on the Monte Carlo engine.
+For N states on the grid each count k_i is a martingale of the walk, so
+the winner law is k / M; the tests solve the finite Markov chain as an
+independent check of that form and of the Monte Carlo engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import NumericOverflowError
 
 FLUX_TEST_S = 1e-8      # Laplace variable used for the s -> 0 flux limit
 FLUX_TEST_H = 1e-6      # central-difference step for the boundary flux
-CHAIN_DENSE_BYTES = 256 << 20  # largest dense float64 matrix the chain solve builds
 
 
 @dataclass(frozen=True)
@@ -111,72 +109,26 @@ def mean_exit_time(params: DiffusionParams) -> float:
     return params.x0 * (1.0 - params.x0) / (2.0 * params.diffusion)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def absorption_probs_chain(grid_weights) -> np.ndarray:
-    """Exact winner distribution of the grid walk, by linear-system solve.
+    """Exact winner distribution of the grid walk from counts k: k / M.
 
-    Enumerates every composition of M into N parts, builds the pair-transfer
-    transition matrix (states with zero weight are dead and never selected),
-    and solves for the absorption probabilities at each vertex.  Independent
-    of the Monte Carlo engine; practical for small M and N only: a chain whose
-    dense matrix would exceed CHAIN_DENSE_BYTES (about 5,800 states) raises
-    ValueError before anything is built.
+    A pair move takes one unit from an alive state and gives it to another,
+    and the reverse move is equally likely, so each k_i is a bounded
+    martingale that ends at M or 0: state i wins with probability k_i / M.
+    States with zero weight are dead and never win.  The counts must be
+    nonnegative whole numbers, at least two of them, with a total M in
+    [1, 2**53); the tests check the result against a Markov-chain solve.
     """
-    k0 = np.asarray(grid_weights, dtype=np.int64)
-    n = k0.size
-    m = int(k0.sum())
-    if n < 2 or m < 1:
+    whole = "grid counts must be whole numbers with a total below 2**53"
+    try:
+        k = np.asarray(grid_weights, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(whole) from None
+    m = k.sum()
+    if k.ndim != 1 or k.size < 2 or not m >= 1:
         raise ValueError("need at least 2 states and a positive total weight")
-    n_states = comb(m + n - 1, n - 1)
-    if n_states * n_states * 8 > CHAIN_DENSE_BYTES:
-        raise ValueError(
-            f"chain with {n_states} states needs a {n_states}x{n_states} dense "
-            f"matrix, over the {CHAIN_DENSE_BYTES >> 20} MiB budget"
-        )
-
-    states = list(_compositions(m, n))
-    index = {s: i for i, s in enumerate(states)}
-    absorbing = []
-    transient = []
-    for s in states:
-        (absorbing if max(s) == m else transient).append(s)
-    t_index = {s: i for i, s in enumerate(transient)}
-
-    nt = len(transient)
-    a_mat = np.eye(nt)
-    b_mat = np.zeros((nt, n))
-    for s in transient:
-        row = t_index[s]
-        alive = [i for i in range(n) if s[i] > 0]
-        na = len(alive)
-        prob = 1.0 / (na * (na - 1))
-        for src in alive:
-            for dst in alive:
-                if src == dst:
-                    continue
-                nxt = list(s)
-                nxt[src] -= 1
-                nxt[dst] += 1
-                nxt = tuple(nxt)
-                if max(nxt) == m:
-                    b_mat[row, int(np.argmax(nxt))] += prob
-                else:
-                    a_mat[row, t_index[nxt]] -= prob
-
-    start = tuple(int(v) for v in k0)
-    if start not in index:
-        raise ValueError("start weights are not a composition of the total")
-    if max(start) == m:
-        out = np.zeros(n)
-        out[int(np.argmax(start))] = 1.0
-        return out
-    solution = np.linalg.solve(a_mat, b_mat)
-    return solution[t_index[start]]
+    if np.any(k < 0):
+        raise ValueError("grid counts must be nonnegative")
+    if not (m < 2**53 and np.array_equal(k, np.floor(k))):  # below 2**53 m is exact
+        raise ValueError(whole)
+    return k / m

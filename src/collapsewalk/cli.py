@@ -40,7 +40,7 @@ from .analytic import DiffusionParams, greens_tilde
 from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve_c2
 from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
 from .states import form_joint, normalize, parse_amplitudes
-from .walk import WalkConfig, born_statistics, quantize_weights, run_walk
+from .walk import WalkConfig, _expected_steps, born_statistics, quantize_weights, run_walk
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
@@ -302,15 +302,10 @@ def _walk_inputs(config: RunConfig):
     return state, walk_config, k0
 
 
-def _expected_steps(k0: np.ndarray, m: int) -> int:
-    """E[T] = (M^2 - sum k_i^2) / 2 steps of a walk from k0, in Python ints."""
-    return (m * m - sum(int(k) ** 2 for k in k0)) // 2
-
-
 def _run_born(config: RunConfig, diagnostics: dict):
     state, walk_config, k0 = _walk_inputs(config)
     # E[min(T, cap)] <= min(E[T], cap) per trial
-    steps = min(_expected_steps(k0, walk_config.grid_resolution), walk_config.max_steps)
+    steps = min(_expected_steps(k0), walk_config.max_steps)
     if np.count_nonzero(k0) <= 2:
         steps /= 64
     if config.trials * steps > BORN_MAX_STEPS:
@@ -340,7 +335,7 @@ def _run_born(config: RunConfig, diagnostics: dict):
 def _run_walk(config: RunConfig, diagnostics: dict):
     state, walk_config, k0 = _walk_inputs(config)
     # E[T] steps, plus the row of step 0
-    if _expected_steps(k0, walk_config.grid_resolution) + 1 > WALK_MAX_ROWS:
+    if _expected_steps(k0) + 1 > WALK_MAX_ROWS:
         raise UsageError(
             f"walk expects more than {WALK_MAX_ROWS} trajectory rows; "
             "lower --grid-resolution"

@@ -41,7 +41,6 @@ it builds exactly those streams without one ``SeedSequence`` per trial.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -258,19 +257,29 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _trial_rngs(seed: int, trials: int):
-    """``trial_rng(seed, t)`` for ``t`` in ``range(trials)``, in order."""
-    for lo in range(0, trials, _SEED_BLOCK):
-        for words in _trial_seed_words(seed, lo, min(lo + _SEED_BLOCK, trials)):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def _trial_rngs(seed: int, lo: int, hi: int) -> list:
+    """``trial_rng(seed, t)`` for ``lo <= t < hi``, in order."""
+    return [
+        np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        for words in _trial_seed_words(seed, lo, hi)
+    ]
+
+
+def _expected_steps(k0: np.ndarray) -> int:
+    """E[T] = (M^2 - sum k_i^2) / 2 steps of a walk from k0, in Python ints."""
+    m = sum(int(k) for k in k0)
+    return (m * m - sum(int(k) ** 2 for k in k0)) // 2
 
 
 def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     """Round simplex weights to integer grid counts summing to M.
 
     Largest-remainder rounding minimizes sum |k_i - M w_i|; ties go to the
-    lowest index.  M may be at most 2**53.  Raises DegenerateGridError when
-    a positive weight lands on zero and M < 10 N (the caller should raise M).
+    lowest index.  At large M a weight sum off 1 within the 1e-9 tolerance
+    can leave the floors of M w_i short of M by more than N units, or over
+    it; the quotas are then M w_i / sum(w), so the counts always sum to M.
+    M may be at most 2**53.  Raises DegenerateGridError when a positive
+    weight lands on zero and M < 10 N (the caller should raise M).
     """
     w = np.asarray(weights, dtype=float)
     m = int(grid_resolution)
@@ -287,7 +296,9 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     target = m * w
     base = np.floor(target).astype(np.int64)
     deficit = m - int(base.sum())
-    if deficit > 0:
+    if not 0 <= deficit <= w.size:
+        base = _exact_largest_remainder(w, m)
+    elif deficit > 0:
         order = np.argsort(-(target - base), kind="stable")
         base[order[:deficit]] += 1
     if np.any((w > 0) & (base == 0)) and m < 10 * w.size:
@@ -295,6 +306,21 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
             f"positive weight quantized to zero at M={m}; raise the resolution"
         )
     return base
+
+
+def _exact_largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
+    """Largest-remainder counts for the quotas M w_i / sum(w), in exact
+    integers: the quotas sum to M, so fewer than N units are handed out."""
+    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    denom = max(d for _, d in ratios)
+    nums = [n * (denom // d) for n, d in ratios]
+    total = sum(nums)
+    base = [m * a // total for a in nums]
+    rems = [m * a % total for a in nums]
+    order = sorted(range(len(nums)), key=lambda i: -rems[i])  # ties to lowest index
+    for i in order[: m - sum(base)]:
+        base[i] += 1
+    return np.array(base, dtype=np.int64)
 
 
 def walk_step(grid_weights, alive, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -445,9 +471,8 @@ def born_statistics(
     total = total_sq = 0
     # no walk takes 2**62 steps; the clamp keeps step counts in int64
     max_steps = min(config.max_steps, 1 << 62)
-    rngs = _trial_rngs(config.seed, trials)
-    for _ in range(0, trials, _SEED_BLOCK):
-        block = list(itertools.islice(rngs, _SEED_BLOCK))
+    for lo in range(0, trials, _SEED_BLOCK):
+        block = _trial_rngs(config.seed, lo, min(lo + _SEED_BLOCK, trials))
         winners, steps = _born_block(k0, m, max_steps, block)
         for winner, step in zip(winners.tolist(), steps.tolist()):
             if winner >= 0:
@@ -475,7 +500,7 @@ def born_statistics(
         excluded=excluded,
         mean_steps=total / counted,
         steps_stderr=steps_stderr,
-        expected_steps=(m * m - int((k0 * k0).sum())) / 2,
+        expected_steps=float(_expected_steps(k0)),
     )
 
 

@@ -13,6 +13,8 @@ from collapsewalk import (
     mean_exit_time,
 )
 
+from chain_oracle import chain_solve
+
 
 # ------------------------------------------------------------- greens_tilde
 
@@ -136,49 +138,83 @@ def test_mean_exit_time_scales_inverse_with_diffusion():
 
 # -------------------------------------------------- discrete chain absorption
 
+def assert_matches_chain_solve(k):
+    """The closed form agrees with the Markov-chain solve of the grid walk."""
+    probs = absorption_probs_chain(k)
+    assert probs.dtype == np.float64
+    assert np.max(np.abs(probs - chain_solve(k))) <= 1e-10, k
+    return probs
+
+
 def test_chain_two_state_matches_closed_form():
     m = 20
     for k0 in range(1, m):
-        probs = absorption_probs_chain([k0, m - k0])
+        probs = assert_matches_chain_solve([k0, m - k0])
         assert abs(probs[0] - k0 / m) < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_chain_three_state_equals_start_weights():
-    probs = absorption_probs_chain([5, 3, 2])
+    probs = assert_matches_chain_solve([5, 3, 2])
     assert np.max(np.abs(probs - np.array([0.5, 0.3, 0.2]))) < 1e-10
-    probs = absorption_probs_chain([4, 3, 3])
+    probs = assert_matches_chain_solve([4, 3, 3])
     assert np.max(np.abs(probs - np.array([0.4, 0.3, 0.3]))) < 1e-10
 
 
 def test_chain_with_dead_start_state():
-    probs = absorption_probs_chain([6, 0, 4])
+    probs = assert_matches_chain_solve([6, 0, 4])
     assert probs[1] == 0.0
     assert abs(probs[0] - 0.6) < 1e-12
 
 
 def test_chain_vertex_start():
-    probs = absorption_probs_chain([10, 0, 0])
+    probs = assert_matches_chain_solve([10, 0, 0])
     assert probs.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_chain_four_states():
-    probs = absorption_probs_chain([3, 3, 2, 2])
+    probs = assert_matches_chain_solve([3, 3, 2, 2])
     assert np.max(np.abs(probs - np.array([0.3, 0.3, 0.2, 0.2]))) < 1e-10
 
 
-def test_chain_too_large_raises_before_allocating():
-    """[220, 120, 100] has 97,461 states: a dense matrix would need ~76 GB."""
+def test_chain_large_grid_answers_without_allocating():
+    """[220, 120, 100] has 97,461 chain states, whose dense matrix would need
+    ~76 GB; the closed form needs none of it."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="states"):
-            absorption_probs_chain([220, 120, 100])
+        probs = absorption_probs_chain([220, 120, 100])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert probs.tolist() == [0.5, 120 / 440, 100 / 440]
 
 
-def test_chain_within_budget_still_solves():
-    probs = absorption_probs_chain([20, 12, 8])  # 861 states
+def test_chain_861_states_matches_chain_solve():
+    probs = assert_matches_chain_solve([20, 12, 8])  # 861 states
     assert np.max(np.abs(probs - np.array([0.5, 0.3, 0.2]))) < 1e-10
+
+
+def test_chain_accepts_whole_float_counts():
+    assert absorption_probs_chain([5.0, 3.0, 2.0]).tolist() == [0.5, 0.3, 0.2]
+
+
+@pytest.mark.parametrize(
+    "k, match",
+    [
+        ([7], "at least 2 states"),
+        ([[1, 2], [3, 4]], "at least 2 states"),
+        ([0, 0], "positive total"),
+        ([-1, -1], "positive total"),
+        ([5, -1], "nonnegative"),
+        ([2.7, 1.2], "whole numbers"),
+        ([1e20, 1], "whole numbers"),
+        ([10**400, 1], "whole numbers"),
+        ([2**53, 1], "2\\*\\*53"),
+        ([np.inf, 1], "whole numbers"),
+    ],
+)
+def test_chain_refuses_bad_counts(k, match):
+    with pytest.raises(ValueError, match=match) as info:
+        absorption_probs_chain(k)
+    assert "\n" not in str(info.value)

@@ -23,7 +23,6 @@ from collapsewalk import (
     update_cross_terms,
     walk_step,
 )
-from collapsewalk.analytic import absorption_probs_chain
 from collapsewalk.walk import (
     _BYTE_DOWN,
     _BYTE_HIGH,
@@ -46,6 +45,8 @@ from collapsewalk.walk import (
     _two_state_rows,
     _words_per_draw,
 )
+
+from chain_oracle import chain_solve
 
 
 # ---------------------------------------------------------------- quantize
@@ -177,6 +178,57 @@ def test_quantize_property_degenerate_exactly_when_coarse(w, m):
             quantize_weights(w, m)
     else:
         assert quantize_weights(w, m).tolist() == expect
+
+
+def quantize_weights_unbalanced(weights, m):
+    """The rounding of quantize_weights as it was before its counts were made
+    to sum to M: it gave at most one unit to each entry and took none back."""
+    w = np.asarray(weights, dtype=float)
+    target = m * w
+    base = np.floor(target).astype(np.int64)
+    deficit = m - int(base.sum())
+    if deficit > 0:
+        order = np.argsort(-(target - base), kind="stable")
+        base[order[:deficit]] += 1
+    return base
+
+
+def test_quantize_sums_to_m_when_the_weight_sum_is_off_one():
+    """A weight sum 5e-10 off 1 left the floors 549 units from M = 2**40."""
+    m = 2**40
+    for w in ([0.3, 0.7 - 5e-10], [0.3, 0.7 + 5e-10], [0.0, 0.3, 0.7 - 5e-10]):
+        assert int(quantize_weights_unbalanced(w, m).sum()) != m
+        k = quantize_weights(w, m)
+        assert int(k.sum()) == m and k.min() >= 0, w
+        assert np.all((k == 0) == (np.asarray(w) == 0)), w
+        quotas = m * np.asarray(w) / sum(w)
+        assert np.all(np.abs(k - quotas) <= 1), w
+
+
+# points on the simplex with one entry scaled by up to 1 +- 1e-9, so the sum
+# is off 1 by at most the tolerance quantize_weights allows
+off_simplex_points = st.tuples(
+    simplex_points, st.integers(0, 7), st.integers(-990, 990)
+).map(lambda p: p[0] * (1 + (np.arange(p[0].size) == p[1] % p[0].size) * p[2] * 1e-12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    w=off_simplex_points,
+    m=st.one_of(
+        st.integers(2, 400), st.integers(2, 2**53), st.integers(2**40, 2**53)
+    ),
+)
+def test_quantize_property_counts_sum_to_m_at_any_resolution(w, m):
+    try:
+        k = quantize_weights(w, m)
+    except (ValueError, DegenerateGridError):
+        assume(False)
+    assert k.dtype == np.int64 and k.min() >= 0
+    assert int(k.sum()) == m
+    before = quantize_weights_unbalanced(w, m)
+    if int(before.sum()) == m:
+        assert k.tolist() == before.tolist()
 
 
 # ---------------------------------------------------------------- walk_step
@@ -474,7 +526,7 @@ def test_born_statistics_matches_reference_engine():
 
 def test_born_statistics_three_states_match_chain_solve():
     state = normalize(np.sqrt([0.5, 0.3, 0.2]))
-    exact = absorption_probs_chain([5, 3, 2])
+    exact = chain_solve([5, 3, 2])
     assert np.allclose(exact, [0.5, 0.3, 0.2], atol=1e-12)
     stats = born_statistics(state, 20_000, WalkConfig(grid_resolution=10, seed=3))
     for freq, p in zip(stats.frequencies, exact):
@@ -544,6 +596,17 @@ def test_born_statistics_mean_steps_matches_oracle():
     assert stats.expected_steps == 3100
     assert 0 < stats.steps_stderr < 100
     assert abs(stats.mean_steps - 3100) < 4 * stats.steps_stderr
+
+
+def test_born_statistics_expected_steps_exact_at_large_m():
+    """At M = 2**33 the squared counts overflowed int64 and E[T] read
+    3.69e19; (M^2 - 1 - (M - 1)^2) / 2 = M - 1 exactly."""
+    m = 2**33
+    state = normalize(np.sqrt([1 / m, 1 - 1 / m]))
+    config = WalkConfig(grid_resolution=m, max_steps=10**6, seed=5)
+    assert quantize_weights(state.weights(), m).tolist() == [1, m - 1]
+    stats = born_statistics(state, 100, config)
+    assert stats.expected_steps == 8_589_934_591
 
 
 def test_born_statistics_vertex_start_takes_no_steps():
@@ -656,7 +719,8 @@ def test_trial_seed_words_reject_seeds_beyond_the_pool():
 
 def test_trial_rngs_follow_trial_rng_across_blocks():
     trials = _SEED_BLOCK + 3
-    for t, rng in enumerate(_trial_rngs(99, trials)):
+    rngs = _trial_rngs(99, 0, _SEED_BLOCK) + _trial_rngs(99, _SEED_BLOCK, trials)
+    for t, rng in enumerate(rngs):
         assert rng.bit_generator.state == trial_rng(99, t).bit_generator.state, t
     assert t == trials - 1
 
@@ -1208,7 +1272,7 @@ def test_two_state_block_variance_and_conditional_mean(m, k):
 
     trials = 30_000
     winners, steps = _two_state_block(
-        np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(77, trials)), m
+        np.full(trials, k), np.full(trials, 100 * m * m), _trial_rngs(77, 0, trials), m
     )
     steps = steps.astype(float)
     assert winners.min() >= 0
@@ -1242,7 +1306,7 @@ def test_two_state_block_time_law_chi2(m, k):
     assert np.all(np.diff(cuts) > 0)
     probs = np.diff(np.concatenate([[0.0], two_state_time_cdf(k, m, cuts), [1.0]]))
     winners, steps = _two_state_block(
-        np.full(trials, k), np.full(trials, 100 * m * m), list(_trial_rngs(78, trials)), m
+        np.full(trials, k), np.full(trials, 100 * m * m), _trial_rngs(78, 0, trials), m
     )
     assert winners.min() >= 0
     observed = np.bincount(np.searchsorted(cuts, steps), minlength=probs.size)
