@@ -322,9 +322,11 @@ def _sign_estimate(
     total: int, n: int, model: str, convention: int = 1, acceptance_rate=None
 ) -> CorrelationEstimate:
     """Estimate from the sum of n products E^A E^B in {-1, +1}: the mean,
-    with stderr sqrt((1 - mean^2) / (n - 1))."""
+    with stderr sqrt((1 - mean^2) / (n - 1)), so n must be at least 2."""
+    if n < 2:
+        raise ValueError("a correlation estimate needs at least two events")
     value = convention * (total / n)
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1)) if n > 1 else 0.0
+    stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1))
     return CorrelationEstimate(value, stderr, n, model, acceptance_rate)
 
 

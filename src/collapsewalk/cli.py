@@ -65,7 +65,7 @@ _ALL = tuple(_SUBCOMMANDS)
 class _Option:
     """One option of the table below: its JSON and argparse type, default,
     the subcommands that take it, whether those require it, its allowed
-    values, whether it must be at least 1, and its help text.  An option
+    values, the least value it takes, and its help text.  An option
     whose default is None also takes null from a config file."""
 
     kind: type
@@ -73,7 +73,7 @@ class _Option:
     takes: tuple[str, ...]
     required: bool = False
     choices: tuple | None = None
-    positive: bool = False
+    minimum: int | None = None
     help: str | None = None
 
 
@@ -86,17 +86,17 @@ _OPTIONS = {
     "out": _Option(str, None, _ALL, help="result file (stdout if omitted)"),
     "format": _Option(str, "csv", _ALL, choices=("csv", "json")),
     "threads": _Option(
-        int, 1, _ALL, positive=True,
+        int, 1, _ALL, minimum=1,
         help="accepted and recorded only; every run uses one thread",
     ),
     "amplitudes": _Option(
         str, None, ("born", "walk"), required=True, help="semicolon-separated re,im pairs"
     ),
-    "trials": _Option(int, 100_000, ("born",), positive=True),
+    "trials": _Option(int, 100_000, ("born",), minimum=1),
     "grid_resolution": _Option(
-        int, 1000, ("born", "walk"), positive=True, help="grid size M, at most 2**53"
+        int, 1000, ("born", "walk"), minimum=1, help="grid size M, at most 2**53"
     ),
-    "max_steps": _Option(int, None, ("born", "walk"), positive=True),
+    "max_steps": _Option(int, None, ("born", "walk"), minimum=1),
     "x0": _Option(float, None, ("greens",), required=True, help="source point in (0, 1)"),
     "diffusion": _Option(float, 1.0, ("greens",)),
     "laplace_s": _Option(float, 1.0, ("greens",)),
@@ -109,7 +109,7 @@ _OPTIONS = {
         str, None, ("chsh",), required=True,
         help="coplanar degrees a,a',b,b' e.g. 0,90,45,135",
     ),
-    "samples": _Option(int, 1_000_000, ("bell", "chsh"), positive=True),
+    "samples": _Option(int, 1_000_000, ("bell", "chsh"), minimum=2),
     "convention": _Option(int, 1, ("bell", "chsh"), choices=(1, -1)),
 }
 
@@ -214,8 +214,8 @@ def parse_config(argv) -> RunConfig:
         opt, value = _OPTIONS[name], getattr(config, name)
         if opt.required and value is None:
             raise UsageError(f"{_flag(name)} is required for {subcommand}")
-        if opt.positive and value is not None and value < 1:
-            raise UsageError(f"{_flag(name)} must be positive")
+        if opt.minimum is not None and value is not None and value < opt.minimum:
+            raise UsageError(f"{_flag(name)} must be at least {opt.minimum}")
     if not 0 <= config.seed < 2**64:
         raise UsageError("--seed must lie in [0, 2**64)")
     return config

@@ -15,7 +15,11 @@ one pass over a draw takes every word's end position from its popcount, cuts
 at the first word that ends on or beyond a wall, and keeps only the words
 before that cut whose up or down count could carry them to a wall.  Those
 few are read byte by byte through 256-entry tables (net move, lowest and
-highest point, first step at each distance) to find the first hit.
+highest point, first step at each distance) to find the first hit.  A block
+of two-state walks runs in rounds of one draw each: rows that share a block
+of ``_TAIL_BYTES`` of drawn words take that pass together, one row per
+trial, and a row alone in its block (every row at M = 1000) takes it on its
+own.  A row that outlives its draw goes on in the next round.
 
 With N >= 3 states the walk runs in batches of steps until two states are
 left.  Every state owns a 16-bit lane of a uint64 word, so a batch is one
@@ -25,12 +29,10 @@ same counts, so with exactly three alive states ``born_statistics`` runs the
 block's first phases in cross-trial rounds: each round draws one batch of
 raw words per trial, reads its uint32 halves as the ``integers`` draws by
 threshold comparisons, and gives all rows one cumsum; a trial whose draws
-hit a Lemire rejection reruns on the per-trial path.  It then gathers the
-two-state tails of the block and runs the two-state pass on all of them at
-once, one row per trial, as long as a block of rows fits in
-``_TAIL_BYTES``; rows that outlive that draw, and draws too long to share a
-block, go on in the per-trial kernel.  Every path reads the same stream
-words as the step-by-step definitions, so outputs are bit-identical.
+hit a Lemire rejection reruns on the per-trial path.  The two-state tails
+of the block then share one set of two-state rounds.  Every path reads the
+same stream words as the step-by-step definitions, so outputs are
+bit-identical.
 
 Reproducibility contract: trial ``t`` of a batch with seed ``s`` always draws
 from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
@@ -89,8 +91,9 @@ def _byte_tables():
     """Per-byte walk tables, bit 0 first, 1 = up.
 
     net: the byte's net move; low/high: its lowest and highest point relative
-    to where the byte ends; down/up[b, d]: the first step (1-8) at which the
-    byte has moved d down / d up, else 9 (so column 9 always reads 9).
+    to where the byte ends (these three int8); down/up[b, d]: the first step
+    (1-8) at which the byte has moved d down / d up, else 9 (so column 9
+    always reads 9).
     """
     bits = np.unpackbits(
         np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
@@ -104,9 +107,9 @@ def _byte_tables():
         return np.ascontiguousarray(steps.T)
 
     return (
-        net,
-        prefix.min(axis=1) - net,
-        prefix.max(axis=1) - net,
+        net.astype(np.int8),
+        (prefix.min(axis=1) - net).astype(np.int8),
+        (prefix.max(axis=1) - net).astype(np.int8),
         first(prefix == -dist),
         first(prefix == dist),
     )
@@ -558,24 +561,24 @@ def _three_state_rounds(k: np.ndarray, m: int, max_steps: int, rngs: list):
     stream of a block, in cross-trial rounds.
 
     Every trial starts at ``k``, so each takes the same batch sizes until its
-    first elimination.  Round j draws min(2**j b, 2**14) steps for every row
-    still in the rounds (``_three_state_round``).  A row leaves them at its
-    first death, which with three states ends its first phase; at the step
-    cap; or on a Lemire rejection.  Returns (counts, steps, rerun): the
-    (rows, 3) counts and the steps where each row left, and the rows whose
-    draws hit a rejection.  Those streams are rewound to their start for
-    ``_multi_first_phase`` to run again, so their counts and steps mean
-    nothing.
+    first elimination (``_batch_sizes``).  Round j draws the j-th size for
+    every row still in the rounds (``_three_state_round``).  A row leaves
+    them at its first death, which with three states ends its first phase;
+    at the step cap; or on a Lemire rejection.  Returns (counts, steps,
+    rerun): the (rows, 3) counts and the steps where each row left, and the
+    rows whose draws hit a rejection.  Those streams are rewound to their
+    start for ``_multi_first_phase`` to run again, so their counts and steps
+    mean nothing.
     """
     rows = len(rngs)
     counts = np.tile(k, (rows, 1))
     steps = np.zeros(rows, dtype=np.int64)
     rerun = np.zeros(rows, dtype=bool)
     bits = [rng.bit_generator for rng in rngs]
-    k_min = int(k.min())
-    batch = min(max(k_min * (m - k_min) * 3 // 4, 64), _BATCH_STEPS)
+    batches = _batch_sizes(int(k.min()), m, 3)
     going = np.arange(rows)
     while going.size:
+        batch = next(batches)
         per_block = max(1, _ROUND_BYTES // (8 * batch))
         for lo in range(0, going.size, per_block):
             sub = going[lo : lo + per_block]
@@ -585,7 +588,6 @@ def _three_state_rounds(k: np.ndarray, m: int, max_steps: int, rngs: list):
         going = going[
             (steps[going] < max_steps) & ~rerun[going] & counts[going].all(axis=1)
         ]
-        batch = min(2 * batch, _BATCH_STEPS)
     return counts, steps, rerun
 
 
@@ -633,50 +635,54 @@ def _words_per_draw(spread: int) -> int:
 
 
 def _two_state_block(pos: np.ndarray, caps: np.ndarray, rngs: list, m: int):
-    """``_first_passage_two_state(pos[r], m, caps[r], rngs[r])`` for every
-    row r, as arrays (winners, steps).
+    """Exact first passage of the unit-step walk on {0..M} for every row r,
+    from ``pos[r]`` on the stream ``rngs[r]`` within ``caps[r]`` steps.
 
-    Rows inside (0, m) go through ``_two_state_rows`` in blocks of at most
-    ``_TAIL_BYTES`` of drawn words.  Where a block would hold fewer than two
-    rows, they run the per-trial kernel instead.
+    Returns arrays (winners, steps): winner 0 when absorbed at M, 1 at 0,
+    and -1 with steps = ``caps[r]`` at the cap.  Rows inside (0, M) run in
+    rounds of one draw each, sized from the largest pos (M - pos) left, in
+    blocks of at most ``_TAIL_BYTES`` of drawn words for ``_two_state_rows``.
+    A row alone in its block (every row where a block cannot hold two draws,
+    as at M = 1000) takes ``_two_state_draw`` on a draw sized from its own
+    position.  An outcome depends only on the stream's words, not on how
+    they are split into draws, so a row that outlives a draw goes on in the
+    next round.
     """
     winners = np.where(pos <= 0, 1, 0)
     steps = np.zeros(pos.size, dtype=np.int64)
-    inside = np.flatnonzero((pos > 0) & (pos < m))
-    if inside.size == 0:
-        return winners, steps
-    n = _words_per_draw(int((pos[inside] * (m - pos[inside])).max()))
-    per_block = _TAIL_BYTES // (8 * n)
-    if per_block < 2:
-        for r in inside.tolist():
-            winners[r], steps[r] = _first_passage_two_state(
-                int(pos[r]), m, int(caps[r]), rngs[r]
+    pos = pos.astype(np.int64)
+    going = np.flatnonzero((pos > 0) & (pos < m))
+    while going.size:
+        n = _words_per_draw(int((pos[going] * (m - pos[going])).max()))
+        per_block = max(_TAIL_BYTES // (8 * n), 1)
+        split = 0 if per_block == 1 else going.size - (going.size % per_block == 1)
+        shared, lone = going[:split], going[split:]
+        for lo in range(0, shared.size, per_block):
+            rows = shared[lo : lo + per_block]
+            winners[rows], hit, pos[rows] = _two_state_rows(
+                pos[rows], [rngs[r] for r in rows.tolist()], m, n
             )
-        return winners, steps
-    for lo in range(0, inside.size, per_block):
-        rows = inside[lo : lo + per_block]
-        winners[rows], steps[rows] = _two_state_rows(
-            pos[rows], caps[rows], [rngs[r] for r in rows.tolist()], m, n
-        )
+            steps[rows] += np.where(hit < 0, 64 * n, hit)
+        for r, start in zip(lone.tolist(), pos[lone].tolist()):
+            own = _words_per_draw(start * (m - start))
+            winners[r], hit, pos[r] = _two_state_draw(start, m, own, rngs[r])
+            steps[r] += 64 * own if hit < 0 else hit
+        over = going[steps[going] > caps[going]]
+        winners[over] = -1
+        steps[over] = caps[over]
+        going = going[(winners[going] < 0) & (steps[going] < caps[going])]
     return winners, steps
 
 
-def _two_state_rows(
-    pos: np.ndarray, caps: np.ndarray, rngs: list, m: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_first_passage_two_state``'s pass over one draw, on many rows at once.
-
-    Every row draws the same ``n`` raw words from its own stream and starts
-    inside (0, m).  A two-state outcome depends only on the word sequence,
-    not on how it is split into draws, so rows that outlive the draw go on
-    in ``_first_passage_two_state`` from the same stream position with the
-    same result as one per-trial call.
-    """
+def _two_state_rows(pos: np.ndarray, rngs: list, m: int, n: int):
+    """``_two_state_draw`` on many rows at once, as arrays (winners, steps,
+    ends): every row draws the same ``n`` raw words from its own stream and
+    starts inside (0, m)."""
     rows = pos.size
     words = np.empty((rows, n), dtype=np.uint64)
     for r, rng in enumerate(rngs):
         words[r] = rng.bit_generator.random_raw(n)
-    # the per-trial kernel's g, cut and candidate words, row by row
+    # _two_state_draw's g, cut and candidate words, row by row
     base = (-pos) // 2 + 1
     span = (m - pos + 1) // 2 - 1 - base
     g = np.subtract(np.bitwise_count(words), 32, dtype=np.int64)
@@ -691,8 +697,10 @@ def _two_state_rows(
     near = pair.view(np.uint64) >= max(m - 65, 0)
     near &= np.arange(n) < cut[:, None]
     row, col = np.nonzero(near)
+    del out, pair, near  # the byte stage below is the peak
     winners = np.full(rows, -1, dtype=np.int64)
     steps = np.full(rows, -1, dtype=np.int64)
+    after = pos + 2 * (g[:, -1] + base)
     if row.size:
         octets = words[row, col].astype("<u8", copy=False).view(np.uint8)
         # flat byte ends: each candidate's first byte jumps from the end of
@@ -701,7 +709,7 @@ def _two_state_rows(
         ends_at = offset + 2 * g[row, col]
         jump = np.where(col > 0, offset + 2 * g[row, col - 1], pos[row])
         jump[1:] -= ends_at[:-1]
-        ends = _BYTE_NET.take(octets)
+        ends = _BYTE_NET.take(octets).astype(np.int64)
         ends[::8] += jump
         np.cumsum(ends, out=ends)
         touch = (ends + _BYTE_LOW.take(octets) <= 0) | (
@@ -717,95 +725,74 @@ def _two_state_rows(
             down = _BYTE_DOWN[octet, np.minimum(start, 9)]
             up = _BYTE_UP[octet, np.minimum(m - start, 9)]
             steps[r] = 64 * col[first // 8] + 8 * (first % 8) + np.minimum(down, up)
-            winners[r] = np.where(steps[r] > caps[r], -1, np.where(up < down, 0, 1))
-    drawn = 64 * n
-    for r in np.flatnonzero(steps < 0).tolist():
-        if caps[r] > drawn:
-            end = int(pos[r] + 2 * (g[r, -1] + base[r]))
-            winners[r], steps[r] = _first_passage_two_state(
-                end, m, int(caps[r]) - drawn, rngs[r]
-            )
-            steps[r] += drawn
-    capped = winners < 0
-    steps[capped] = caps[capped]
-    return winners, steps
+            winners[r] = np.where(up < down, 0, 1)
+            after[r] = np.where(up < down, m, 0)
+    return winners, steps, after
 
 
-def _first_passage_two_state(
-    k0: int, m: int, max_steps: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Exact first passage of the unit-step walk on {0..M} starting at k0.
+def _two_state_draw(pos: int, m: int, n: int, rng) -> tuple[int, int, int]:
+    """One draw of ``n`` raw words of the unit-step walk on {0..M} from
+    ``pos`` inside (0, M).
 
-    Returns (winner, steps): winner 0 when absorbed at M, 1 when absorbed
-    at 0, -1 when the cap was reached.  Each raw uint64 word of the bit
-    generator encodes 64 steps (bit 0 first, 1 = up).  One pass per draw:
-    popcounts give every word's end position; the pass is cut at the first
-    word that ends on or beyond a wall, where absorption is certain.  A word
-    starting at s can reach 0 only if it has s down-steps (s + popcount <=
-    64) and M only if it has M - s up-steps (s + popcount >= M); only those
-    words are read, byte by byte through the ``_BYTE_*`` tables, and the
-    first byte whose lowest or highest point touches a wall gives the exact
-    step of absorption.
+    Returns (winner, step, end): winner 0 and end M when the draw reaches M,
+    1 and end 0 when it reaches 0, with the step of absorption counted from
+    the draw's start; otherwise (-1, -1, the position after the draw).  Each
+    raw uint64 word of the bit generator encodes 64 steps (bit 0 first,
+    1 = up).  Popcounts give every word's end position; the pass is cut at
+    the first word that ends on or beyond a wall, where absorption is
+    certain.  A word starting at s can reach 0 only if it has s down-steps
+    (s + popcount <= 64) and M only if it has M - s up-steps (s + popcount
+    >= M); only those words are read, byte by byte through the ``_BYTE_*``
+    tables, and the first byte whose lowest or highest point touches a wall
+    gives the exact step of absorption.
     """
-    pos = int(k0)
-    if pos <= 0:
-        return 1, 0
-    if pos >= m:
-        return 0, 0
-    steps = 0
-    while steps < max_steps:
-        n = _words_per_draw(pos * (m - pos))
-        words = rng.bit_generator.random_raw(n)
-        # g_i = h_i - base, where pos + 2 h_i is the position after word i:
-        # that word ends strictly inside (0, m) exactly when 0 <= g_i <= span
-        base = (-pos) // 2 + 1
-        span = (m - pos + 1) // 2 - 1 - base
-        g = np.subtract(np.bitwise_count(words), 32, dtype=np.int64)
-        g[0] -= base
-        np.cumsum(g, out=g)
-        out = g.view(np.uint64) > span
-        cut = int(np.argmax(out)) + 1
-        if cut == 1 and not out[0]:
-            cut = n
-        # word i starts at pos + 2 h_{i-1} with 32 + h_i - h_{i-1} up-steps,
-        # so it can touch a wall only if h_{i-1} + h_i <= 32 - pos or
-        # >= m - 32 - pos; shifted, the pair falls in [0, m - 66] otherwise
-        pair = np.empty(cut, dtype=np.int64)
-        pair[0] = g[0] - base
-        np.add(g[: cut - 1], g[1:cut], out=pair[1:])
-        pair -= 33 - pos - 2 * base
-        rows = np.flatnonzero(pair.view(np.uint64) >= max(m - 65, 0))
-        if rows.size:
-            octets = words[rows].astype("<u8", copy=False).view(np.uint8)
-            # byte ends of the candidate words, flat: the first byte of each
-            # word also jumps from the previous candidate's end to its start
-            before = g.take(rows - 1)
-            if rows[0] == 0:
-                before[0] = -base
-            jump = before.copy()
-            jump[1:] -= g.take(rows[:-1])
-            jump *= 2
-            jump[0] += pos + 2 * base
-            ends = _BYTE_NET.take(octets)
-            ends[::8] += jump
-            np.cumsum(ends, out=ends)
-            touch = (ends + _BYTE_LOW.take(octets) <= 0) | (
-                ends + _BYTE_HIGH.take(octets) >= m
-            )
-            first = int(np.argmax(touch))
-            if touch[first]:
-                octet = int(octets[first])
-                start = int(ends[first]) - int(_BYTE_NET[octet])
-                down = int(_BYTE_DOWN[octet, min(start, 9)])
-                up = int(_BYTE_UP[octet, min(m - start, 9)])
-                row, byte = divmod(first, 8)
-                steps += 64 * int(rows[row]) + 8 * byte + min(down, up)
-                if steps > max_steps:
-                    return -1, max_steps
-                return (0, steps) if up < down else (1, steps)
-        pos += 2 * (int(g[-1]) + base)
-        steps += 64 * n
-    return -1, max_steps
+    words = rng.bit_generator.random_raw(n)
+    # g_i = h_i - base, where pos + 2 h_i is the position after word i:
+    # that word ends strictly inside (0, m) exactly when 0 <= g_i <= span
+    base = (-pos) // 2 + 1
+    span = (m - pos + 1) // 2 - 1 - base
+    g = np.subtract(np.bitwise_count(words), 32, dtype=np.int64)
+    g[0] -= base
+    np.cumsum(g, out=g)
+    out = g.view(np.uint64) > span
+    cut = int(np.argmax(out)) + 1
+    if cut == 1 and not out[0]:
+        cut = n
+    # word i starts at pos + 2 h_{i-1} with 32 + h_i - h_{i-1} up-steps,
+    # so it can touch a wall only if h_{i-1} + h_i <= 32 - pos or
+    # >= m - 32 - pos; shifted, the pair falls in [0, m - 66] otherwise
+    pair = np.empty(cut, dtype=np.int64)
+    pair[0] = g[0] - base
+    np.add(g[: cut - 1], g[1:cut], out=pair[1:])
+    pair -= 33 - pos - 2 * base
+    rows = np.flatnonzero(pair.view(np.uint64) >= max(m - 65, 0))
+    if rows.size:
+        octets = words[rows].astype("<u8", copy=False).view(np.uint8)
+        # byte ends of the candidate words, flat: the first byte of each
+        # word also jumps from the previous candidate's end to its start
+        before = g.take(rows - 1)
+        if rows[0] == 0:
+            before[0] = -base
+        jump = before.copy()
+        jump[1:] -= g.take(rows[:-1])
+        jump *= 2
+        jump[0] += pos + 2 * base
+        ends = _BYTE_NET.take(octets).astype(np.int64)
+        ends[::8] += jump
+        np.cumsum(ends, out=ends)
+        touch = (ends + _BYTE_LOW.take(octets) <= 0) | (
+            ends + _BYTE_HIGH.take(octets) >= m
+        )
+        first = int(np.argmax(touch))
+        if touch[first]:
+            octet = int(octets[first])
+            start = int(ends[first]) - int(_BYTE_NET[octet])
+            down = int(_BYTE_DOWN[octet, min(start, 9)])
+            up = int(_BYTE_UP[octet, min(m - start, 9)])
+            row, byte = divmod(first, 8)
+            step = 64 * int(rows[row]) + 8 * byte + min(down, up)
+            return (0, step, m) if up < down else (1, step, 0)
+    return -1, -1, pos + 2 * (int(g[-1]) + base)
 
 
 def _lane_unit(states: np.ndarray) -> np.ndarray:
@@ -875,12 +862,10 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
     while len(alive) > 2 and steps < max_steps:
         n = len(alive)
         cols = -(-n // _LANES)
-        longest = max(1, min(_BATCH_STEPS, _BATCH_BYTES // (8 * cols)))
         ka = [k[i] for i in alive]
-        # diffusive guess for the time to the next elimination
-        k_min = min(ka)
-        batch = min(max(k_min * (m - k_min) * n // 4, 64), longest)
+        batches = _batch_sizes(min(ka), m, n)
         while steps < max_steps:
+            batch = next(batches)
             # uniform ordered (source, destination) pairs, as in walk_step
             src = rng.integers(n, size=batch)
             dst = rng.integers(n - 1, size=batch)
@@ -907,8 +892,19 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
                 eliminations.append((alive.pop(ka.index(0)), steps))
                 break
             steps += batch
-            batch = min(batch * 2, longest)
     return k, alive, steps, eliminations
+
+
+def _batch_sizes(k_min: int, m: int, n: int):
+    """Steps of each batch of an N-state first phase until its next death,
+    from ``n`` alive states whose smallest count is ``k_min``: a diffusive
+    guess for the time to that death, at least 64, then doubling; at most
+    2**14 steps and ``_BATCH_BYTES`` of packed path."""
+    longest = max(1, min(_BATCH_STEPS, _BATCH_BYTES // (8 * -(-n // _LANES))))
+    batch = min(max(k_min * (m - k_min) * n // 4, 64), longest)
+    while True:
+        yield batch
+        batch = min(2 * batch, longest)
 
 
 def _pack_lanes(lanes: list[int], cols: int) -> np.ndarray:

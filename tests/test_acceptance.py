@@ -30,7 +30,7 @@ from collapsewalk import (
     solve_c2,
     trial_rng,
 )
-from collapsewalk.walk import _first_passage_two_state
+from collapsewalk.walk import _two_state_block
 
 from chain_oracle import chain_solve
 
@@ -173,13 +173,14 @@ def test_criterion_08_sign_model_curve():
 def test_criterion_09_mean_exit_time():
     with criterion(9, "MC mean steps x (1/M)^2/2 within 2% of x0(1-x0)/2D"):
         m, trials, seed = 200, 10_000, 31337
-        cap = 100 * m * m
-        total = 0
-        for t in range(trials):
-            winner, steps = _first_passage_two_state(m // 2, m, cap, trial_rng(seed, t))
-            assert winner >= 0
-            total += steps
-        scaled = (total / trials) / (m * m) / 2.0
+        winners, steps = _two_state_block(
+            np.full(trials, m // 2),
+            np.full(trials, 100 * m * m),
+            [trial_rng(seed, t) for t in range(trials)],
+            m,
+        )
+        assert winners.min() >= 0
+        scaled = (int(steps.sum()) / trials) / (m * m) / 2.0
         expect = mean_exit_time(DiffusionParams(x0=0.5, diffusion=1.0))
         assert expect == 0.125
         assert abs(scaled - expect) < 0.02 * expect

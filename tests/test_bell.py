@@ -234,6 +234,24 @@ def test_bell_sign_antiparallel_exact():
     assert bell_sign_correlation(a, b, 5000, np.random.default_rng(4)).value == 1.0
 
 
+def test_estimators_refuse_fewer_than_two_events():
+    """One event gives no error estimate: the stderr sqrt((1 - E^2) / (n - 1))
+    is undefined, and reading it as 0 let one event 'violate' CHSH at S = 4.
+    The sampler itself still draws a single event."""
+    a, b = setting(0), setting(45)
+    batch = sample_image_events(a, b, 1, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="at least two events"):
+        estimate_from_events(batch)
+    for estimate in (bell_sign_correlation, image_correlation_event):
+        with pytest.raises(ValueError, match="at least two events"):
+            estimate(a, b, 1, np.random.default_rng(1))
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                estimate(a, b, n, np.random.default_rng(1))
+    assert bell_sign_correlation(a, b, 2, np.random.default_rng(1)).n == 2
+    assert image_correlation_event(a, b, 2, np.random.default_rng(1)).n == 2
+
+
 def test_bell_sign_matches_linear_curve():
     rng = np.random.default_rng(6)
     for deg in (30, 90, 150):

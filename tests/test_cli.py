@@ -702,6 +702,32 @@ def test_manifest_echoes_own_options(argv, tmp_path):
     assert set(manifest["config"]) == {"subcommand", *_options_of(argv[0])}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--model", "image-event", "--settings", "0,90,45,135"],
+        ["chsh", "--model", "bell-sign", "--settings", "0,90,45,135"],
+        ["bell", "--model", "image-event", "--theta-grid", "0:90:45"],
+    ],
+)
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_single_sample_is_usage_error(argv, where, tmp_path, capsys):
+    """One event per correlation gave stderr 0, so chsh --samples 1 read
+    S = 4 with combined_stderr 0 and violated = true, exit 0."""
+    if where == "flag":
+        argv = argv + ["--samples", "1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"samples": 1}))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "result.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: --samples must be at least 2\n"
+    assert not out.exists()
+    assert main(argv[:-2] + ["--samples", "2", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["born", "walk"])
 def test_huge_grid_resolution_one_stderr_line(command, tmp_path):
     """M = 10**20 overflowed int64 in quantize_weights, and numpy's warnings

@@ -34,7 +34,6 @@ from collapsewalk.walk import (
     _ROUND_BYTES,
     _TAIL_BYTES,
     _born_block,
-    _first_passage_two_state,
     _multi_first_phase,
     _pair_moves,
     _SeedWords,
@@ -42,6 +41,7 @@ from collapsewalk.walk import (
     _trial_rngs,
     _trial_seed_words,
     _two_state_block,
+    _two_state_draw,
     _two_state_rows,
     _words_per_draw,
 )
@@ -645,15 +645,33 @@ def step_by_step_two_state(k0, m, max_steps, rng):
                 return 0, steps
 
 
+def two_state(k0, m, cap, rng):
+    """_two_state_block on one row, as a (winner, steps) pair."""
+    won, steps = _two_state_block(np.array([k0]), np.array([cap]), [rng], m)
+    return int(won[0]), int(steps[0])
+
+
+def check_both_passes(k0, m, cap, seed, rows):
+    """_two_state_block against the bitwise oracle on ``rows`` streams, one
+    row at a time (the one-row pass) and as one block (the block pass
+    wherever a block holds two draws)."""
+    streams = [(seed, t) for t in range(rows)]
+    expect = [step_by_step_two_state(k0, m, cap, trial_rng(*s)) for s in streams]
+    alone = [two_state(k0, m, cap, trial_rng(*s)) for s in streams]
+    block = _two_state_block(
+        np.full(rows, k0), np.full(rows, cap), [trial_rng(*s) for s in streams], m
+    )
+    assert alone == expect, (m, k0, cap)
+    assert list(zip(*(a.tolist() for a in block))) == expect, (m, k0, cap)
+
+
 @pytest.mark.parametrize("m", [2, 3, 64, 65, 100, 129, 1000])
 def test_two_state_kernel_matches_bitwise_oracle(m):
+    """Caps around one byte (8 steps), one word (64) and the first draw."""
     for k0 in sorted({1, m // 2, m - 1}):
-        for cap in (1, 63, 64, 65, 100 * m * m):
-            for t in range(4):
-                seed = 1000 * m + k0
-                expect = step_by_step_two_state(k0, m, cap, trial_rng(seed, t))
-                got = _first_passage_two_state(k0, m, cap, trial_rng(seed, t))
-                assert got == expect, (m, k0, cap, t)
+        draw = 64 * _words_per_draw(k0 * (m - k0))
+        for cap in (1, 7, 8, 9, 63, 64, 65, draw - 1, draw, draw + 1, 100 * m * m):
+            check_both_passes(k0, m, cap, 1000 * m + k0, 4)
 
 
 @pytest.mark.parametrize("m", [4, 8, 9, 10, 17, 66, 130])
@@ -661,11 +679,7 @@ def test_two_state_kernel_matches_bitwise_oracle_at_byte_edges(m):
     """Caps and grids around one byte (8 steps) of a word."""
     for k0 in sorted({1, 2, m // 2, m - 2, m - 1} - {0, m}):
         for cap in (7, 8, 9, 15, 16, 17, 100 * m * m):
-            for t in range(3):
-                seed = 7000 + 100 * m + k0
-                expect = step_by_step_two_state(k0, m, cap, trial_rng(seed, t))
-                got = _first_passage_two_state(k0, m, cap, trial_rng(seed, t))
-                assert got == expect, (m, k0, cap, t)
+            check_both_passes(k0, m, cap, 7000 + 100 * m + k0, 3)
 
 
 def bit_walk(byte):
@@ -829,7 +843,7 @@ def matrix_multi(k0, m, max_steps, rng):
     if steps >= max_steps:
         return -1, max_steps, eliminations
     i, j = alive
-    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
+    winner01, tail = two_state(k[i], m, max_steps - steps, rng)
     if winner01 < 0:
         return -1, max_steps, eliminations
     steps += tail
@@ -849,7 +863,7 @@ def _first_passage_multi(k0, m, max_steps, rng):
     if steps >= max_steps:
         return -1, max_steps, eliminations
     i, j = alive
-    winner01, tail = _first_passage_two_state(k[i], m, max_steps - steps, rng)
+    winner01, tail = two_state(k[i], m, max_steps - steps, rng)
     if winner01 < 0:
         return -1, max_steps, eliminations
     steps += tail
@@ -930,7 +944,7 @@ def test_born_statistics_memory_is_bounded_for_large_n():
 
 def test_seed_block_memory_is_bounded():
     """A seed block's generators all live until its two-state tail pass, at
-    about 1 KB each; one 4096-trial batch stays under 1 MiB."""
+    about 1 KB each; one 4096-trial batch stays under 3/4 MiB."""
     state = normalize(np.sqrt([0.5, 0.3, 0.2]))
     config = WalkConfig(grid_resolution=100, seed=7)
     tracemalloc.start()
@@ -940,7 +954,7 @@ def test_seed_block_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert result.trials == 4096
-    assert peak < 1 << 20, peak
+    assert peak < 3 << 18, peak
 
 
 def per_trial_block(k0, m, cap, rngs):
@@ -1089,16 +1103,19 @@ TAIL_CAPS = [1, 7, 8, 9, 63, 64, 65]
 
 @pytest.mark.parametrize("m", TAIL_GRIDS)
 def test_two_state_block_matches_per_trial_kernel(m):
-    """Mixed start positions (walls included) and caps; at M = 1000 every
-    block holds one row, so the rows take the per-trial kernel."""
+    """Mixed start positions (walls included) and caps, up to ``cap`` row
+    by row: one block of 24 rows against 24 one-row blocks.  At M = 1000 a
+    block cannot hold two draws from the middle, so those rows take the
+    one-row pass either way."""
     gen = np.random.default_rng(m)
     for cap in TAIL_CAPS + [100 * m * m]:
         pos = gen.integers(0, m + 1, size=24)
         pos[:3] = (1, m - 1, m // 2)
-        caps = np.full(pos.size, cap)
+        caps = gen.integers(1, cap + 1, size=pos.size)
+        caps[:3] = cap
         expect = [
-            _first_passage_two_state(int(p), m, cap, trial_rng(m, t))
-            for t, p in enumerate(pos)
+            two_state(int(p), m, int(c), trial_rng(m, t))
+            for t, (p, c) in enumerate(zip(pos, caps))
         ]
         got = _two_state_block(pos, caps, [trial_rng(m, t) for t in range(pos.size)], m)
         assert list(zip(*(a.tolist() for a in got))) == expect, (m, cap)
@@ -1109,24 +1126,21 @@ def test_two_state_block_matches_per_trial_kernel(m):
 @pytest.mark.parametrize("m", TAIL_GRIDS)
 @pytest.mark.parametrize("n", [1, 3, None])
 def test_two_state_rows_match_per_trial_kernel(m, n):
-    """Draws of 1 and 3 words leave most rows to outlive them and go on in
-    the per-trial kernel; one-row blocks included."""
+    """The block pass and the one-row pass give the same (winner, step,
+    end) on every row: draws of 1 and 3 words, which most rows outlive, and
+    of the default size; one-row blocks included."""
     gen = np.random.default_rng(1000 + m)
-    for cap in TAIL_CAPS + [100 * m * m]:
+    for rep in range(8):
         for rows in (1, 9):
             pos = gen.integers(1, m, size=rows)
-            caps = gen.integers(1, cap + 1, size=rows)
-            caps[0] = cap
             words = n or _words_per_draw(int((pos * (m - pos)).max()))
-            seeds = [(m, cap, rows, t) for t in range(rows)]
+            seeds = [(m, rep, rows, t) for t in range(rows)]
             expect = [
-                _first_passage_two_state(int(p), m, int(c), np.random.default_rng(s))
-                for p, c, s in zip(pos, caps, seeds)
+                _two_state_draw(int(p), m, words, np.random.default_rng(s))
+                for p, s in zip(pos, seeds)
             ]
-            got = _two_state_rows(
-                pos, caps, [np.random.default_rng(s) for s in seeds], m, words
-            )
-            assert list(zip(*(a.tolist() for a in got))) == expect, (m, cap, rows)
+            got = _two_state_rows(pos, [np.random.default_rng(s) for s in seeds], m, words)
+            assert list(zip(*(a.tolist() for a in got))) == expect, (m, rep, rows)
 
 
 def composition_law(k0, max_t=4000):
@@ -1260,7 +1274,7 @@ def two_state_time_cdf(k, m, t):
 def test_two_state_block_variance_and_conditional_mean(m, k):
     """Var T = k(M-k)(k^2 + (M-k)^2 - 2)/3 and E[T | absorbed at M] =
     (M^2 - k^2)/3 (winner 0 is absorption at M), each by a z-test at
-    4 sigma; M = 1000 runs the per-trial kernel.  The closed forms are
+    4 sigma; M = 1000 runs the one-row pass.  The closed forms are
     checked against the DP at (20, 7) first."""
     at_zero, at_m = two_state_time_law(7, 20, 4000)
     t = np.arange(at_zero.size)
