@@ -24,11 +24,9 @@ from .bell import (
     C1,
     CorrelationEstimate,
     DetectorSetting,
-    HiddenVector,
     ImageEventBatch,
     InequalityReport,
     ModelConstants,
-    MuBranch,
     bell64,
     bell_sign_correlation,
     chsh,
@@ -39,7 +37,6 @@ from .bell import (
     overlap_integral,
     quantum_correlation,
     sample_image_events,
-    sample_lambda,
     solve_c2,
 )
 from .errors import (
@@ -63,7 +60,6 @@ from .walk import (
     quantize_weights,
     run_walk,
     trial_rng,
-    update_cross_terms,
     walk_step,
 )
 

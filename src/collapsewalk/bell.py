@@ -18,6 +18,11 @@ vectors a and b, plus the inequality evaluators that compare them:
                                convention, matching the quantum magnitude and
                                violating the CHSH bound.
 
+``chsh`` and ``bell64`` combine the estimates into an InequalityReport, which
+alone decides each verdict: past the bound by more than three combined
+standard errors and by more than a Hoeffding margin in the event count, so a
+local model on its bound is flagged in at most VERDICT_ALPHA of runs at any n.
+
 The lam integrals run over the solid angle with density rho(lam) = 1 (total
 mass 4 pi); c2 depends on the angle between the two settings through the
 overlap integral I(theta) = integral |a.lam||b.lam| dOmega, so it is solved
@@ -36,8 +41,6 @@ uniform in the unit disc and no trigonometry (see ``_dot_pairs``):
   the disc of lam's projection normal to a is d^2w / |a.lam|, so that
   projection is uniform in the disc, a.lam = +-sqrt(1 - s) with a fair sign,
   and the in-plane normal part is q.
-
-``sample_lambda`` maps the same disc point onto the sphere by Marsaglia's map.
 
 The image density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
 mixture of its four terms (the composition method): the |.| and constant
@@ -59,7 +62,7 @@ laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +72,7 @@ C1 = math.sqrt(3.0 / (4.0 * math.pi))
 UNIT_TOL = 1e-12
 CHUNK_SIZE = 1 << 14  # events per chunk: one chunk's arrays stay within L2
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
+VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma tail
 
 
 def _unit_vector(values) -> np.ndarray:
@@ -103,27 +107,6 @@ class DetectorSetting:
         """Coplanar setting at the given angle in the x-z plane."""
         rad = math.radians(degrees)
         return cls(np.array([math.sin(rad), 0.0, math.cos(rad)]))
-
-
-@dataclass(frozen=True)
-class HiddenVector:
-    """Unit 3-vector hidden variable shared by the pair."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _unit_vector(self.lam))
-
-
-@dataclass(frozen=True)
-class MuBranch:
-    """Detector-local three-valued branch label."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value not in (0, 1, -1):
-            raise ValueError("mu branch must be one of 0, +1, -1")
 
 
 @dataclass(frozen=True)
@@ -175,29 +158,50 @@ class CorrelationEstimate:
 @dataclass(frozen=True)
 class InequalityReport:
     """CHSH and three-setting inequality results for one model run, with the
-    correlation estimates they combine."""
+    correlation estimates they combine.
+
+    The report alone decides each verdict: an inequality is violated when its
+    statistic exceeds its bound by more than max(3 stderr, margin).  The
+    margin is the Hoeffding deviation that n events per estimate (the fewest
+    among the estimates) exceed with probability at most VERDICT_ALPHA, so a
+    local model on its bound is flagged in at most that share of runs even
+    at small n, where the plug-in stderr collapses (it is 0 once an estimate
+    reads +-1).  Each estimate is the mean of n products in {-1, +1}: S sums
+    4n independent terms of range 2/n, so P(S - E S >= t) <= exp(-n t^2 / 8);
+    lhs - rhs sums 3n such terms for either sign inside |.|, so
+    P <= 2 exp(-n t^2 / 6).  Exact models (n = 0) take no margin.
+    """
 
     model: str
     settings: tuple
     chsh_s: float | None = None
     chsh_bound: float = 2.0
     chsh_stderr: float | None = None
-    chsh_violated: bool | None = None
+    chsh_margin: float | None = field(init=False, default=None)
+    chsh_violated: bool | None = field(init=False, default=None)
     bell64_lhs: float | None = None
     bell64_rhs: float | None = None
     bell64_stderr: float | None = None
-    bell64_violated: bool | None = None
+    bell64_margin: float | None = field(init=False, default=None)
+    bell64_violated: bool | None = field(init=False, default=None)
     estimates: tuple = ()
 
     def __post_init__(self):
+        n = min((e.n for e in self.estimates), default=0)
+
+        def decide(prefix, value, bound, stderr, spread, tails):
+            margin = math.sqrt(spread * math.log(tails / VERDICT_ALPHA) / n) if n else 0.0
+            object.__setattr__(self, prefix + "_margin", margin)
+            object.__setattr__(
+                self, prefix + "_violated", value > bound + max(3.0 * stderr, margin)
+            )
+
         if self.chsh_s is not None:
-            expect = abs(self.chsh_s) > self.chsh_bound + 3.0 * self.chsh_stderr
-            if bool(self.chsh_violated) != expect:
-                raise ValueError("chsh violated flag inconsistent with values")
+            decide("chsh", abs(self.chsh_s), self.chsh_bound, self.chsh_stderr, 8.0, 1.0)
         if self.bell64_lhs is not None:
-            expect = self.bell64_lhs > self.bell64_rhs + 3.0 * self.bell64_stderr
-            if bool(self.bell64_violated) != expect:
-                raise ValueError("bell64 violated flag inconsistent with values")
+            decide(
+                "bell64", self.bell64_lhs, self.bell64_rhs, self.bell64_stderr, 6.0, 2.0
+            )
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -294,19 +298,6 @@ def _dot_pairs(
     v = cos_ab * u
     v += sin_ab * perp
     return u, v
-
-
-def _lambda_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere by Marsaglia's map of the disc:
-    (2p sqrt(1 - s), 2q sqrt(1 - s), 1 - 2s), as in ``_dot_pairs``."""
-    p, q, s = _disc_points(rng, n)
-    root = 2.0 * np.sqrt(1.0 - s)
-    return np.stack([root * p, root * q, 1.0 - 2.0 * s], axis=1)
-
-
-def sample_lambda(rng) -> HiddenVector:
-    """Draw one hidden vector uniformly over the sphere."""
-    return HiddenVector(_lambda_batch(_as_rng(rng), 1)[0])
 
 
 def angle_between(a: DetectorSetting, b: DetectorSetting) -> float:
@@ -649,8 +640,9 @@ def chsh(
 
     S = C(a,b) - C(a,b') + C(a',b) + C(a',b'), the sign placement under
     which the canonical coplanar settings 0, 90, 45, 135 degrees (read as
-    a, a', b, b') probe the bound maximally.  The flag fires only when the
-    bound is exceeded by more than three combined standard errors.
+    a, a', b, b') probe the bound maximally.  The report flags a violation
+    only when |S| exceeds 2 by more than max(3 combined stderr, its margin);
+    see InequalityReport.
     """
     rng = _as_rng(rng)
     streams = rng.spawn(4)
@@ -660,15 +652,12 @@ def chsh(
         correlation_estimate(model, a_alt, b, n, streams[2], convention),
         correlation_estimate(model, a_alt, b_alt, n, streams[3], convention),
     ]
-    s = est[0].value - est[1].value + est[2].value + est[3].value
-    combined = math.sqrt(sum(e.stderr**2 for e in est))
     return InequalityReport(
         model=model,
         settings=(a, a_alt, b, b_alt),
-        chsh_s=s,
+        chsh_s=est[0].value - est[1].value + est[2].value + est[3].value,
         chsh_bound=2.0,
-        chsh_stderr=combined,
-        chsh_violated=abs(s) > 2.0 + 3.0 * combined,
+        chsh_stderr=math.sqrt(sum(e.stderr**2 for e in est)),
         estimates=tuple(est),
     )
 
@@ -684,23 +673,20 @@ def bell64(
 ) -> InequalityReport:
     """Three-setting inequality 1 + C(b, b') >= |C(a, b) - C(a, b')|.
 
-    Violated (beyond three combined standard errors) by the cosine models
-    at generic coplanar angles, never by the sign model.
+    Violated by the cosine models at generic coplanar angles, never by the
+    sign model.  The report flags a violation only when lhs exceeds rhs by
+    more than max(3 combined stderr, its margin); see InequalityReport.
     """
     rng = _as_rng(rng)
     streams = rng.spawn(3)
     c_ab = correlation_estimate(model, a, b, n, streams[0], convention)
     c_ab2 = correlation_estimate(model, a, b_alt, n, streams[1], convention)
     c_bb2 = correlation_estimate(model, b, b_alt, n, streams[2], convention)
-    lhs = abs(c_ab.value - c_ab2.value)
-    rhs = 1.0 + c_bb2.value
-    combined = math.sqrt(c_ab.stderr**2 + c_ab2.stderr**2 + c_bb2.stderr**2)
     return InequalityReport(
         model=model,
         settings=(a, b, b_alt),
-        bell64_lhs=lhs,
-        bell64_rhs=rhs,
-        bell64_stderr=combined,
-        bell64_violated=lhs > rhs + 3.0 * combined,
+        bell64_lhs=abs(c_ab.value - c_ab2.value),
+        bell64_rhs=1.0 + c_bb2.value,
+        bell64_stderr=math.sqrt(c_ab.stderr**2 + c_ab2.stderr**2 + c_bb2.stderr**2),
         estimates=(c_ab, c_ab2, c_bb2),
     )

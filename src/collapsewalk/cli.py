@@ -38,7 +38,9 @@ import numpy as np
 from . import __version__
 from .analytic import DiffusionParams, greens_tilde
 from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve_c2
-from .errors import AllZeroError, CollapseWalkError, TooFewStatesError, UsageError
+from .errors import (
+    AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
+)
 from .states import form_joint, normalize, parse_amplitudes
 from .walk import WalkConfig, _expected_steps, born_statistics, quantize_weights, run_walk
 
@@ -287,8 +289,9 @@ def _rows_to_json(header, rows):
 
 
 def _walk_inputs(config: RunConfig):
-    """State, WalkConfig and grid counts k0 of a born or walk run; bad input
-    is a UsageError."""
+    """State, WalkConfig and grid counts k0 of a born or walk run; bad input,
+    a grid that quantizes a positive weight to zero included, is a
+    UsageError."""
     try:
         state = normalize(parse_amplitudes(config.amplitudes))
         walk_config = WalkConfig(
@@ -296,9 +299,16 @@ def _walk_inputs(config: RunConfig):
             max_steps=config.max_steps,
             seed=config.seed,
         )
-        k0 = quantize_weights(state.weights(), walk_config.grid_resolution)
-    except (ValueError, TooFewStatesError, AllZeroError) as exc:
+        weights = state.weights()
+        k0 = quantize_weights(weights, walk_config.grid_resolution)
+    except (ValueError, TooFewStatesError, AllZeroError, DegenerateGridError) as exc:
         raise UsageError(str(exc)) from exc
+    dropped = np.flatnonzero((weights > 0) & (k0 == 0))
+    if dropped.size:
+        raise UsageError(
+            f"positive weights of states {dropped.tolist()} quantize to zero at "
+            f"M={walk_config.grid_resolution}; raise --grid-resolution"
+        )
     return state, walk_config, k0
 
 
@@ -411,6 +421,7 @@ def _run_chsh(config: RunConfig, diagnostics: dict):
         config.model, a, a_alt, b, b_alt, config.samples, rng, config.convention
     )
     _report_acceptance(report.estimates, diagnostics)
+    diagnostics["chsh_margin"] = report.chsh_margin
     header = ("model", "S", "bound", "combined_stderr", "violated", "settings_deg")
     row = (
         report.model,

@@ -353,26 +353,6 @@ def walk_step(grid_weights, alive, rng) -> tuple[np.ndarray, np.ndarray]:
     return k, al
 
 
-def update_cross_terms(
-    joint: JointState, weights=None, alive=None
-) -> JointState:
-    """Re-sync spectator cross terms to the current weights.
-
-    For alive pairs |kappa_ij| becomes sqrt(w_i w_j) with the phase carried
-    over from the input cross matrix; rows and columns of dead states are
-    zeroed for good.  With ``weights`` given and ``alive`` omitted, states
-    whose new weight is zero are treated as freshly eliminated.
-    """
-    w = joint.weights if weights is None else np.asarray(weights, dtype=float)
-    if alive is not None:
-        al = np.asarray(alive, dtype=bool)
-    elif weights is not None:
-        al = joint.alive & (w > 0)
-    else:
-        al = joint.alive
-    return _synced_joint(_unit_phases(joint.cross), np.where(al, w, 0.0), al)
-
-
 def _unit_phases(cross) -> np.ndarray:
     """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0."""
     mag = np.abs(cross)

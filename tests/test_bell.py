@@ -9,10 +9,8 @@ from collapsewalk import (
     C1,
     CorrelationEstimate,
     DetectorSetting,
-    HiddenVector,
     InequalityReport,
     ModelConstants,
-    MuBranch,
     bell64,
     bell_sign_correlation,
     chsh,
@@ -22,14 +20,13 @@ from collapsewalk import (
     overlap_integral,
     quantum_correlation,
     sample_image_events,
-    sample_lambda,
     solve_c2,
 )
 from collapsewalk.bell import (
     CHUNK_SIZE,
+    VERDICT_ALPHA,
     _disc_points,
     _dot_pairs,
-    _lambda_batch,
     _plane,
     estimate_from_events,
 )
@@ -84,25 +81,36 @@ def sign_model_oracle(theta, n_t=1500, n_phi=3000):
     return float(vals.mean())
 
 
-# ------------------------------------------------------------ sample_lambda
+# ------------------------------------------------------ Marsaglia's sphere
 
-def test_sample_lambda_unit_norm():
+def marsaglia_sphere(rng, n):
+    """Oracle: n points uniform on the unit sphere by Marsaglia's (1972) map
+    of a disc point, (2p sqrt(1 - s), 2q sqrt(1 - s), 1 - 2s)."""
+    p, q, s = _disc_points(rng, n)
+    root = 2.0 * np.sqrt(1.0 - s)
+    return np.stack([root * p, root * q, 1.0 - 2.0 * s], axis=1)
+
+
+def test_marsaglia_sphere_unit_norm():
+    """The map lands on the sphere, and _dot_pairs' uniform branch is its
+    projection on the plane of the settings, bit for bit."""
     rng = np.random.default_rng(0)
-    lam = _lambda_batch(rng, 100_000)
+    lam = marsaglia_sphere(rng, 100_000)
     norms = np.linalg.norm(lam, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    single = sample_lambda(np.random.default_rng(5))
-    assert isinstance(single, HiddenVector)
+    u, v = _dot_pairs(np.random.default_rng(0), 100_000, 0.0, 1.0)
+    assert u.tobytes() == lam[:, 2].tobytes()
+    assert v.tobytes() == lam[:, 0].tobytes()
 
 
-def test_sample_lambda_isotropic_mean():
-    lam = _lambda_batch(np.random.default_rng(1), 1_000_000)
+def test_marsaglia_sphere_isotropic_mean():
+    lam = marsaglia_sphere(np.random.default_rng(1), 1_000_000)
     assert np.all(np.abs(lam.mean(axis=0)) < 4 / np.sqrt(1_000_000))
 
 
-def test_sample_lambda_second_moment():
+def test_marsaglia_sphere_second_moment():
     # integral (a.lam)^2 dOmega / 4pi = 1/3
-    lam = _lambda_batch(np.random.default_rng(2), 1_000_000)
+    lam = marsaglia_sphere(np.random.default_rng(2), 1_000_000)
     proj2 = lam[:, 2] ** 2
     se = proj2.std(ddof=1) / np.sqrt(proj2.size)
     assert abs(proj2.mean() - 1 / 3) < 4 * se
@@ -642,24 +650,68 @@ def test_correlation_estimate_validation():
 
 
 def test_inequality_report_consistency():
-    with pytest.raises(ValueError):
-        InequalityReport(
-            model="quantum",
-            settings=(),
-            chsh_s=2.8,
-            chsh_stderr=0.0,
-            chsh_violated=False,
+    """The report derives each margin and flag from its own fields: n is the
+    fewest events among the estimates, and a flag needs the bound passed by
+    more than max(3 stderr, margin).  A flag cannot be passed in."""
+    with pytest.raises(TypeError):
+        InequalityReport(model="quantum", settings=(), chsh_s=2.8, chsh_violated=False)
+    exact = InequalityReport(model="quantum", settings=(), chsh_s=2.8, chsh_stderr=0.0)
+    assert exact.chsh_margin == 0.0 and exact.chsh_violated
+    assert exact.bell64_margin is None and exact.bell64_violated is None
+    events = tuple(CorrelationEstimate(0.0, 0.1, n, "bell-sign") for n in (400, 100))
+    chsh_margin = math.sqrt(8 * math.log(1 / VERDICT_ALPHA) / 100)
+    bell64_margin = math.sqrt(6 * math.log(2 / VERDICT_ALPHA) / 100)
+    for s, stderr, violated in (
+        (2.0 + chsh_margin * 0.99, 0.0, False),
+        (-2.0 - chsh_margin * 1.01, 0.0, True),
+        (2.0 + chsh_margin * 1.01, chsh_margin / 2.9, False),
+    ):
+        report = InequalityReport(
+            model="bell-sign", settings=(), chsh_s=s, chsh_stderr=stderr, estimates=events
         )
+        assert report.chsh_margin == chsh_margin
+        assert report.chsh_violated is violated
+    for lhs, stderr, violated in (
+        (0.5 + bell64_margin * 0.99, 0.0, False),
+        (0.5 + bell64_margin * 1.01, 0.0, True),
+        (0.5 + bell64_margin * 1.01, bell64_margin / 2.9, False),
+    ):
+        report = InequalityReport(
+            model="bell-sign", settings=(), bell64_lhs=lhs, bell64_rhs=0.5,
+            bell64_stderr=stderr, estimates=events,
+        )
+        assert report.bell64_margin == bell64_margin
+        assert report.bell64_violated is violated
+        assert report.chsh_margin is None and report.chsh_violated is None
 
 
-def test_mu_branch_and_vectors_validate():
-    with pytest.raises(ValueError):
-        MuBranch(2)
-    assert MuBranch(-1).value == -1
+def test_sign_model_verdicts_calibrated_at_small_n():
+    """On its bound the local sign model is flagged in at most VERDICT_ALPHA
+    of runs at any n: over 400 seeds, no more flags per inequality and n than
+    the binomial(400, VERDICT_ALPHA) quantile at 1 - 1e-6 allows.  The image
+    model keeps its violation at n = 1000."""
+    seeds = 400
+    most = stats.binom.ppf(1 - 1e-6, seeds, VERDICT_ALPHA)
+    four = [setting(d) for d in (0, 90, 45, 135)]
+    three = [setting(d) for d in (0, 60, 120)]
+    for n in (2, 5, 20, 100):
+        flagged_chsh = sum(
+            chsh("bell-sign", *four, n=n, rng=np.random.default_rng(seed)).chsh_violated
+            for seed in range(seeds)
+        )
+        flagged_bell64 = sum(
+            bell64("bell-sign", *three, n=n, rng=np.random.default_rng(seed)).bell64_violated
+            for seed in range(seeds)
+        )
+        assert flagged_chsh <= most, (n, flagged_chsh)
+        assert flagged_bell64 <= most, (n, flagged_bell64)
+    for seed in range(10):
+        assert chsh("image-event", *four, n=1000, rng=np.random.default_rng(seed)).chsh_violated
+
+
+def test_detector_settings_validate():
     with pytest.raises(ValueError):
         DetectorSetting(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        HiddenVector(np.array([0.0, 0.0, 0.5]))
     unit = DetectorSetting.from_vector([2.0, 0.0, 0.0])
     assert np.allclose(unit.direction, [1, 0, 0])
 

@@ -129,6 +129,17 @@ def test_usage_error_exit_code(tmp_path):
             "born", "--amplitudes", "0.5,0;0.3,0;0.2,0",
             "--grid-resolution", "100000", "--trials", "2",
         ],
+        # a positive weight quantized to zero, at a fine and a coarse grid
+        [
+            "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
+            "--grid-resolution", "1000", "--trials", "200",
+        ],
+        [
+            "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
+            "--grid-resolution", "20", "--trials", "200",
+        ],
+        ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "1000"],
+        ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "20"],
     ],
 )
 def test_invalid_input_values_exit_2(argv, capsys):
@@ -246,7 +257,8 @@ def test_bell_image_event_streams_same_as_batch(tmp_path):
 )
 def test_chsh_manifest_reports_acceptance_rates(model, tmp_path):
     """chsh reports the acceptance rates of its four image-event estimates as
-    bell does, and its result file is the report's values."""
+    bell does, and the verdict margin of every model; its result file is the
+    report's values."""
     out = tmp_path / "chsh.csv"
     argv = [
         "chsh", "--model", model, "--settings", "0,90,45,135",
@@ -261,6 +273,8 @@ def test_chsh_manifest_reports_acceptance_rates(model, tmp_path):
     assert out.read_text().splitlines()[1].split(",")[:4] == [
         model, f"{report.chsh_s:.15g}", "2", f"{report.chsh_stderr:.15g}"
     ]
+    assert diagnostics.pop("chsh_margin") == report.chsh_margin
+    assert (report.chsh_margin == 0.0) == (model in ("quantum", "image-analytic"))
     if model != "image-event":
         assert diagnostics == {}
         return

@@ -20,7 +20,6 @@ from collapsewalk import (
     quantize_weights,
     run_walk,
     trial_rng,
-    update_cross_terms,
     walk_step,
 )
 from collapsewalk.walk import (
@@ -37,12 +36,14 @@ from collapsewalk.walk import (
     _multi_first_phase,
     _pair_moves,
     _SeedWords,
+    _synced_joint,
     _three_state_rounds,
     _trial_rngs,
     _trial_seed_words,
     _two_state_block,
     _two_state_draw,
     _two_state_rows,
+    _unit_phases,
     _words_per_draw,
 )
 
@@ -291,13 +292,14 @@ def grid_states(draw):
 @given(start=grid_states(), seed=st.integers(0, 2**32 - 1))
 def test_reference_engine_invariants(start, seed):
     """Walked to absorption: after every walk_step, sum k = M and dead states
-    stay dead; after update_cross_terms, |kappa_ij| = sqrt(w_i w_j) for alive
-    pairs and 0 for pairs with a dead state."""
+    stay dead; synced as run_walk's snapshots are, |kappa_ij| = sqrt(w_i w_j)
+    for alive pairs and 0 for pairs with a dead state."""
     k, phases = start
     m = int(k.sum())
     joint = form_joint(normalize(np.sqrt(k / m) * np.exp(1j * phases)))
     alive = k > 0
     rng = np.random.default_rng(seed)
+    unit = _unit_phases(joint.cross)
     while np.count_nonzero(alive) > 1:
         dead = ~alive
         k, alive = walk_step(k, alive, rng)
@@ -305,7 +307,7 @@ def test_reference_engine_invariants(start, seed):
         assert not alive[dead].any() and not k[dead].any()
         assert np.array_equal(alive, k > 0)
         w = k / m
-        synced = update_cross_terms(joint, weights=w, alive=alive)
+        synced = _synced_joint(unit, w, alive)
         pairs = np.outer(alive, alive)
         np.fill_diagonal(pairs, False)
         expect = np.where(pairs, np.sqrt(np.outer(w, w)), 0.0)
@@ -313,40 +315,47 @@ def test_reference_engine_invariants(start, seed):
         assert np.array_equal(synced.alive, alive)
 
 
-# ------------------------------------------------------- update_cross_terms
+# ------------------------------------------------------------ _synced_joint
 
-def test_update_cross_terms_elimination_zeroes_pair():
+def sync(joint, w, alive=None):
+    """``joint`` re-synced to weights ``w``, as run_walk's snapshots are; by
+    default a state dies when its weight reaches zero."""
+    alive = joint.alive & (w > 0) if alive is None else alive
+    return _synced_joint(_unit_phases(joint.cross), np.where(alive, w, 0.0), alive)
+
+
+def test_synced_joint_elimination_zeroes_pair():
     joint = form_joint(normalize([1.0, 1.0]))
     assert abs(joint.cross[0, 1] - 0.5) < 1e-12
-    done = update_cross_terms(joint, weights=np.array([1.0, 0.0]))
+    done = sync(joint, np.array([1.0, 0.0]))
     assert done.cross[0, 1] == 0.0
     assert done.alive.tolist() == [True, False]
     assert done.weights.tolist() == [1.0, 0.0]
 
 
-def test_update_cross_terms_magnitude_rule():
+def test_synced_joint_magnitude_rule():
     joint = form_joint(normalize([1.0, 1.0]))
-    moved = update_cross_terms(joint, weights=np.array([0.36, 0.64]))
+    moved = sync(joint, np.array([0.36, 0.64]))
     assert abs(abs(moved.cross[0, 1]) - 0.48) < 1e-12
 
 
-def test_update_cross_terms_preserves_phase():
+def test_synced_joint_preserves_phase():
     joint = form_joint(normalize([0.6, 0.8j]))
     phase0 = np.angle(joint.cross[0, 1])
-    moved = update_cross_terms(joint, weights=np.array([0.5, 0.5]))
+    moved = sync(joint, np.array([0.5, 0.5]))
     assert abs(abs(moved.cross[0, 1]) - 0.5) < 1e-12
     assert abs(np.angle(moved.cross[0, 1]) - phase0) < 1e-12
 
 
-def test_update_cross_terms_idempotent_without_arguments():
+def test_synced_joint_idempotent_at_own_weights():
     joint = form_joint(normalize([0.6, 0.8]))
-    again = update_cross_terms(joint)
+    again = sync(joint, joint.weights)
     assert np.allclose(again.cross, joint.cross)
     assert np.allclose(again.weights, joint.weights)
 
 
 def reference_sync(cross, w, alive):
-    """The original one-function ``update_cross_terms`` formula, kept as the
+    """The original one-function cross-term sync formula, kept as the
     oracle: (weights, cross, alive) of the re-synced state."""
     mag = np.abs(cross)
     safe = np.where(mag > 0, mag, 1.0)
@@ -392,8 +401,8 @@ def test_observer_snapshots_match_reference_formula():
         assert np.count_nonzero(alive) == 1
 
 
-def test_update_cross_terms_matches_reference_formula():
-    """All three ways of naming weights and alive flags, on joints with dead
+def test_synced_joint_matches_reference_formula():
+    """Weights with and without freshly dead states, on joints with dead
     states and a nonzero (unused) real diagonal."""
     gen = np.random.default_rng(61)
     for _ in range(40):
@@ -408,12 +417,12 @@ def test_update_cross_terms_matches_reference_formula():
         w = gen.dirichlet(np.ones(n)) * alive
         w[1:][gen.random(n - 1) < 0.3] = 0.0
         w /= w.sum()
-        for kwargs, (ww, al) in (
-            ({}, (joint.weights, joint.alive)),
-            ({"weights": w}, (w, joint.alive & (w > 0))),
-            ({"weights": w, "alive": w > 0}, (w, w > 0)),
+        for ww, al in (
+            (joint.weights, joint.alive),
+            (w, joint.alive & (w > 0)),
+            (w, w > 0),
         ):
-            got = update_cross_terms(joint, **kwargs)
+            got = sync(joint, ww, al)
             expect = reference_sync(joint.cross, ww, al)
             for g, e in zip((got.weights, got.cross, got.alive), expect):
                 assert_same_bits(g, e)
