@@ -7,8 +7,10 @@ result as CSV or JSON plus a manifest echoing the resolved options of its
 subcommand.  Re-running the echoed configuration reproduces the result file
 byte for byte.  Each option is described once, in _OPTIONS; the flags, the
 config-file checks, RunConfig and the manifest are built from that table.  A
-config key of another subcommand is a usage error unless it holds null or its
-default, so a manifest that echoes every option still replays.
+run builds the argument parser of its own subcommand alone; help, a missing
+or unknown subcommand and a flag before the subcommand get the parser of all
+six.  A config key of another subcommand is a usage error unless it holds
+null or its default, so a manifest that echoes every option still replays.
 
 CSV carries one header row, '.' decimals and 15 significant digits; angles
 are accepted in degrees and converted to radians internally.  Seeds lie in
@@ -42,7 +44,9 @@ from .errors import (
     AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
 )
 from .states import form_joint, normalize, parse_amplitudes
-from .walk import WalkConfig, _expected_steps, born_statistics, quantize_weights, run_walk
+from .walk import (
+    WalkConfig, _expected_steps, _zeroed_message, born_statistics, quantize_weights, run_walk
+)
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
@@ -148,14 +152,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with the subparser of argv[0] alone when it
+    names a subcommand, else with all six, for help and usage errors."""
     parser = _Parser(
         prog="collapsewalk",
         description="First-passage walk and Bell-correlation experiment runner",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for subcommand, help_text in _SUBCOMMANDS.items():
-        p = sub.add_parser(subcommand, help=help_text)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for subcommand in names:
+        p = sub.add_parser(subcommand, help=_SUBCOMMANDS[subcommand])
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in _options_of(subcommand):
             opt = _OPTIONS[name]
@@ -207,7 +214,7 @@ def _read_config_file(path: str, subcommand: str) -> dict:
 
 def parse_config(argv) -> RunConfig:
     """Resolve a RunConfig from argv and an optional JSON config file."""
-    args = vars(_build_parser().parse_args(argv))
+    args = vars(_build_parser(argv).parse_args(argv))
     subcommand, path = args.pop("subcommand"), args.pop("config")
     values = _read_config_file(path, subcommand) if path else {}
     values.update((key, val) for key, val in args.items() if val is not None)
@@ -303,12 +310,9 @@ def _walk_inputs(config: RunConfig):
         k0 = quantize_weights(weights, walk_config.grid_resolution)
     except (ValueError, TooFewStatesError, AllZeroError, DegenerateGridError) as exc:
         raise UsageError(str(exc)) from exc
-    dropped = np.flatnonzero((weights > 0) & (k0 == 0))
-    if dropped.size:
-        raise UsageError(
-            f"positive weights of states {dropped.tolist()} quantize to zero at "
-            f"M={walk_config.grid_resolution}; raise --grid-resolution"
-        )
+    # quantize_weights refuses this only at M < 10 N; the run refuses it at any M
+    if zeroed := _zeroed_message(weights, k0, walk_config.grid_resolution):
+        raise UsageError(zeroed)
     return state, walk_config, k0
 
 

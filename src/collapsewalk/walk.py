@@ -281,8 +281,9 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     lowest index.  At large M a weight sum off 1 within the 1e-9 tolerance
     can leave the floors of M w_i short of M by more than N units, or over
     it; the quotas are then M w_i / sum(w), so the counts always sum to M.
-    M may be at most 2**53.  Raises DegenerateGridError when a positive
-    weight lands on zero and M < 10 N (the caller should raise M).
+    M may be at most 2**53.  Raises DegenerateGridError, naming the states,
+    when a positive weight lands on zero and M < 10 N (the caller should
+    raise M); at M >= 10 N such counts are returned as they are.
     """
     w = np.asarray(weights, dtype=float)
     m = int(grid_resolution)
@@ -304,11 +305,22 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     elif deficit > 0:
         order = np.argsort(-(target - base), kind="stable")
         base[order[:deficit]] += 1
-    if np.any((w > 0) & (base == 0)) and m < 10 * w.size:
-        raise DegenerateGridError(
-            f"positive weight quantized to zero at M={m}; raise the resolution"
-        )
+    zeroed = _zeroed_message(w, base, m)
+    if zeroed and m < 10 * w.size:
+        raise DegenerateGridError(zeroed)
     return base
+
+
+def _zeroed_message(weights, counts: np.ndarray, m: int) -> str:
+    """The message naming the states whose positive weight quantizes to a
+    zero count at M = m; empty when there are none."""
+    dropped = np.flatnonzero((np.asarray(weights) > 0) & (counts == 0))
+    if dropped.size == 0:
+        return ""
+    return (
+        f"positive weights of states {dropped.tolist()} quantize to zero at "
+        f"M={m}; raise the grid resolution"
+    )
 
 
 def _exact_largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
@@ -384,10 +396,13 @@ def run_walk(
     Reference engine: repeats ``walk_step`` and keeps the cross-term
     bookkeeping in lockstep.  ``observer(step, joint_state)`` is invoked
     after quantization (step 0) and after every step when provided.
-    Raises MaxStepsExceededError at the safety cap.
+    Raises MaxStepsExceededError at the safety cap.  A positive weight that
+    quantizes to zero (allowed at M >= 10 N) gives a RuntimeWarning.
     """
     m = config.grid_resolution
     k = quantize_weights(joint.weights, m)
+    if zeroed := _zeroed_message(joint.weights, k, m):
+        warnings.warn(zeroed, RuntimeWarning, stacklevel=2)
     alive = k > 0
     eliminations = [(int(i), 0) for i in np.flatnonzero(~alive)]
 
@@ -436,7 +451,9 @@ def born_statistics(
     distribution-identical to ``run_walk``.  Trials hitting the step cap are
     excluded from the counts; more than 1% exclusions raises
     MaxStepsExceededError.  ``workers`` is deprecated and ignored: the
-    trials run in one thread, and the result never depended on it.
+    trials run in one thread, and the result never depended on it.  A
+    positive weight that quantizes to zero (allowed at M >= 10 N) gives a
+    RuntimeWarning.
     """
     if workers > 1:
         warnings.warn(
@@ -448,7 +465,10 @@ def born_statistics(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = config.grid_resolution
-    k0 = quantize_weights(state.weights(), m)
+    weights = state.weights()
+    k0 = quantize_weights(weights, m)
+    if zeroed := _zeroed_message(weights, k0, m):
+        warnings.warn(zeroed, RuntimeWarning, stacklevel=2)
     n = k0.size
     counts = np.zeros(n, dtype=np.int64)
     total = total_sq = 0

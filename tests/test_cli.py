@@ -26,7 +26,9 @@ from collapsewalk.bell import (
     estimate_from_events,
     sample_image_events,
 )
-from collapsewalk.cli import _OPTIONS, _options_of, _parse_grid, main, parse_config
+from collapsewalk.cli import (
+    _OPTIONS, _build_parser, _options_of, _parse_grid, main, parse_config
+)
 from collapsewalk.errors import UsageError
 
 
@@ -92,61 +94,82 @@ def test_usage_error_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
+_INVALID_ARGV = [
+    ["born", "--amplitudes", "abc"],
+    ["greens", "--x0", "1.5"],
+    ["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "1"],
+    ["greens", "--x0", "0.5", "--laplace-s", "-1"],
+    ["greens", "--x0", "0.5", "--laplace-s", "0"],
+    ["born", "--amplitudes", "1,0"],
+    ["born", "--amplitudes", "0,0;0,0"],
+    ["c2", "--theta-grid", "nan:nan:1"],
+    ["c2", "--theta-grid", "0:inf:1"],
+    ["c2", "--theta-grid", "0:180:1e-13"],
+    ["c2", "--theta-grid=-1e308:1e308:1"],
+    ["greens", "--x0", "0.5", "--x-grid", "0:1:1e-14"],
+    ["bell", "--model", "image-analytic", "--theta-grid", "0:90:nan"],
+    ["chsh", "--model", "quantum", "--settings", "0,nan,45,135"],
+    ["chsh", "--model", "quantum", "--settings", "0,90,inf,135"],
+    ["greens", "--x0", "0.5", "--x-grid", "0:100:1"],
+    ["greens", "--x0", "0.5", "--x-grid=-0.5:1:0.5"],
+    ["greens", "--x0", "0.5", "--x-grid", "0:1.5:0.5"],
+    ["c2", "--theta-grid", "0:270:90"],
+    ["born", "--amplitudes"],
+    ["c2", "--theta-grid", "0:90:45", "--bogus"],
+    ["bell", "--model", "nonsense", "--theta-grid", "0:90:45"],
+    ["greens", "--x0", "0.5", "--x-grid", "-0.5:1:0.5"],
+    ["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"],
+    ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"],
     [
-        ["born", "--amplitudes", "abc"],
-        ["greens", "--x0", "1.5"],
-        ["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "1"],
-        ["greens", "--x0", "0.5", "--laplace-s", "-1"],
-        ["greens", "--x0", "0.5", "--laplace-s", "0"],
-        ["born", "--amplitudes", "1,0"],
-        ["born", "--amplitudes", "0,0;0,0"],
-        ["c2", "--theta-grid", "nan:nan:1"],
-        ["c2", "--theta-grid", "0:inf:1"],
-        ["c2", "--theta-grid", "0:180:1e-13"],
-        ["c2", "--theta-grid=-1e308:1e308:1"],
-        ["greens", "--x0", "0.5", "--x-grid", "0:1:1e-14"],
-        ["bell", "--model", "image-analytic", "--theta-grid", "0:90:nan"],
-        ["chsh", "--model", "quantum", "--settings", "0,nan,45,135"],
-        ["chsh", "--model", "quantum", "--settings", "0,90,inf,135"],
-        ["greens", "--x0", "0.5", "--x-grid", "0:100:1"],
-        ["greens", "--x0", "0.5", "--x-grid=-0.5:1:0.5"],
-        ["greens", "--x0", "0.5", "--x-grid", "0:1.5:0.5"],
-        ["c2", "--theta-grid", "0:270:90"],
-        ["born", "--amplitudes"],
-        ["c2", "--theta-grid", "0:90:45", "--bogus"],
-        ["bell", "--model", "nonsense", "--theta-grid", "0:90:45"],
-        ["greens", "--x0", "0.5", "--x-grid", "-0.5:1:0.5"],
-        ["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"],
-        ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=-1"],
-        [
-            "bell", "--model", "quantum", "--theta-grid", "0:90:45",
-            "--seed", "18446744073709551616",
-        ],
-        ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
-        [
-            "born", "--amplitudes", "0.5,0;0.3,0;0.2,0",
-            "--grid-resolution", "100000", "--trials", "2",
-        ],
-        # a positive weight quantized to zero, at a fine and a coarse grid
-        [
-            "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
-            "--grid-resolution", "1000", "--trials", "200",
-        ],
-        [
-            "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
-            "--grid-resolution", "20", "--trials", "200",
-        ],
-        ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "1000"],
-        ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "20"],
+        "bell", "--model", "quantum", "--theta-grid", "0:90:45",
+        "--seed", "18446744073709551616",
     ],
-)
+    ["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100000"],
+    [
+        "born", "--amplitudes", "0.5,0;0.3,0;0.2,0",
+        "--grid-resolution", "100000", "--trials", "2",
+    ],
+    # a positive weight quantized to zero, at a fine and a coarse grid
+    [
+        "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
+        "--grid-resolution", "1000", "--trials", "200",
+    ],
+    [
+        "born", "--amplitudes", "0.02,0;0.7,0;0.7139,0",
+        "--grid-resolution", "20", "--trials", "200",
+    ],
+    ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "1000"],
+    ["walk", "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", "20"],
+]
+# argv that no subcommand's parser accepts: none given, an unknown name, a
+# flag before the subcommand, a flag of another subcommand
+_BAD_SUBCOMMAND_ARGV = [
+    [],
+    ["bel"],
+    ["--seed", "1", "c2", "--theta-grid", "0:180:90"],
+    ["c2", "--samples", "5", "--theta-grid", "0:180:90"],
+]
+
+
+@pytest.mark.parametrize("argv", _INVALID_ARGV + _BAD_SUBCOMMAND_ARGV)
 def test_invalid_input_values_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["born", "walk"])
+@pytest.mark.parametrize("m", [20, 1000])
+def test_zeroed_weight_refusal_names_the_state(command, m, capsys):
+    """quantize_weights refuses the grid at M < 10 N, the run itself at
+    M >= 10 N; both refusals read the same and name state 0."""
+    argv = [command, "--amplitudes", "0.02,0;0.7,0;0.7139,0", "--grid-resolution", str(m)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: positive weights of states [0] quantize to zero at M={m}; "
+        "raise the grid resolution\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["bell", "--help"]])
@@ -155,6 +178,59 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: collapsewalk")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for subcommand in collapsewalk.cli._SUBCOMMANDS:
+        assert subcommand in out
+
+
+@pytest.mark.parametrize("subcommand", list(collapsewalk.cli._SUBCOMMANDS))
+def test_subcommand_help_same_as_full_parser(subcommand, capsys):
+    """``<sub> --help`` builds that subcommand's parser alone and prints the
+    help text that the parser of all six prints."""
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: collapsewalk {subcommand} ")
+    with pytest.raises(SystemExit):
+        _build_parser([]).parse_args([subcommand, "--help"])
+    assert capsys.readouterr().out == out
+
+
+def _parse(parser, argv) -> str:
+    """repr of the parsed argv's vars (nan == nan), or its UsageError."""
+    try:
+        return repr(vars(parser.parse_args(argv)))
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+def assert_parses_as_full_parser(argv):
+    """The parser built for argv, which holds argv[0]'s subparser alone when
+    argv[0] names a subcommand, parses argv as the parser of all six does,
+    or refuses it with the same message."""
+    assert _parse(_build_parser(argv), argv) == _parse(_build_parser([]), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _INVALID_ARGV + _BAD_SUBCOMMAND_ARGV + [
+        ["c2", "--theta-grid", "0:180:30", "--out", "x.csv"],
+        ["born", "--amplitudes", "1,0;0,1", "--entropy", "--config", "run.json"],
+        ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--seed=3"],
+        ["greens", "--x0", "0.5", "--diff", "2"],
+        ["walk"],
+        ["c2", "born", "--amplitudes", "1,0;0,1"],
+    ],
+)
+def test_subcommand_parser_matches_full_parser(argv):
+    assert_parses_as_full_parser(argv)
 
 
 def test_cli_imports_no_private_bell_name():
@@ -971,7 +1047,8 @@ def test_cli_fuzz_exit_contract(run, out):
     with one usage-error line and no file written; a run with --out writes
     its manifest (exit 1 included), and an image-event run's manifest
     carries the acceptance rates; the traced allocation peak stays within
-    budget."""
+    budget.  The parser of argv's subcommand alone parses argv as the parser
+    of all six does."""
     argv, config = run
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
@@ -983,6 +1060,7 @@ def test_cli_fuzz_exit_contract(run, out):
         result = os.path.join(tmp, "result")
         if out:
             argv += ["--out", result]
+        assert_parses_as_full_parser(argv)
         stdout, stderr = io.StringIO(), io.StringIO()
         tracemalloc.start()
         try:

@@ -94,7 +94,7 @@ def test_quantize_random_weights_attain_minimal_l1():
 
 def test_quantize_degenerate_grid_raises_only_when_coarse():
     w = [1e-6, 1 - 1e-6]
-    with pytest.raises(DegenerateGridError):
+    with pytest.raises(DegenerateGridError, match=r"states \[0\] quantize to zero at M=15"):
         quantize_weights(w, 15)  # M < 10 N and the tiny weight rounds to 0
     k = quantize_weights(w, 1000)  # coarse weight still rounds to 0, M large
     assert k.tolist() == [0, 1000]
@@ -374,7 +374,8 @@ def assert_same_bits(got, expect):
 
 def test_observer_snapshots_match_reference_formula():
     """Every snapshot of 60 observed walks equals the reference formula bit
-    for bit, on a replay of the same walk through walk_step."""
+    for bit, on a replay of the same walk through walk_step; a walk warns
+    exactly when a positive weight quantizes to zero."""
     gen = np.random.default_rng(60)
     for walk in range(60):
         n = int(gen.integers(2, 6))
@@ -389,7 +390,11 @@ def test_observer_snapshots_match_reference_formula():
         except DegenerateGridError:
             continue
         snaps = []
-        run_walk(joint, config, observer=lambda step, s: snaps.append(s))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_walk(joint, config, observer=lambda step, s: snaps.append(s))
+        zeroed = bool(np.any((joint.weights > 0) & (k == 0)))
+        assert [w.category for w in caught] == [RuntimeWarning] * zeroed
         alive = k > 0
         rng = np.random.default_rng(walk)
         for step, snap in enumerate(snaps):
@@ -575,6 +580,43 @@ def test_born_statistics_workers_deprecated_same_counts():
         again = born_statistics(state, 500, config, workers=2)
     assert np.array_equal(base.winner_counts, again.winner_counts)
     assert base.mean_steps == again.mean_steps
+
+
+def test_zeroed_weight_warns_and_keeps_draws():
+    """At M >= 10 N a positive weight that quantizes to zero is exempt from
+    DegenerateGridError; born_statistics and run_walk warn, naming the state
+    and M, and return what they returned before the warning."""
+    state = normalize([0.02, 0.7, 0.7139])
+    config = WalkConfig(grid_resolution=1000, seed=0)
+    named = r"states \[0\] quantize to zero at M=1000"
+    with pytest.warns(RuntimeWarning, match=named):
+        stats = born_statistics(state, 200, config)
+    assert stats.winner_counts.tolist() == [0, 91, 109]
+    with pytest.warns(RuntimeWarning, match=named):
+        outcome = run_walk(form_joint(state), config)
+    assert (outcome.winner, outcome.steps_taken) == (2, 575794)
+    assert outcome.elimination_order == ((0, 0), (1, 575794))
+
+
+@pytest.mark.parametrize(
+    "counts, m",
+    [
+        ((300, 700), 1000),
+        ((50, 30, 20), 100),
+        ((10, 6, 4), 20),
+        ((40, 35, 30, 25, 25, 20, 15, 10), 200),
+        ((0, 3, 7), 10),
+    ],
+)
+def test_exact_grid_weights_do_not_warn(counts, m):
+    """Weights that are multiples of 1/M, as the benchmark's, keep every
+    positive weight on the grid; a zero weight is not a dropped one."""
+    state = normalize(np.sqrt(np.array(counts) / m))
+    config = WalkConfig(grid_resolution=m, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        born_statistics(state, 20, config)
+        run_walk(form_joint(state), config)
 
 
 # (grid weights, M, seed, trials) -> (winner counts, total steps), recorded
