@@ -44,7 +44,6 @@ from .errors import (
     CollapseWalkError,
     DegenerateGridError,
     MaxStepsExceededError,
-    NoAlivePairError,
     NoRealRootError,
     NumericOverflowError,
     RejectionStallError,
@@ -60,7 +59,6 @@ from .walk import (
     quantize_weights,
     run_walk,
     trial_rng,
-    walk_step,
 )
 
 # The imports above also bind the submodules (bell, walk, ...); leave them out.

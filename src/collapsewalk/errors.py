@@ -21,10 +21,6 @@ class DegenerateGridError(CollapseWalkError):
     """Grid resolution too coarse: a positive weight quantized to zero."""
 
 
-class NoAlivePairError(CollapseWalkError):
-    """A walk step needs at least two alive states to exchange weight."""
-
-
 class MaxStepsExceededError(CollapseWalkError):
     """Walk hit the safety cap before reaching a vertex."""
 

@@ -8,7 +8,10 @@ weight equals its start weight (the multi-state gambler's ruin).  A state
 whose weight reaches zero is eliminated permanently; the walk stops when one
 state holds all M units (a simplex vertex).
 
-``run_walk`` is the step-by-step reference engine.  ``born_statistics`` runs
+``run_walk`` is the step-by-step reference engine: over the n alive states
+in index order, a step draws ``a = rng.integers(n)``, then
+``b = rng.integers(n - 1)`` shifted past ``a``, and moves one unit from the
+a-th to the b-th.  ``born_statistics`` runs
 large trial batches through distribution-identical vectorized kernels.  In
 the two-state kernel each raw uint64 word of the bit generator is 64 steps:
 one pass over a draw takes every word's end position from its popcount, cuts
@@ -44,17 +47,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import (
-    DegenerateGridError,
-    MaxStepsExceededError,
-    NoAlivePairError,
-)
+from .errors import DegenerateGridError, MaxStepsExceededError
 from .states import JointState, QuantumState
 
 # numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
@@ -123,7 +123,8 @@ class WalkConfig:
     """Grid resolution M, safety cap on steps, and the base RNG seed.
 
     max_steps defaults to 100 * M**2, far beyond the diffusive exit-time
-    scale, so cap hits signal pathology rather than slow luck.
+    scale, so cap hits signal pathology rather than slow luck.  A field
+    that is not an integer (numpy ints are) raises ValueError.
     """
 
     grid_resolution: int = 1000
@@ -131,10 +132,13 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("grid_resolution", "max_steps", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "max_steps":
+                value = 100 * self.grid_resolution**2
+            object.__setattr__(self, name, _integer(value, name))
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        if self.max_steps is None:
-            object.__setattr__(self, "max_steps", 100 * self.grid_resolution**2)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -180,6 +184,15 @@ class BornStatistics:
         object.__setattr__(self, "stderr", np.asarray(self.stderr, float))
         if counts.sum() != self.trials:
             raise ValueError("winner counts must sum to the trial count")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer (a float, even a whole one, is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -281,12 +294,13 @@ def quantize_weights(weights, grid_resolution: int) -> np.ndarray:
     lowest index.  At large M a weight sum off 1 within the 1e-9 tolerance
     can leave the floors of M w_i short of M by more than N units, or over
     it; the quotas are then M w_i / sum(w), so the counts always sum to M.
-    M may be at most 2**53.  Raises DegenerateGridError, naming the states,
-    when a positive weight lands on zero and M < 10 N (the caller should
-    raise M); at M >= 10 N such counts are returned as they are.
+    M must be an integer, at most 2**53.  Raises DegenerateGridError,
+    naming the states, when a positive weight lands on zero and M < 10 N
+    (the caller should raise M); at M >= 10 N such counts are returned as
+    they are.
     """
     w = np.asarray(weights, dtype=float)
-    m = int(grid_resolution)
+    m = _integer(grid_resolution, "grid resolution")
     if m < 2:
         raise ValueError("grid resolution must be >= 2")
     if m > 2**53:  # above 2**53, m * w rounds off whole grid units
@@ -338,33 +352,6 @@ def _exact_largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
     return np.array(base, dtype=np.int64)
 
 
-def walk_step(grid_weights, alive, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One unbiased transfer of a single grid unit between two alive states.
-
-    Drawing an ordered (source, destination) pair uniformly is identical in
-    distribution to drawing an unordered pair and then a direction.  Returns
-    fresh (grid_weights, alive) arrays; a state whose weight hits zero has
-    its alive flag cleared permanently.
-    """
-    k = np.array(grid_weights, dtype=np.int64)
-    al = np.array(alive, dtype=bool)
-    idx = np.flatnonzero(al)
-    if idx.size < 2:
-        raise NoAlivePairError("need at least 2 alive states to step")
-    a = int(rng.integers(idx.size))
-    b = int(rng.integers(idx.size - 1))
-    if b >= a:
-        b += 1
-    src, dst = int(idx[a]), int(idx[b])
-    if k[src] <= 0:
-        raise ValueError("alive state carries no weight; inconsistent input")
-    k[src] -= 1
-    k[dst] += 1
-    if k[src] == 0:
-        al[src] = False
-    return k, al
-
-
 def _unit_phases(cross) -> np.ndarray:
     """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0."""
     mag = np.abs(cross)
@@ -393,46 +380,51 @@ def run_walk(
 ) -> WalkOutcome:
     """Walk the quantized weights until one state holds everything.
 
-    Reference engine: repeats ``walk_step`` and keeps the cross-term
-    bookkeeping in lockstep.  ``observer(step, joint_state)`` is invoked
-    after quantization (step 0) and after every step when provided.
-    Raises MaxStepsExceededError at the safety cap.  A positive weight that
+    Reference engine: each step draws ``a = rng.integers(n)`` and then
+    ``b = rng.integers(n - 1)`` over the n alive states in index order,
+    shifts ``b`` past ``a`` and moves one unit from the a-th to the b-th.
+    ``observer(step, joint_state)`` is invoked after quantization (step 0)
+    and after every step when provided.  Raises MaxStepsExceededError at the safety cap.  A positive weight that
     quantizes to zero (allowed at M >= 10 N) gives a RuntimeWarning.
     """
     m = config.grid_resolution
-    k = quantize_weights(joint.weights, m)
-    if zeroed := _zeroed_message(joint.weights, k, m):
+    k0 = quantize_weights(joint.weights, m)
+    if zeroed := _zeroed_message(joint.weights, k0, m):
         warnings.warn(zeroed, RuntimeWarning, stacklevel=2)
-    alive = k > 0
-    eliminations = [(int(i), 0) for i in np.flatnonzero(~alive)]
+    k = k0.tolist()
+    alive = [i for i, x in enumerate(k) if x > 0]
+    eliminations = [(i, 0) for i, x in enumerate(k) if x == 0]
 
     # the phases come from the input joint at every step, so derive them once
     phases = None if observer is None else _unit_phases(joint.cross)
 
     def snapshot(step):
         if observer is not None:
-            observer(step, _synced_joint(phases, k / m, alive))
+            counts = np.array(k)
+            observer(step, _synced_joint(phases, counts / m, counts > 0))
 
     snapshot(0)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     steps = 0
-    left = np.count_nonzero(alive)
-    while left > 1:
+    while len(alive) > 1:
         if steps >= config.max_steps:
             raise MaxStepsExceededError(
                 f"walk not absorbed after {config.max_steps} steps"
             )
-        before = alive
-        k, alive = walk_step(k, alive, rng)  # fresh arrays
+        n = len(alive)
+        a = int(rng.integers(n))
+        b = int(rng.integers(n - 1))
+        b += b >= a
+        src = alive[a]
+        k[src] -= 1
+        k[alive[b]] += 1
         steps += 1
-        if np.count_nonzero(alive) < left:
-            left -= 1  # a step moves one unit, so at most one state dies
-            eliminations.append((int(np.flatnonzero(before & ~alive)[0]), steps))
+        if k[src] == 0:
+            eliminations.append((alive.pop(a), steps))
         snapshot(steps)
-    winner = int(np.flatnonzero(alive)[0])
     return WalkOutcome(
-        winner=winner,
+        winner=alive[0],
         steps_taken=steps,
         elimination_order=tuple(eliminations),
     )
@@ -806,7 +798,7 @@ def _pair_moves(n: int) -> np.ndarray | None:
     """Packed move of every ordered pair among ``n`` alive states, or None
     where the table would pass ``_PAIR_TABLE_BYTES``.
 
-    Row ``src * (n - 1) + draw`` is the pair that ``walk_step`` draws as
+    Row ``src * (n - 1) + draw`` is the pair that ``run_walk`` draws as
     (src, draw): -1 in the source's lane and +1 in the destination's, in
     uint64 arithmetic modulo 2**64.
     """
@@ -866,7 +858,7 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
         batches = _batch_sizes(min(ka), m, n)
         while steps < max_steps:
             batch = next(batches)
-            # uniform ordered (source, destination) pairs, as in walk_step
+            # uniform ordered (source, destination) pairs, as in run_walk
             src = rng.integers(n, size=batch)
             dst = rng.integers(n - 1, size=batch)
             path = _packed_path(n, src, dst)

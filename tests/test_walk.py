@@ -12,7 +12,6 @@ from collapsewalk import (
     DegenerateGridError,
     JointState,
     MaxStepsExceededError,
-    NoAlivePairError,
     WalkConfig,
     born_statistics,
     form_joint,
@@ -20,7 +19,6 @@ from collapsewalk import (
     quantize_weights,
     run_walk,
     trial_rng,
-    walk_step,
 )
 from collapsewalk.walk import (
     _BYTE_DOWN,
@@ -48,6 +46,7 @@ from collapsewalk.walk import (
 )
 
 from chain_oracle import chain_solve
+from step_oracle import walk_step
 
 
 # ---------------------------------------------------------------- quantize
@@ -116,6 +115,14 @@ def test_quantize_caps_resolution_at_2_pow_53():
     for m in (2**53 + 1, 2**60 + 3, 10**20):
         with pytest.raises(ValueError, match="2\\*\\*53"):
             quantize_weights([0.3, 0.7], m)
+
+
+def test_quantize_refuses_non_integer_resolution():
+    """M = 10.5 used to be truncated to a 10-unit grid; numpy ints pass."""
+    for m in (10.5, 10.0, np.float64(10.0), "10"):
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            quantize_weights([0.6, 0.4], m)
+    assert quantize_weights([0.6, 0.4], np.int32(10)).tolist() == [6, 4]
 
 
 def largest_remainder(weights, m):
@@ -232,7 +239,7 @@ def test_quantize_property_counts_sum_to_m_at_any_resolution(w, m):
         assert k.tolist() == before.tolist()
 
 
-# ---------------------------------------------------------------- walk_step
+# ------------------------------------------------ walk_step (step_oracle)
 
 def test_walk_step_from_one_one_forced():
     seen = set()
@@ -269,11 +276,6 @@ def test_walk_step_conserves_total_weight():
         assert np.all(k >= 0)
         if alive.sum() < 2:
             break
-
-
-def test_walk_step_needs_two_alive():
-    with pytest.raises(NoAlivePairError):
-        walk_step(np.array([10, 0]), np.array([True, False]), trial_rng(0, 0))
 
 
 @st.composite
@@ -503,6 +505,64 @@ def test_run_walk_deterministic_per_stream():
     assert a == b
 
 
+def oracle_walk(k, rng, max_steps):
+    """The counts after each step of the oracle's walk from counts ``k``,
+    step 0 included, until one state is left or ``max_steps`` steps."""
+    alive = k > 0
+    seen = [k]
+    while np.count_nonzero(alive) > 1 and len(seen) <= max_steps:
+        k, alive = walk_step(k, alive, rng)
+        seen.append(k)
+    return seen
+
+
+STREAM_CASES = [
+    ([0.6, 0.8], 30),
+    (np.sqrt([0.5, 0.3, 0.2]), 20),
+    (np.sqrt([0.3, 0.25, 0.2, 0.15, 0.1]), 20),
+]
+
+
+@pytest.mark.parametrize("amplitudes, m", STREAM_CASES)
+@pytest.mark.parametrize("spare_half", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_walk_leaves_the_stream_where_the_step_oracle_does(amplitudes, m, spare_half, seed):
+    """A caller's generator ends in the state that stepping the oracle
+    through the same walk leaves, also when it starts holding a spare
+    uint32 half; the snapshots and the outcome match the oracle's walk."""
+    joint = form_joint(normalize(amplitudes))
+    g = np.random.default_rng(seed)
+    if spare_half:
+        g.integers(3)
+        assert g.bit_generator.state["has_uint32"] == 1
+    h = np.random.default_rng()
+    h.bit_generator.state = g.bit_generator.state
+    snaps = []
+    out = run_walk(joint, WalkConfig(grid_resolution=m), rng=g,
+                   observer=lambda step, s: snaps.append(s.weights))
+    seen = oracle_walk(quantize_weights(joint.weights, m), h, 10**6)
+    assert g.bit_generator.state == h.bit_generator.state
+    assert out.steps_taken == len(seen) - 1
+    assert out.winner == int(np.argmax(seen[-1])) and seen[-1].max() == m
+    assert [w.tobytes() for w in snaps] == [(k / m).tobytes() for k in seen]
+
+
+@pytest.mark.parametrize("amplitudes, m", STREAM_CASES)
+def test_run_walk_cap_raises_after_the_oracle_snapshots(amplitudes, m):
+    """A walk capped at 15 steps raises MaxStepsExceededError after the
+    same 16 snapshots and the same draws as the oracle's first 15 steps."""
+    joint = form_joint(normalize(amplitudes))
+    g, h = np.random.default_rng(3), np.random.default_rng(3)
+    snaps = []
+    with pytest.raises(MaxStepsExceededError):
+        run_walk(joint, WalkConfig(grid_resolution=m, max_steps=15), rng=g,
+                 observer=lambda step, s: snaps.append(s.weights))
+    seen = oracle_walk(quantize_weights(joint.weights, m), h, 15)
+    assert len(seen) == 16
+    assert [w.tobytes() for w in snaps] == [(k / m).tobytes() for k in seen]
+    assert g.bit_generator.state == h.bit_generator.state
+
+
 # ------------------------------------------------------------ born_statistics
 
 def test_born_statistics_vertex_start_exact():
@@ -670,6 +730,31 @@ def test_walk_config_defaults():
     assert config.max_steps == 100 * 200**2
     with pytest.raises(ValueError):
         WalkConfig(grid_resolution=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_steps", 2.5),
+    ("max_steps", 2.0),
+    ("grid_resolution", 10.5),
+    ("grid_resolution", np.float64(10.0)),
+    ("grid_resolution", "10"),
+    ("seed", 1.5),
+    ("seed", None),
+])
+def test_walk_config_refuses_non_integers(field, value):
+    """A float cap would never be reached by whole step counts, and a float
+    M or seed fails deep inside the kernels; each is refused up front."""
+    with pytest.raises(ValueError, match=field):
+        WalkConfig(**{"grid_resolution": 10, field: value})
+
+
+def test_walk_config_stores_numpy_ints_as_python_ints():
+    config = WalkConfig(grid_resolution=np.int64(10), max_steps=np.uint32(2), seed=np.int16(3))
+    assert [type(v) for v in (config.grid_resolution, config.max_steps, config.seed)] == [int] * 3
+    assert (config.grid_resolution, config.max_steps, config.seed) == (10, 2, 3)
+    # k = [4, 6] cannot be absorbed in two steps, so every trial hits the cap
+    with pytest.raises(MaxStepsExceededError):
+        born_statistics(normalize([0.6, 0.8]), 10, config)
 
 
 # ------------------------------------------------------------------- kernels
