@@ -36,8 +36,8 @@ class DiffusionParams:
     def __post_init__(self):
         if not 0.0 < self.x0 < 1.0:
             raise ValueError("x0 must lie strictly inside (0, 1)")
-        if not self.diffusion > 0.0:
-            raise ValueError("diffusion constant must be positive")
+        if not 0.0 < self.diffusion < np.inf:
+            raise ValueError("diffusion constant must be finite and positive")
 
 
 def _log_sinh(u):

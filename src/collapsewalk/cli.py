@@ -43,10 +43,9 @@ from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve
 from .errors import (
     AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
 )
-from .states import form_joint, normalize, parse_amplitudes
-from .walk import (
-    WalkConfig, _expected_steps, _zeroed_message, born_statistics, quantize_weights, run_walk
-)
+from .states import normalize, parse_amplitudes
+from .walk import WalkConfig, _expected_steps, _walk_counts, _zeroed_message
+from .walk import born_statistics, quantize_weights
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
@@ -347,7 +346,7 @@ def _run_born(config: RunConfig, diagnostics: dict):
 
 
 def _run_walk(config: RunConfig, diagnostics: dict):
-    state, walk_config, k0 = _walk_inputs(config)
+    _, walk_config, k0 = _walk_inputs(config)
     # E[T] steps, plus the row of step 0
     if _expected_steps(k0) + 1 > WALK_MAX_ROWS:
         raise UsageError(
@@ -357,17 +356,14 @@ def _run_walk(config: RunConfig, diagnostics: dict):
     walk_config = replace(
         walk_config, max_steps=min(walk_config.max_steps, WALK_MAX_ROWS - 1)
     )
-    joint = form_joint(state)
-    trajectory = []
-
-    def observer(step, snapshot):
-        trajectory.append((step, tuple(float(w) for w in snapshot.weights)))
-
-    outcome = run_walk(joint, walk_config, observer=observer)
+    m = walk_config.grid_resolution
+    rows = []
+    outcome = _walk_counts(
+        k0, walk_config, visit=lambda step, k: rows.append((step, *(x / m for x in k)))
+    )
     diagnostics["winner"] = outcome.winner
     diagnostics["steps_taken"] = outcome.steps_taken
-    header = ("step",) + tuple(f"w{i}" for i in range(state.n))
-    rows = [(step,) + weights for step, weights in trajectory]
+    header = ("step",) + tuple(f"w{i}" for i in range(k0.size))
     return header, rows, {
         "winner": outcome.winner,
         "steps_taken": outcome.steps_taken,
@@ -381,8 +377,8 @@ def _run_greens(config: RunConfig, diagnostics: dict):
         params = DiffusionParams(x0=config.x0, diffusion=config.diffusion)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if not config.laplace_s > 0.0:
-        raise UsageError("--laplace-s must be positive")
+    if not 0.0 < config.laplace_s < math.inf:
+        raise UsageError("--laplace-s must be finite and positive")
     xs = _parse_grid(config.x_grid, "x-grid", 0.0, 1.0)
     values = greens_tilde(xs, config.laplace_s, params)
     header = ("x", "value")

@@ -8,10 +8,10 @@ weight equals its start weight (the multi-state gambler's ruin).  A state
 whose weight reaches zero is eliminated permanently; the walk stops when one
 state holds all M units (a simplex vertex).
 
-``run_walk`` is the step-by-step reference engine: over the n alive states
-in index order, a step draws ``a = rng.integers(n)``, then
-``b = rng.integers(n - 1)`` shifted past ``a``, and moves one unit from the
-a-th to the b-th.  ``born_statistics`` runs
+``run_walk`` and the ``walk`` command share one step loop, ``_walk_counts``:
+over the n alive states in index order, a step draws ``a = rng.integers(n)``,
+then ``b = rng.integers(n - 1)`` shifted past ``a``, and moves one unit from
+the a-th to the b-th.  ``born_statistics`` runs
 large trial batches through distribution-identical vectorized kernels.  In
 the two-state kernel each raw uint64 word of the bit generator is 64 steps:
 one pass over a draw takes every word's end position from its popcount, cuts
@@ -222,27 +222,17 @@ def _trial_seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
 
     Row ``t - lo`` equals ``SeedSequence(entropy=seed, spawn_key=(t,))
     .generate_state(4, np.uint64)`` for any seed below 2**128 (WalkConfig
-    holds seeds below 2**64).  The seed's words, padded with zeros to the
-    pool size, make a pool common to every trial; each trial's one or two
-    spawn-key words (two for t >= 2**32) are then mixed into its copy of the
-    pool, all trials at once in uint32 arithmetic.
+    holds seeds below 2**64).  ``SeedSequence(seed).pool``, the mix of the
+    seed's words padded to the pool size, is common to every trial; each
+    trial's one or two spawn-key words (two for t >= 2**32) are then mixed
+    into its copy of the pool, all trials at once in uint32 arithmetic.
     """
-    # the little-endian uint32 words SeedSequence reads from an int
-    run = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    if len(run) > _POOL:
+    if seed >> 32 * _POOL:  # a fifth word would be mixed after the pool
         raise ValueError("seed must be below 2**128")
-    const = _INIT_A
-    pool = []
-    for word in run + [0] * (_POOL - len(run)):
-        word, const = _hashmix(word, const)
-        pool.append(word)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
     index = np.arange(lo, hi, dtype=np.uint64)
-    pool = [np.full(index.size, word, dtype=np.uint32) for word in pool]
+    pool = [np.full(index.size, w, dtype=np.uint32) for w in np.random.SeedSequence(seed).pool]
+    # the hash constant after the pool's 4 hashmix steps and 12 cross mixes
+    const = _INIT_A * pow(_MULT_A, _POOL * _POOL, 1 << 32) & _M32
     low = (index & _M32).astype(np.uint32)
     for dst in range(_POOL):
         word, const = _hashmix(low, const)
@@ -383,27 +373,37 @@ def run_walk(
     Reference engine: each step draws ``a = rng.integers(n)`` and then
     ``b = rng.integers(n - 1)`` over the n alive states in index order,
     shifts ``b`` past ``a`` and moves one unit from the a-th to the b-th.
-    ``observer(step, joint_state)`` is invoked after quantization (step 0)
-    and after every step when provided.  Raises MaxStepsExceededError at the safety cap.  A positive weight that
-    quantizes to zero (allowed at M >= 10 N) gives a RuntimeWarning.
+    ``observer(step, joint_state)``, when given, sees step 0 and every step
+    after it.  Raises MaxStepsExceededError at the safety cap.  A positive
+    weight quantized to zero (allowed at M >= 10 N) gives a RuntimeWarning.
     """
     m = config.grid_resolution
     k0 = quantize_weights(joint.weights, m)
     if zeroed := _zeroed_message(joint.weights, k0, m):
         warnings.warn(zeroed, RuntimeWarning, stacklevel=2)
+    if observer is None:
+        return _walk_counts(k0, config, rng)
+    # the phases come from the input joint at every step, so derive them once
+    phases = _unit_phases(joint.cross)
+
+    def visit(step, k):
+        counts = np.array(k)
+        observer(step, _synced_joint(phases, counts / m, counts > 0))
+
+    return _walk_counts(k0, config, rng, visit)
+
+
+def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda step, k: None):
+    """``run_walk`` from the grid counts ``k0``: its one step loop.
+
+    ``visit(step, k)`` gets the counts as a Python list, which the loop goes
+    on to change, at step 0 and after every step, before the cap check.
+    Without ``rng`` the walk draws from ``default_rng(config.seed)``.
+    """
     k = k0.tolist()
     alive = [i for i, x in enumerate(k) if x > 0]
     eliminations = [(i, 0) for i, x in enumerate(k) if x == 0]
-
-    # the phases come from the input joint at every step, so derive them once
-    phases = None if observer is None else _unit_phases(joint.cross)
-
-    def snapshot(step):
-        if observer is not None:
-            counts = np.array(k)
-            observer(step, _synced_joint(phases, counts / m, counts > 0))
-
-    snapshot(0)
+    visit(0, k)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     steps = 0
@@ -422,7 +422,7 @@ def run_walk(
         steps += 1
         if k[src] == 0:
             eliminations.append((alive.pop(a), steps))
-        snapshot(steps)
+        visit(steps, k)
     return WalkOutcome(
         winner=alive[0],
         steps_taken=steps,

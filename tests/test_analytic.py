@@ -94,6 +94,9 @@ def test_input_validation():
         DiffusionParams(x0=0.0)
     with pytest.raises(ValueError):
         DiffusionParams(x0=0.5, diffusion=-1.0)
+    for diffusion in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DiffusionParams(x0=0.5, diffusion=diffusion)
 
 
 # --------------------------------------------------------- absorption_probs

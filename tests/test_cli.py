@@ -14,11 +14,12 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import collapsewalk
 import collapsewalk.cli
+from collapsewalk import WalkConfig, form_joint, normalize, parse_amplitudes, run_walk
 from collapsewalk.bell import (
     CHUNK_SIZE,
     DetectorSetting,
@@ -100,6 +101,8 @@ _INVALID_ARGV = [
     ["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "1"],
     ["greens", "--x0", "0.5", "--laplace-s", "-1"],
     ["greens", "--x0", "0.5", "--laplace-s", "0"],
+    ["greens", "--x0", "0.5", "--laplace-s", "inf"],
+    ["greens", "--x0", "0.5", "--diffusion", "inf"],
     ["born", "--amplitudes", "1,0"],
     ["born", "--amplitudes", "0,0;0,0"],
     ["c2", "--theta-grid", "nan:nan:1"],
@@ -647,6 +650,57 @@ def test_walk_golden_bytes(amplitudes, m, seed, tmp_path):
     out = tmp_path / "walk.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
+
+
+def test_walk_command_builds_no_joint_state(monkeypatch, tmp_path):
+    """The walk command writes its rows from the step loop's counts: with
+    every snapshot and JointState construction failing, it still writes
+    its golden bytes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk command built a JointState")
+
+    monkeypatch.setattr("collapsewalk.walk._synced_joint", refuse)
+    monkeypatch.setattr("collapsewalk.states.JointState.__post_init__", refuse)
+    (amplitudes, m, seed), (csv_bytes, _) = list(WALK_GOLDEN.items())[1]
+    out = tmp_path / "walk.csv"
+    argv = ["walk", "--amplitudes", amplitudes, "--grid-resolution", m, "--seed", seed]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == csv_bytes
+
+
+_AMPLITUDE = st.just(0.0) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_AMPLITUDE, _AMPLITUDE), min_size=2, max_size=5),
+    m=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_walk_command_walks_as_run_walk(pairs, m, seed):
+    """The walk command's JSON trajectory, winner, step count and
+    elimination order are what run_walk's observer records for the same
+    state, grid and seed, and it writes nothing to stderr; grids the
+    command refuses are skipped."""
+    amplitudes = ";".join(f"{re!r},{im!r}" for re, im in pairs)
+    argv = [f"--amplitudes={amplitudes}", "--grid-resolution", str(m), "--seed", str(seed)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["walk", *argv, "--format", "json"])
+    assume(code != 2)
+    assert (code, stderr.getvalue()) == (0, "")
+    payload = json.loads(stdout.getvalue())
+    snaps = []
+    outcome = run_walk(
+        form_joint(normalize(parse_amplitudes(amplitudes))),
+        WalkConfig(grid_resolution=m, seed=seed),
+        observer=lambda step, s: snaps.append([step, *s.weights.tolist()]),
+    )
+    header = ["step"] + [f"w{i}" for i in range(len(pairs))]
+    assert [[row[key] for key in header] for row in payload["trajectory"]] == snaps
+    assert payload["winner"] == outcome.winner
+    assert payload["steps_taken"] == outcome.steps_taken
+    assert payload["elimination_order"] == [list(e) for e in outcome.elimination_order]
 
 
 def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
