@@ -55,7 +55,7 @@ def greens_tilde(x, s: float, params: DiffusionParams):
     Accepts a scalar or an array of positions.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0.0) | (x_arr > 1.0)):
+    if not np.all((x_arr >= 0.0) & (x_arr <= 1.0)):
         raise ValueError("positions must lie in [0, 1]")
     if not s > 0.0:
         raise ValueError("Laplace variable s must be positive")

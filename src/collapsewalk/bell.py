@@ -79,7 +79,7 @@ def _unit_vector(values) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
         raise ValueError(f"vector must have unit norm, got |v| = {np.linalg.norm(v)!r}")
     v.setflags(write=False)
     return v
@@ -98,8 +98,8 @@ class DetectorSetting:
     def from_vector(cls, values) -> "DetectorSetting":
         v = np.asarray(values, dtype=float)
         norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("cannot orient a detector along the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot orient a detector along a vector of norm {norm!r}")
         return cls(v / norm)
 
     @classmethod
@@ -125,11 +125,11 @@ class ModelConstants:
     residual: float
 
     def __post_init__(self):
-        if abs(self.c1 - C1) > 1e-15:
+        if not abs(self.c1 - C1) <= 1e-15:
             raise ValueError("c1 must equal sqrt(3 / 4 pi)")
-        if self.c2 < 0.0:
-            raise ValueError("c2 must be nonnegative")
-        if self.residual > 1e-8:
+        if not 0.0 <= self.c2 < math.inf:
+            raise ValueError("c2 must be finite and nonnegative")
+        if not self.residual <= 1e-8:
             raise ValueError(f"normalization residual {self.residual!r} above 1e-8")
 
 
@@ -147,9 +147,9 @@ class CorrelationEstimate:
     def __post_init__(self):
         if self.model not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.model!r}")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
-        if abs(self.value) > 1.0 + 3.0 * self.stderr + 1e-9:
+        if not 0.0 <= self.stderr < math.inf:
+            raise ValueError("stderr must be finite and nonnegative")
+        if not abs(self.value) <= 1.0 + 3.0 * self.stderr + 1e-9:
             raise ValueError(
                 f"estimate {self.value!r} outside the physical range by > 3 sigma"
             )
@@ -479,14 +479,12 @@ def _wing_branches(
     return mu, np.where(zero, sign, mu)
 
 
-def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
-    """Constants, per-chunk draws and acceptance rate of n image events.
+def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
+    """n image events for the settings a, b, one CHUNK_SIZE chunk at a time.
 
-    Returns (consts, chunks, acceptance_rate): consts from solve_c2 for the
-    settings a, b; a generator of (dot_a, dot_b, mu_a, mu_b, outcome_a,
-    outcome_b) per CHUNK_SIZE chunk; and acceptance_rate(), accepted /
-    proposed over the overlap term's draws in the chunks consumed so far
-    (1.0 when none was proposed).
+    Yields (dot_a, dot_b, mu_a, mu_b, outcome_a, outcome_b, proposed,
+    accepted) per chunk: the chunk's event arrays, then the overlap term's
+    proposals and acceptances in it.
     """
     if n < 1:
         raise ValueError("need at least one event")
@@ -497,37 +495,26 @@ def _image_event_chunks(a: DetectorSetting, b: DetectorSetting, n: int, rng):
     side = 4.0 * math.pi * c1 * c2
     mass = np.array([c1 * c1 * consts.overlap, side, side, 16.0 * math.pi * c2 * c2])
     edges = np.cumsum(mass / mass.sum())[:-1].tolist()
-    proposed = accepted = 0
-
-    def chunks():
-        nonlocal proposed, accepted
-        for count, sub in _chunks(_as_rng(rng), n):
-            r = sub.random(count)
-            term = (r >= edges[0]).view(np.int8)
-            term += r >= edges[1]
-            term += r >= edges[2]
-            da = np.empty(count)
-            db = np.empty(count)
-            pick = np.flatnonzero(term == 0)
-            da[pick], db[pick], tried, kept = _overlap_term_draws(
-                sub, pick.size, cos_ab, sin_ab, rate
-            )
-            proposed += tried
-            accepted += kept
-            pick = np.flatnonzero(term == 1)
-            da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
-            pick = np.flatnonzero(term == 2)
-            db[pick], da[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
-            pick = np.flatnonzero(term == 3)
-            da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab)
-            mu_a, out_a = _wing_branches(sub, da, c1, c2)
-            mu_b, out_b = _wing_branches(sub, db, c1, c2)
-            yield da, db, mu_a, mu_b, out_a, out_b
-
-    def acceptance_rate():
-        return accepted / proposed if proposed else 1.0
-
-    return consts, chunks(), acceptance_rate
+    for count, sub in _chunks(_as_rng(rng), n):
+        r = sub.random(count)
+        term = (r >= edges[0]).view(np.int8)
+        term += r >= edges[1]
+        term += r >= edges[2]
+        da = np.empty(count)
+        db = np.empty(count)
+        pick = np.flatnonzero(term == 0)
+        da[pick], db[pick], proposed, accepted = _overlap_term_draws(
+            sub, pick.size, cos_ab, sin_ab, rate
+        )
+        pick = np.flatnonzero(term == 1)
+        da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
+        pick = np.flatnonzero(term == 2)
+        db[pick], da[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
+        pick = np.flatnonzero(term == 3)
+        da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab)
+        mu_a, out_a = _wing_branches(sub, da, c1, c2)
+        mu_b, out_b = _wing_branches(sub, db, c1, c2)
+        yield da, db, mu_a, mu_b, out_a, out_b, proposed, accepted
 
 
 def sample_image_events(
@@ -554,12 +541,12 @@ def sample_image_events(
     after ten chunks' worth of proposals) cannot happen for valid constants
     and raises RejectionStallError.
     """
-    consts, chunks, acceptance_rate = _image_event_chunks(a, b, n, rng)
-    parts = list(chunks)
+    *columns, proposed, accepted = zip(*_image_events(a, b, n, rng))
+    proposed, accepted = sum(proposed), sum(accepted)
     return ImageEventBatch(
-        *(np.concatenate(column) for column in zip(*parts)),
-        acceptance_rate=acceptance_rate(),
-        constants=consts,
+        *(np.concatenate(column) for column in columns),
+        acceptance_rate=accepted / proposed if proposed else 1.0,
+        constants=solve_c2(angle_between(a, b)),
     )
 
 
@@ -597,9 +584,13 @@ def image_correlation_event(
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    _, chunks, acceptance_rate = _image_event_chunks(a, b, n, rng)
-    total = sum(_outcome_sum(events[4], events[5]) for events in chunks)
-    return _sign_estimate(total, n, "image-event", convention, acceptance_rate())
+    total = proposed = accepted = 0
+    for *_, out_a, out_b, tried, kept in _image_events(a, b, n, rng):
+        total += _outcome_sum(out_a, out_b)
+        proposed += tried
+        accepted += kept
+    rate = accepted / proposed if proposed else 1.0
+    return _sign_estimate(total, n, "image-event", convention, rate)
 
 
 def correlation_estimate(

@@ -343,10 +343,13 @@ def _exact_largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
 
 
 def _unit_phases(cross) -> np.ndarray:
-    """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0."""
+    """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0 or the quotient is not
+    finite (a subnormal kappa_ij, whose state has weight zero)."""
     mag = np.abs(cross)
     safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, cross / safe, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = cross / safe
+    return np.where((mag > 0) & np.isfinite(unit), unit, 0.0)
 
 
 def _synced_joint(phases, w, alive) -> JointState:

@@ -88,6 +88,9 @@ def test_overflowing_ratio_raises():
 def test_input_validation():
     with pytest.raises(ValueError):
         greens_tilde(1.5, 1.0, DiffusionParams(x0=0.5))
+    for x in (np.nan, [0.2, np.nan], np.inf):
+        with pytest.raises(ValueError, match="positions"):
+            greens_tilde(x, 1.0, DiffusionParams(x0=0.5))
     with pytest.raises(ValueError):
         greens_tilde(0.5, 0.0, DiffusionParams(x0=0.5))
     with pytest.raises(ValueError):

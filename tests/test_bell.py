@@ -260,6 +260,18 @@ def test_estimators_refuse_fewer_than_two_events():
     assert image_correlation_event(a, b, 2, np.random.default_rng(1)).n == 2
 
 
+def test_image_entry_points_refuse_no_events_before_drawing():
+    """n = 0 is refused before any draw: the caller's generator is left as
+    it was, although the events come from a generator run only on use."""
+    a, b = setting(0), setting(45)
+    for sample in (sample_image_events, image_correlation_event):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample(a, b, 0, rng)
+        assert rng.bit_generator.state == state
+
+
 def test_bell_sign_matches_linear_curve():
     rng = np.random.default_rng(6)
     for deg in (30, 90, 150):
@@ -331,6 +343,15 @@ def test_model_constants_validation():
         ModelConstants(c1=C1, c2=-0.1, theta=0.0, overlap=4.0, residual=0.0)
     with pytest.raises(ValueError):
         ModelConstants(c1=C1, c2=0.0, theta=0.0, overlap=4.0, residual=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_constants_refuse_non_finite(bad):
+    for field in ("c1", "c2", "residual"):
+        values = dict(c1=C1, c2=0.0, theta=0.0, overlap=4.0, residual=0.0)
+        values[field] = bad
+        with pytest.raises(ValueError):
+            ModelConstants(**values)
 
 
 # ------------------------------------------------------ image model, analytic
@@ -649,6 +670,13 @@ def test_correlation_estimate_validation():
         CorrelationEstimate(value=0.5, stderr=0.0, n=10, model="nonsense")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_correlation_estimate_refuses_non_finite(bad):
+    for value, stderr in ((bad, 0.0), (0.5, bad), (bad, bad)):
+        with pytest.raises(ValueError):
+            CorrelationEstimate(value, stderr, 3, "quantum")
+
+
 def test_inequality_report_consistency():
     """The report derives each margin and flag from its own fields: n is the
     fewest events among the estimates, and a flag needs the bound passed by
@@ -714,6 +742,20 @@ def test_detector_settings_validate():
         DetectorSetting(np.array([1.0, 1.0, 0.0]))
     unit = DetectorSetting.from_vector([2.0, 0.0, 0.0])
     assert np.allclose(unit.direction, [1, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_detector_settings_refuse_non_finite(bad):
+    """A non-finite direction is refused, not passed on to the estimators,
+    where the sign model read it as a number."""
+    for make in (
+        lambda: DetectorSetting([bad, 0.0, 0.0]),
+        lambda: DetectorSetting([1.0, bad, 0.0]),
+        lambda: DetectorSetting.from_vector([bad, 1.0, 0.0]),
+        lambda: DetectorSetting.from_plane_angle_degrees(bad),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_correlation_estimate_dispatcher():

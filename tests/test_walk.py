@@ -408,6 +408,30 @@ def test_observer_snapshots_match_reference_formula():
         assert np.count_nonzero(alive) == 1
 
 
+def test_observed_walk_on_subnormal_cross_terms_is_quiet():
+    """A zero-weight state whose cross terms are subnormal: kappa / |kappa|
+    overflows there, yet the observed walk warns of nothing and its snapshots
+    equal the reference formula bit for bit."""
+    joint = form_joint(normalize([1e-310, 1.0, 1.0]))
+    m = 4
+    snaps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_walk(joint, WalkConfig(grid_resolution=m, seed=1),
+                 observer=lambda step, s: snaps.append(s))
+    k = quantize_weights(joint.weights, m)
+    alive = k > 0
+    rng = np.random.default_rng(1)
+    for step, snap in enumerate(snaps):
+        if step:
+            k, alive = walk_step(k, alive, rng)
+        with np.errstate(all="ignore"):
+            expect = reference_sync(joint.cross, k / m, alive)
+        for got, want in zip((snap.weights, snap.cross, snap.alive), expect):
+            assert_same_bits(got, want)
+    assert len(snaps) > 1 and np.count_nonzero(alive) == 1
+
+
 def test_synced_joint_matches_reference_formula():
     """Weights with and without freshly dead states, on joints with dead
     states and a nonzero (unused) real diagonal."""
