@@ -62,6 +62,7 @@ laws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,10 @@ class ModelConstants:
             raise ValueError("c1 must equal sqrt(3 / 4 pi)")
         if not 0.0 <= self.c2 < math.inf:
             raise ValueError("c2 must be finite and nonnegative")
+        if not 0.0 <= self.theta <= math.pi + 1e-12:  # the range overlap_integral takes
+            raise ValueError("theta must lie in [0, pi]")
+        if not 0.0 <= self.overlap < math.inf:
+            raise ValueError("overlap must be finite and nonnegative")
         if not self.residual <= 1e-8:
             raise ValueError(f"normalization residual {self.residual!r} above 1e-8")
 
@@ -149,6 +154,10 @@ class CorrelationEstimate:
             raise ValueError(f"unknown model tag {self.model!r}")
         if not 0.0 <= self.stderr < math.inf:
             raise ValueError("stderr must be finite and nonnegative")
+        if operator.index(self.n) < 0:
+            raise ValueError("n must be nonnegative")
+        if self.acceptance_rate is not None and not 0.0 < self.acceptance_rate <= 1.0:
+            raise ValueError("acceptance_rate must lie in (0, 1]")
         if not abs(self.value) <= 1.0 + 3.0 * self.stderr + 1e-9:
             raise ValueError(
                 f"estimate {self.value!r} outside the physical range by > 3 sigma"

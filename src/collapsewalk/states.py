@@ -54,6 +54,51 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
+def _check_joint(w, k, al):
+    """JointState's value checks over stacks: weights and alive (..., N),
+    cross (..., N, N).  Raises the error of the first row that fails one,
+    with the message that row alone gives.
+
+    A nan or infinite entry fails one of the first three checks (it makes
+    the sum or the Hermitian residual non-finite), and each of them first
+    looks for one, so non-finite input always gets that one message.
+    """
+    n = w.shape[-1]
+    total = w.sum(axis=-1)
+    # a row that fails may give nan or inf here; it fails below all the same
+    with np.errstate(invalid="ignore", over="ignore"):
+        skew = np.abs(k - np.swapaxes(k, -1, -2).conj())
+        gap = np.abs(np.abs(k) - np.sqrt(w[..., :, None] * w[..., None, :]))
+    gap.reshape(*w.shape[:-1], n * n)[..., :: n + 1] = 0.0  # the diagonal is unused
+    dead = ~al
+    any_dead = dead.any()
+    if any_dead:
+        rim = dead[..., :, None] | dead[..., None, :]  # the rows and columns of dead states
+        gap[rim] = 0.0
+    bad = (w.min(axis=-1) < 0) | ~(abs(total - 1.0) <= NORM_TOL)
+    bad |= ~(np.maximum(skew, gap).max(axis=(-2, -1)) <= NORM_TOL)
+    failed = bad
+    if any_dead:
+        failed = bad | np.where(dead, w, 0.0).any(axis=-1)
+        failed |= np.where(rim, k, 0.0).any(axis=(-2, -1))
+    if not failed.any():
+        return
+    r = np.unravel_index(np.argmax(failed), np.shape(failed))  # the first failing row
+    w, k, total = w[r], k[r], total[r]
+    if bad[r]:
+        _require_finite(w, k)
+        if w.min() < 0:
+            raise ValueError("weights must be nonnegative")
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        if skew[r].max() > NORM_TOL:
+            raise ValueError("cross terms must be Hermitian")
+        raise ValueError("|cross_ij| must equal sqrt(w_i w_j) for alive pairs")
+    if w[dead[r]].any():
+        raise ValueError("dead states must carry zero weight")
+    raise ValueError("dead states must have zero cross terms")
+
+
 @dataclass(frozen=True)
 class JointState:
     """Coupled system-detector state: simplex weights plus spectator cross terms.
@@ -77,35 +122,7 @@ class JointState:
             raise TooFewStatesError("need at least 2 states")
         if k.shape != (n, n) or al.shape != (n,):
             raise ValueError("weights, cross and alive have inconsistent shapes")
-        # A nan or infinite entry fails one of the checks below (it makes the
-        # sum or the Hermitian residual non-finite), and every failure first
-        # looks for one, so non-finite input always gets that one message.
-        if w.min() < 0:
-            _require_finite(w, k)
-            raise ValueError("weights must be nonnegative")
-        total = w.sum()
-        if not abs(total - 1.0) <= NORM_TOL:
-            _require_finite(w, k)
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        with np.errstate(invalid="ignore"):  # inf - inf: nan, which fails below
-            skew = np.abs(k - k.conj().T)
-        gap = np.abs(np.abs(k) - np.sqrt(w[:, None] * w))
-        gap.flat[:: n + 1] = 0.0  # the diagonal is unused
-        any_dead = np.count_nonzero(al) < n
-        if any_dead:
-            dead = ~al
-            rim = dead[:, None] | dead  # the rows and columns of dead states
-            gap[rim] = 0.0
-        if not np.maximum(skew, gap).max() <= NORM_TOL:
-            _require_finite(w, k)
-            if skew.max() > NORM_TOL:
-                raise ValueError("cross terms must be Hermitian")
-            raise ValueError("|cross_ij| must equal sqrt(w_i w_j) for alive pairs")
-        if any_dead:
-            if w[dead].any():
-                raise ValueError("dead states must carry zero weight")
-            if k[rim].any():
-                raise ValueError("dead states must have zero cross terms")
+        _check_joint(w, k, al)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cross", k)
         object.__setattr__(self, "alive", al)
@@ -113,6 +130,19 @@ class JointState:
     @property
     def n(self) -> int:
         return self.weights.size
+
+
+def _joint_rows(weights, cross, alive):
+    """One JointState per row of the stacks weights and alive (rows, N) and
+    cross (rows, N, N), all checked at once by JointState's checks; the
+    stacks become read-only and each state holds row views of them."""
+    _check_joint(weights, cross, alive)
+    for arr in (weights, cross, alive):
+        arr.setflags(write=False)
+    for w, k, al in zip(weights, cross, alive):
+        joint = object.__new__(JointState)
+        joint.__dict__.update(weights=w, cross=k, alive=al)  # frozen: set past __setattr__
+        yield joint
 
 
 def normalize(raw) -> QuantumState:

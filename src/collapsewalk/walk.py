@@ -55,7 +55,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateGridError, MaxStepsExceededError
-from .states import JointState, QuantumState
+from .states import JointState, QuantumState, _joint_rows
 
 # numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
 # the 4-word entropy pool, and the pool words hashed into the output state
@@ -85,6 +85,7 @@ _LANE_SHIFTS = np.arange(0, 48, 16, dtype=np.uint64)
 _LANE_UNITS = np.uint64(1) << _LANE_SHIFTS
 _LANE_PAD = np.uint64(_LANE_TOP << 48)  # the unused fourth lane
 _ROUND_BYTES = 1 << 17  # raw words of one sub-block of a round
+_SNAPSHOT_BYTES = 1 << 18  # cross terms of one block of observed snapshots
 
 
 def _byte_tables():
@@ -352,17 +353,23 @@ def _unit_phases(cross) -> np.ndarray:
     return np.where((mag > 0) & np.isfinite(unit), unit, 0.0)
 
 
+def _synced_joints(phases, w, alive):
+    """The joint states with weights ``w`` (zero at dead states) and
+    |kappa_ij| = sqrt(w_i w_j) on the given unit phases, one per row of the
+    (rows, N) stacks ``w`` and ``alive``; the diagonal and the rows and
+    columns of dead states are zero.  The rows are checked all at once."""
+    n = w.shape[1]
+    kappa = phases * np.sqrt(w[:, :, None] * w[:, None, :])
+    dead = ~alive
+    kappa[dead[:, :, None] | dead[:, None, :]] = 0.0
+    kappa[:, range(n), range(n)] = 0.0
+    return _joint_rows(w, kappa, alive)
+
+
 def _synced_joint(phases, w, alive) -> JointState:
-    """The joint state with weights ``w`` (zero at dead states) and
-    |kappa_ij| = sqrt(w_i w_j) on the given unit phases; the diagonal and the
-    rows and columns of dead states are zero."""
-    n = w.size
-    kappa = phases * np.sqrt(w[:, None] * w)
-    if np.count_nonzero(alive) < n:
-        dead = ~alive
-        kappa[dead[:, None] | dead] = 0.0
-    kappa.flat[:: n + 1] = 0.0
-    return JointState(weights=w, cross=kappa, alive=alive)
+    """The one-row case of ``_synced_joints``."""
+    w, alive = np.array(w, float)[None], np.array(alive, bool)[None]
+    return next(_synced_joints(phases, w, alive))
 
 
 def run_walk(
@@ -377,8 +384,13 @@ def run_walk(
     ``b = rng.integers(n - 1)`` over the n alive states in index order,
     shifts ``b`` past ``a`` and moves one unit from the a-th to the b-th.
     ``observer(step, joint_state)``, when given, sees step 0 and every step
-    after it.  Raises MaxStepsExceededError at the safety cap.  A positive
-    weight quantized to zero (allowed at M >= 10 N) gives a RuntimeWarning.
+    after it, in order.  The snapshots come in blocks of at most 256 KiB of
+    cross terms (at least one step), each checked as one, after the block's
+    steps are drawn: if the observer raises at step j, no later snapshot is
+    delivered, but ``rng`` may be up to one block past step j.  Raises
+    MaxStepsExceededError at the safety cap, once the steps walked before it
+    are delivered.  A positive weight quantized to zero (allowed at
+    M >= 10 N) gives a RuntimeWarning.
     """
     m = config.grid_resolution
     k0 = quantize_weights(joint.weights, m)
@@ -388,12 +400,30 @@ def run_walk(
         return _walk_counts(k0, config, rng)
     # the phases come from the input joint at every step, so derive them once
     phases = _unit_phases(joint.cross)
+    block = max(1, _SNAPSHOT_BYTES // (16 * k0.size**2))
+    rows = []
+
+    def deliver(last):
+        if not rows:
+            return
+        counts = np.array(rows)
+        rows.clear()
+        snaps = _synced_joints(phases, counts / m, counts > 0)
+        for step, snap in enumerate(snaps, last + 1 - len(counts)):
+            observer(step, snap)
 
     def visit(step, k):
-        counts = np.array(k)
-        observer(step, _synced_joint(phases, counts / m, counts > 0))
+        rows.append(k.copy())
+        if len(rows) == block:
+            deliver(step)
 
-    return _walk_counts(k0, config, rng, visit)
+    try:
+        outcome = _walk_counts(k0, config, rng, visit)
+    except MaxStepsExceededError:
+        deliver(config.max_steps)
+        raise
+    deliver(outcome.steps_taken)
+    return outcome
 
 
 def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda step, k: None):

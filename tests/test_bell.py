@@ -354,6 +354,22 @@ def test_model_constants_refuse_non_finite(bad):
             ModelConstants(**values)
 
 
+def test_model_constants_refuse_theta_outside_overlap_range():
+    """theta must lie where overlap_integral is defined, nan refused; the
+    constants solve_c2 builds on every whole degree pass."""
+    for theta in (-1e-9, math.pi + 1e-9, math.nan, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            ModelConstants(c1=C1, c2=0.0, theta=theta, overlap=4.0, residual=0.0)
+    for deg in range(181):
+        assert solve_c2(math.radians(deg)).theta == math.radians(deg)
+
+
+def test_model_constants_refuse_bad_overlap():
+    for overlap in (-5.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="overlap"):
+            ModelConstants(c1=C1, c2=0.0, theta=0.0, overlap=overlap, residual=0.0)
+
+
 # ------------------------------------------------------ image model, analytic
 
 def test_image_quadrature_equals_cosine():
@@ -675,6 +691,26 @@ def test_correlation_estimate_refuses_non_finite(bad):
     for value, stderr in ((bad, 0.0), (0.5, bad), (bad, bad)):
         with pytest.raises(ValueError):
             CorrelationEstimate(value, stderr, 3, "quantum")
+
+
+def test_correlation_estimate_refuses_bad_n():
+    """n is a nonnegative integer; the analytic models pass 0."""
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="n must"):
+            CorrelationEstimate(0.5, 0.1, n, "quantum")
+    for n in (2.5, math.nan, "3", None):
+        with pytest.raises(TypeError):
+            CorrelationEstimate(0.5, 0.1, n, "quantum")
+    assert CorrelationEstimate(0.5, 0.0, 0, "quantum").n == 0
+    assert CorrelationEstimate(0.5, 0.1, np.int64(7), "bell-sign").n == 7
+
+
+def test_correlation_estimate_refuses_bad_acceptance_rate():
+    for rate in (0.0, -0.1, 1.0 + 1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="acceptance_rate"):
+            CorrelationEstimate(0.5, 0.1, 3, "image-event", acceptance_rate=rate)
+    for rate in (None, 1e-9, 0.5, 1.0):
+        CorrelationEstimate(0.5, 0.1, 3, "image-event", acceptance_rate=rate)
 
 
 def test_inequality_report_consistency():

@@ -659,7 +659,7 @@ def test_walk_command_builds_no_joint_state(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("the walk command built a JointState")
 
-    monkeypatch.setattr("collapsewalk.walk._synced_joint", refuse)
+    monkeypatch.setattr("collapsewalk.walk._synced_joints", refuse)
     monkeypatch.setattr("collapsewalk.states.JointState.__post_init__", refuse)
     (amplitudes, m, seed), (csv_bytes, _) = list(WALK_GOLDEN.items())[1]
     out = tmp_path / "walk.csv"
@@ -671,12 +671,14 @@ def test_walk_command_builds_no_joint_state(monkeypatch, tmp_path):
 _AMPLITUDE = st.just(0.0) | st.floats(-1.0, 1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     pairs=st.lists(st.tuples(_AMPLITUDE, _AMPLITUDE), min_size=2, max_size=5),
     m=st.integers(2, 40),
     seed=st.integers(0, 2**64 - 1),
 )
+@example(pairs=[(0.0, 0.0), (0.6, 0.0), (0.0, 0.8)], m=20, seed=0)
+@example(pairs=[(1e-310, 0.0), (1.0, 0.0), (1.0, 0.0)], m=4, seed=1)
 def test_walk_command_walks_as_run_walk(pairs, m, seed):
     """The walk command's JSON trajectory, winner, step count and
     elimination order are what run_walk's observer records for the same
@@ -1039,8 +1041,13 @@ def _cli_run(draw):
 _PEAK_BUDGET = 8 << 20  # bytes of traced Python and numpy allocations per run
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(run=_cli_run(), out=st.booleans())
+@example(
+    run=(["walk", "--amplitudes", "1,0;1,0", "--grid-resolution", "100", "--max-steps", "10"],
+         None),
+    out=True,
+)
 @example(
     run=(["bell", "--model", "quantum", "--theta-grid", "0:90:45", "--seed=-1"], None),
     out=True,

@@ -196,9 +196,10 @@ SIZES = (3e-13, 9e-13, 1.1e-12, 3e-12, 1e-9, 1e-3, 0.5)
 
 
 @st.composite
-def joint_inputs(draw):
-    """A valid (weights, cross, alive), then at most one corruption."""
-    n = draw(st.integers(2, 6))
+def joint_inputs(draw, n=None):
+    """A valid (weights, cross, alive) of n states (by default 2 to 6), then
+    at most one corruption."""
+    n = draw(st.integers(2, 6)) if n is None else n
     alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     alive[draw(st.integers(0, n - 1))] = True
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))

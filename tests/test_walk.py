@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from collapsewalk.states import _check_joint
 from collapsewalk import (
     DegenerateGridError,
     JointState,
@@ -34,6 +35,7 @@ from collapsewalk.walk import (
     _multi_first_phase,
     _pair_moves,
     _SeedWords,
+    _SNAPSHOT_BYTES,
     _synced_joint,
     _three_state_rounds,
     _trial_rngs,
@@ -47,6 +49,7 @@ from collapsewalk.walk import (
 
 from chain_oracle import chain_solve
 from step_oracle import walk_step
+from test_states import joint_inputs
 
 
 # ---------------------------------------------------------------- quantize
@@ -585,6 +588,118 @@ def test_run_walk_cap_raises_after_the_oracle_snapshots(amplitudes, m):
     assert len(seen) == 16
     assert [w.tobytes() for w in snaps] == [(k / m).tobytes() for k in seen]
     assert g.bit_generator.state == h.bit_generator.state
+
+
+# --------------------------------------------------------- snapshot blocks
+
+def test_observed_snapshots_pass_the_public_constructor_and_are_read_only():
+    """Every snapshot of 40 observed walks over 2 to 6 states, some of zero
+    weight, goes back through JointState unchanged, and none of its arrays
+    can be written."""
+    gen = np.random.default_rng(62)
+    for walk in range(40):
+        n = int(gen.integers(2, 7))
+        raw = gen.normal(size=n) * np.exp(1j * gen.uniform(-np.pi, np.pi, n))
+        raw[gen.random(n) < 0.25] = 0.0
+        raw[0] = raw[0] or 1.0
+        snaps = []
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "positive weights", RuntimeWarning)
+            run_walk(form_joint(normalize(raw)), WalkConfig(grid_resolution=10 * n, seed=walk),
+                     observer=lambda step, s: snaps.append(s))
+        for snap in snaps:
+            arrays = (snap.weights, snap.cross, snap.alive)
+            again = JointState(*arrays)
+            for got, want in zip((again.weights, again.cross, again.alive), arrays):
+                assert_same_bits(got, want)
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+
+
+def test_observed_walk_over_many_blocks_matches_reference_formula():
+    """A walk of five blocks of snapshots equals the reference formula bit for
+    bit at every step; capped in the middle of its third block, it delivers
+    the same snapshots through the cap before it raises."""
+    joint = form_joint(normalize(np.sqrt([0.5, 0.3, 0.2]) * np.exp([0.3j, -1.2j, 2.5j])))
+    m, seed = 150, 2
+    block = _SNAPSHOT_BYTES // (16 * 3 * 3)
+    snaps = []
+    run_walk(joint, WalkConfig(grid_resolution=m, seed=seed),
+             observer=lambda step, s: snaps.append((step, s)))
+    seen = oracle_walk(quantize_weights(joint.weights, m), np.random.default_rng(seed), 10**6)
+    assert len(seen) > 4 * block
+    assert [step for step, _ in snaps] == list(range(len(seen)))
+    for (_, snap), k in zip(snaps, seen):
+        expect = reference_sync(joint.cross, k / m, k > 0)
+        for got, want in zip((snap.weights, snap.cross, snap.alive), expect):
+            assert_same_bits(got, want)
+    cap = 2 * block + block // 2
+    capped = []
+    with pytest.raises(MaxStepsExceededError):
+        run_walk(joint, WalkConfig(grid_resolution=m, seed=seed, max_steps=cap),
+                 observer=lambda step, s: capped.append((step, s)))
+    assert [step for step, _ in capped] == list(range(cap + 1))
+    for (_, got), (_, want) in zip(capped, snaps):
+        for a, b in zip((got.weights, got.cross, got.alive), (want.weights, want.cross, want.alive)):
+            assert_same_bits(a, b)
+
+
+@st.composite
+def joint_stacks(draw):
+    """One to four (weights, cross, alive) of one size, each valid or with
+    one corruption."""
+    n = draw(st.integers(2, 6))
+    return draw(st.lists(joint_inputs(n), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=joint_stacks())
+def test_stack_check_refuses_as_the_first_refusing_row(rows):
+    """The check over a stack refuses exactly when the constructor refuses
+    some row, with the first such row's message."""
+    verdicts = []
+    for row in rows:
+        try:
+            JointState(*row)
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    stacks = (np.array(column) for column in zip(*rows))
+    try:
+        _check_joint(*stacks)
+    except ValueError as exc:
+        assert verdicts[:1] == [str(exc)]
+    else:
+        assert verdicts == []
+
+
+class Halt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [Halt, MaxStepsExceededError])
+def test_observer_error_stops_the_snapshots(error):
+    """An observer that raises at step j, at and around block edges and in
+    the last block: that exception propagates unchanged, and no snapshot
+    after step j is delivered."""
+    joint = form_joint(normalize([0.6, 0.8]))
+    config = WalkConfig(grid_resolution=300, seed=2)
+    block = _SNAPSHOT_BYTES // (16 * 2 * 2)
+    last = run_walk(joint, config).steps_taken
+    assert 2 * block < last < 3 * block
+    for j in (0, 7, block - 1, block, block + 1, 2 * block, last):
+        exc = error(f"stop at {j}")
+        seen = []
+
+        def observer(step, snap):
+            seen.append(step)
+            if step == j:
+                raise exc
+
+        with pytest.raises(error) as info:
+            run_walk(joint, config, observer=observer)
+        assert info.value is exc
+        assert seen == list(range(j + 1))
 
 
 # ------------------------------------------------------------ born_statistics
