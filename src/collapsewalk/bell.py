@@ -42,13 +42,14 @@ uniform in the unit disc and no trigonometry (see ``_dot_pairs``):
   projection is uniform in the disc, a.lam = +-sqrt(1 - s) with a fair sign,
   and the in-plane normal part is q.
 
-The image density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
-mixture of its four terms (the composition method): the |.| and constant
-terms are drawn directly, and only the overlap term c1^2 |a.lam||b.lam|
-needs rejection.  Its proposals come from the density |a.lam| / 2 pi and
-are kept with probability |b.lam|, so the acceptance is exactly
-integral |a.lam||b.lam| dOmega / 2 pi = I(theta) / 2 pi >= 0.42.  The
-disc's own rejection step only makes each proposal and is not counted.
+The image density, a product over the wings of c1 |setting.lam| [mu = 0] +
+c2 [mu = +-1], is sampled as a mixture of its four terms (the composition
+method; Devroye 1986, II.4).  Each term is one (mu_A, mu_B) class cell, so
+the term that draws lam fixes which branches are 0; each +-1 branch is a
+fair coin.  Only the overlap term c1^2 |a.lam||b.lam| needs rejection: its
+proposals come from the density |a.lam| / 2 pi and are kept with
+probability |b.lam|, so the acceptance is exactly I(theta) / 2 pi >= 0.42
+(the disc's own rejection only makes proposals and is not counted).
 Image-event batches and estimates carry this rate as ``acceptance_rate``.
 
 Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
@@ -430,6 +431,18 @@ class ImageEventBatch:
     acceptance_rate: float
     constants: ModelConstants
 
+    def __post_init__(self):
+        # O(1) checks only, so a batch of any size costs no scan
+        events = (getattr(self.dot_a, "size", None),)
+        for name in ("dot_a", "dot_b", "mu_a", "mu_b", "outcome_a", "outcome_b"):
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.shape == events):
+                raise ValueError(f"{name} must be a 1-D array as long as dot_a")
+        if not 0.0 < self.acceptance_rate <= 1.0:
+            raise ValueError("acceptance_rate must lie in (0, 1]")
+        if not isinstance(self.constants, ModelConstants):
+            raise ValueError("constants must be a ModelConstants")
+
 
 def _overlap_term_draws(
     sub: np.random.Generator, need: int, cos_ab: float, sin_ab: float, rate: float
@@ -462,30 +475,18 @@ def _overlap_term_draws(
     return np.concatenate(us), np.concatenate(vs), proposed, accepted
 
 
-def _wing_branches(
-    sub: np.random.Generator, dot: np.ndarray, c1: float, c2: float
-):
-    """mu and outcome of one wing given setting.lam for each event.
-
-    mu is 0 with probability c1 |dot| / (c1 |dot| + 2 c2), else +-1
-    equiprobably; the outcome is sign(dot) on the mu = 0 branch and mu
-    itself otherwise.  One uniform per event: with w = c1 |dot| and
-    x = U (w + 2 c2), mu is 0 for x < w, +1 for x < w + c2 and -1 otherwise.
-    Given mu != 0, x is uniform on [w, w + 2 c2), so +-1 stay equiprobable
-    and independent of dot.  mu = 0 needs x < w, hence dot != 0, so the
-    sign bit of dot gives sign(dot) there.
+def _wing(sub: np.random.Generator, dot: np.ndarray, noisy: np.ndarray):
+    """mu and outcome of one wing: mu is a fair +-1 coin at the noisy indices
+    and 0 elsewhere; the outcome is mu, or sign(dot) where mu = 0.  There the
+    term that drew the event carries |dot|, so dot != 0 and its sign bit is
+    sign(dot).
     """
-    weight = c1 * np.abs(dot)
-    x = sub.random(dot.size)
-    x *= weight + 2.0 * c2
-    zero = x < weight
-    weight += c2
-    plus = x < weight
-    mu = plus.view(np.int8) * np.int8(2)
-    mu -= np.int8(1)
-    mu -= zero.view(np.int8)
-    sign = np.int8(1) - np.int8(2) * np.signbit(dot).view(np.int8)
-    return mu, np.where(zero, sign, mu)
+    coins = np.int8(1) - np.int8(2) * (sub.random(noisy.size) < 0.5).view(np.int8)
+    mu = np.zeros(dot.size, np.int8)
+    mu[noisy] = coins
+    out = np.int8(1) - np.int8(2) * np.signbit(dot).view(np.int8)
+    out[noisy] = coins
+    return mu, out
 
 
 def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
@@ -515,14 +516,16 @@ def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
         da[pick], db[pick], proposed, accepted = _overlap_term_draws(
             sub, pick.size, cos_ab, sin_ab, rate
         )
-        pick = np.flatnonzero(term == 1)
-        da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
-        pick = np.flatnonzero(term == 2)
-        db[pick], da[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab, tilted=True)
+        # one tilted draw for terms 1 and 2: about a for term 1, about b for term 2
+        one, two = np.flatnonzero(term == 1), np.flatnonzero(term == 2)
+        u, v = _dot_pairs(sub, one.size + two.size, cos_ab, sin_ab, tilted=True)
+        da[one], db[one] = u[: one.size], v[: one.size]
+        db[two], da[two] = u[one.size :], v[one.size :]
         pick = np.flatnonzero(term == 3)
         da[pick], db[pick] = _dot_pairs(sub, pick.size, cos_ab, sin_ab)
-        mu_a, out_a = _wing_branches(sub, da, c1, c2)
-        mu_b, out_b = _wing_branches(sub, db, c1, c2)
+        # mu_a is +-1 for terms 2 and 3, mu_b for terms 1 and 3
+        mu_a, out_a = _wing(sub, da, np.flatnonzero(term >= 2))
+        mu_b, out_b = _wing(sub, db, np.flatnonzero(term & 1))
         yield da, db, mu_a, mu_b, out_a, out_b, proposed, accepted
 
 
@@ -531,18 +534,14 @@ def sample_image_events(
 ) -> ImageEventBatch:
     """Draw n local events (lam, mu^A, mu^B) from the joint image density.
 
-    The lam density (c1 |a.lam| + 2 c2)(c1 |b.lam| + 2 c2) is sampled as a
-    mixture of its four terms, with weights equal to their masses:
-    c1^2 I(theta) for c1^2 |a.lam||b.lam|, 4 pi c1 c2 for each of
-    2 c1 c2 |a.lam| and 2 c1 c2 |b.lam|, and 16 pi c2^2 for the constant
-    4 c2^2 (they sum to one, which is the equation solve_c2 solves).  Each
-    event is drawn as its pair (a.lam, b.lam) in the plane of the settings;
-    the |.| terms and the constant term are drawn directly, and the overlap
-    term is drawn tilted about a and kept with probability |b.lam|.
-    Each mu is then 0 with probability c1 |setting.lam| /
-    (c1 |setting.lam| + 2 c2), else +-1 equiprobably.  Outcomes are
-    sign(setting.lam) on the mu = 0 branch and mu itself otherwise.
-    dot_a and dot_b hold the projections; lam itself is never formed.
+    The density is sampled as a mixture of its four terms, with weights equal
+    to their masses: c1^2 I(theta) for c1^2 |a.lam||b.lam| (mu^A = mu^B = 0),
+    4 pi c1 c2 for 2 c1 c2 |a.lam| (mu^A = 0, mu^B = +-1) and for
+    2 c1 c2 |b.lam| (mu^A = +-1, mu^B = 0), and 16 pi c2^2 for the constant
+    4 c2^2 (both +-1); they sum to one, which is the equation solve_c2
+    solves.  Each +-1 branch is a fair coin.  Outcomes are sign(setting.lam)
+    on the mu = 0 branch and mu itself otherwise.  dot_a and dot_b hold the
+    projections, drawn in the plane of the settings; lam is never formed.
 
     ``acceptance_rate`` is accepted / proposed for the overlap term; its
     exact value is I(theta) / 2 pi, between 0.42 and 0.67 for every theta

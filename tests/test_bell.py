@@ -9,6 +9,7 @@ from collapsewalk import (
     C1,
     CorrelationEstimate,
     DetectorSetting,
+    ImageEventBatch,
     InequalityReport,
     ModelConstants,
     bell64,
@@ -486,6 +487,42 @@ def test_image_event_wing_branches_by_tercile():
             assert abs(zero - p.sum()) < 4 * math.sqrt((p * (1 - p)).sum()), (j, zero)
 
 
+def test_image_event_branch_classes_follow_term_masses():
+    """The frequencies of (mu_A = 0?, mu_B = 0?) match the four term masses
+    c1^2 I(theta), 4 pi c1 c2, 4 pi c1 c2 and 16 pi c2^2 within 4 sigma;
+    inside each noisy class +1 and -1 split evenly on each noisy wing, and
+    the two coins agree half the time where both wings are noisy.  Parallel
+    and antiparallel settings give only (0, 0)."""
+    n = 400_000
+    for deg in (45, 90, 135):
+        c = solve_c2(math.radians(deg))
+        side = 4 * math.pi * c.c1 * c.c2
+        masses = {
+            (True, True): c.c1**2 * c.overlap,
+            (True, False): side,
+            (False, True): side,
+            (False, False): 16 * math.pi * c.c2**2,
+        }
+        batch = sample_image_events(
+            setting(0), setting(deg), n, np.random.default_rng(80 + deg)
+        )
+        zero_a, zero_b = batch.mu_a == 0, batch.mu_b == 0
+        for (za, zb), p in masses.items():
+            cell = (zero_a == za) & (zero_b == zb)
+            count = int(cell.sum())
+            assert abs(count - n * p) < 4 * math.sqrt(n * p * (1 - p)), (deg, za, zb)
+            mus = [mu[cell] for mu, zero in ((batch.mu_a, za), (batch.mu_b, zb)) if not zero]
+            for mu in mus:
+                assert np.all(np.abs(mu) == 1)
+                assert abs(2 * int((mu == 1).sum()) - count) < 4 * math.sqrt(count)
+            if len(mus) == 2:
+                agree = int((mus[0] == mus[1]).sum())
+                assert abs(2 * agree - count) < 4 * math.sqrt(count)
+    for deg in (0, 180):
+        batch = sample_image_events(setting(0), setting(deg), 50_000, np.random.default_rng(8))
+        assert not batch.mu_a.any() and not batch.mu_b.any()
+
+
 def test_image_event_single_events():
     # with n = 1 the event often comes from a term with no rejection step
     for seed in range(20):
@@ -537,13 +574,15 @@ def test_estimates_carry_the_image_event_acceptance_rate():
 
 def test_image_event_outcomes_are_signs():
     batch = sample_image_events(setting(0), setting(120), 10_000, np.random.default_rng(14))
-    assert set(np.unique(batch.outcome_a)) <= {-1, 1}
-    assert set(np.unique(batch.mu_a)) <= {-1, 0, 1}
-    zero = batch.mu_a == 0
-    assert np.array_equal(
-        batch.outcome_a[zero], np.sign(batch.dot_a[zero]).astype(np.int8)
-    )
-    assert np.array_equal(batch.outcome_a[~zero], batch.mu_a[~zero])
+    for dot, mu, outcome in (
+        (batch.dot_a, batch.mu_a, batch.outcome_a),
+        (batch.dot_b, batch.mu_b, batch.outcome_b),
+    ):
+        assert set(np.unique(outcome)) <= {-1, 1}
+        assert set(np.unique(mu)) <= {-1, 0, 1}
+        zero = mu == 0
+        assert np.array_equal(outcome[zero], np.sign(dot[zero]).astype(np.int8))
+        assert np.array_equal(outcome[~zero], mu[~zero])
 
 
 def test_image_event_deterministic():
@@ -711,6 +750,60 @@ def test_correlation_estimate_refuses_bad_acceptance_rate():
             CorrelationEstimate(0.5, 0.1, 3, "image-event", acceptance_rate=rate)
     for rate in (None, 1e-9, 0.5, 1.0):
         CorrelationEstimate(0.5, 0.1, 3, "image-event", acceptance_rate=rate)
+
+
+def image_batch(**changes):
+    """A valid three-event ImageEventBatch with the given fields replaced."""
+    values = dict(
+        dot_a=np.array([0.5, -0.2, 0.1]),
+        dot_b=np.array([0.3, 0.4, -0.6]),
+        mu_a=np.array([0, 0, 1], np.int8),
+        mu_b=np.array([0, -1, 0], np.int8),
+        outcome_a=np.array([1, -1, 1], np.int8),
+        outcome_b=np.array([1, -1, -1], np.int8),
+        acceptance_rate=0.5,
+        constants=solve_c2(0.5),
+    )
+    values.update(changes)
+    return ImageEventBatch(**values)
+
+
+@pytest.mark.parametrize(
+    "name", ["dot_a", "dot_b", "mu_a", "mu_b", "outcome_a", "outcome_b"]
+)
+def test_image_event_batch_refuses_bad_event_arrays(name):
+    """Each event array is a 1-D ndarray as long as dot_a."""
+    bads = [np.zeros((3, 1)), np.zeros(()), [0.0, 0.0, 0.0]]
+    if name != "dot_a":
+        bads.append(np.zeros(2))
+    for bad in bads:
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-D array"):
+            image_batch(**{name: bad})
+
+
+def test_image_event_batch_refuses_bad_acceptance_rate():
+    for rate in (0.0, -0.1, 1.0 + 1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^acceptance_rate"):
+            image_batch(acceptance_rate=rate)
+    for rate in (1e-9, 1.0):
+        assert image_batch(acceptance_rate=rate).acceptance_rate == rate
+
+
+def test_image_event_batch_refuses_bad_constants():
+    for bad in (None, 0.5, (C1, 0.1, 0.5, 3.0, 0.0)):
+        with pytest.raises(ValueError, match="^constants"):
+            image_batch(constants=bad)
+
+
+def test_image_event_batch_refuses_mismatched_outcomes():
+    """Outcome arrays of different lengths and a nan rate are refused with
+    the first field at fault named, not left to fail inside numpy later."""
+    zeros = np.zeros(3)
+    with pytest.raises(ValueError, match="^outcome_b"):
+        ImageEventBatch(
+            zeros, zeros, zeros, zeros, np.array([1, 1, -1]), np.array([1, -1]),
+            math.nan, solve_c2(0.5),
+        )
 
 
 def test_inequality_report_consistency():
