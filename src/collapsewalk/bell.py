@@ -222,6 +222,14 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _event_count(n) -> int:
+    """``n`` as a Python int; TypeError naming it unless it is an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, not {n!r}") from None
+
+
 def _chunks(rng: np.random.Generator, n: int):
     """Yield (count, stream) pieces of CHUNK_SIZE events with independent
     child streams."""
@@ -339,7 +347,7 @@ def bell_sign_correlation(
     Ties a.lam = 0 (measure zero) are resampled.  The estimate converges to
     -1 + 2 theta / pi and never violates the inequalities.
     """
-    if n < 1:
+    if _event_count(n) < 1:
         raise ValueError("need at least one sample")
     rng = _as_rng(rng)
     cos_ab, sin_ab = _plane(a, b)
@@ -496,7 +504,7 @@ def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
     accepted) per chunk: the chunk's event arrays, then the overlap term's
     proposals and acceptances in it.
     """
-    if n < 1:
+    if _event_count(n) < 1:
         raise ValueError("need at least one event")
     consts = solve_c2(angle_between(a, b))
     c1, c2 = consts.c1, consts.c2

@@ -25,17 +25,19 @@ trial, and a row alone in its block (every row at M = 1000) takes it on its
 own.  A row that outlives its draw goes on in the next round.
 
 With N >= 3 states the walk runs in batches of steps until two states are
-left.  Every state owns a 16-bit lane of a uint64 word, so a batch is one
-table lookup of each step's packed move and one cumsum; a lane's top bit
-marks the step where its state dies.  Every trial of a block starts at the
-same counts, so with exactly three alive states ``born_statistics`` runs the
-block's first phases in cross-trial rounds: each round draws one batch of
-raw words per trial, reads its uint32 halves as the ``integers`` draws by
-threshold comparisons, and gives all rows one cumsum; a trial whose draws
-hit a Lemire rejection reruns on the per-trial path.  The two-state tails
-of the block then share one set of two-state rounds.  Every path reads the
-same stream words as the step-by-step definitions, so outputs are
-bit-identical.
+left.  Every state owns a 16-bit lane of a uint64 word, and a lane's top
+bit marks the step where its state dies.  A batch is drawn whole, as the
+stream fixes, but read only up to its first elimination: a table lookup of
+each step's packed move and a cumsum run over its first third, then over
+the rest only if no state died in the first.  Every trial of a block starts
+at the same counts, so with exactly three alive states ``born_statistics``
+runs the block's first phases in cross-trial rounds: each round draws one
+batch of raw words per trial, reads its uint32 halves as the ``integers``
+draws by threshold comparisons, and gives all rows one cumsum; a trial
+whose draws hit a Lemire rejection reruns on the per-trial path.  The
+two-state tails of the block then share one set of two-state rounds.
+Every path reads the same stream words as the step-by-step definitions, so
+outputs are bit-identical.
 
 Reproducibility contract: trial ``t`` of a batch with seed ``s`` always draws
 from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
@@ -72,6 +74,7 @@ _LANE_TOP = 1 << 15
 _LANE_HIGH = np.uint64(0x8000_8000_8000_8000)  # the top bit of every lane
 _BATCH_STEPS = 1 << 14  # longest batch, so a lane moves at most 2**14
 _BATCH_BYTES = 1 << 20  # largest (batch, columns) uint64 path of one batch
+_FIRST_SLICE = 3  # a batch is first read for batch // 3 steps, at least 64
 _PAIR_TABLE_BYTES = 1 << 16  # largest table of packed moves by ordered pair
 _TAIL_BYTES = 1 << 16  # raw words of one block of two-state rows
 
@@ -487,6 +490,7 @@ def born_statistics(
             DeprecationWarning,
             stacklevel=2,
         )
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = config.grid_resolution
@@ -871,13 +875,17 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
     Returns (k, alive, steps, eliminations) as Python lists and ints: the
     grid counts, the indices of the states still alive, the steps taken and
     the (state, step) history.  Steps come in batches of ordered (source,
-    destination) pairs; each batch is one cumsum over packed 16-bit lanes
-    (``_packed_path``).  Lane i starts at 2**15 + min(k_i, batch) - 1, so
-    its top bit first clears on the step where state i reaches zero.  With
-    k_i > batch the state cannot die within the batch: its lane spans
-    [2**15 - 1, 2**16 - 1] and clears its top bit only if every step of the
-    batch took from it, which the exact counts read at the flagged step then
-    rule out.  No lane leaves [0, 2**16), so none carries into the next.
+    destination) pairs.  Each batch is drawn whole, then read only up to its
+    first elimination as a cumsum over packed 16-bit lanes (``_packed_path``)
+    in two slices: its first max(64, batch // 3) steps, then the rest from
+    that slice's last row if no state died in it.  Lane arithmetic is modulo
+    2**64, so the slices give the whole batch's cumsum row for row.  Lane i
+    starts at 2**15 + min(k_i, batch) - 1, so its top bit first clears on
+    the step where state i reaches zero.  With k_i > batch the state cannot
+    die within the batch: its lane spans [2**15 - 1, 2**16 - 1] and clears
+    its top bit only if every step of the batch took from it, which the
+    exact counts read at the flagged step then rule out.  No lane leaves
+    [0, 2**16), so none carries into the next.
     Past the cap the caller reads ``steps >= max_steps``.
     """
     k = [int(x) for x in k0]
@@ -894,18 +902,25 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
             # uniform ordered (source, destination) pairs, as in run_walk
             src = rng.integers(n, size=batch)
             dst = rng.integers(n - 1, size=batch)
-            path = _packed_path(n, src, dst)
             start = [min(x, batch) + _LANE_TOP - 1 for x in ka]
-            path[0] += _pack_lanes(start, cols)
-            np.cumsum(path, axis=0, out=path)
-            live = path[:, 0] & _LANE_HIGH
-            for col in range(1, cols):
-                live &= path[:, col]
-            flagged = live != _LANE_HIGH
-            r = int(flagged.argmax())
-            if not flagged[r]:
-                r = batch - 1
-            row = path[r].tolist()
+            # read the batch up to its first flagged step: a leading slice,
+            # then the rest from the slice's last row if no lane cleared
+            lo, hi = 0, min(max(64, batch // _FIRST_SLICE), batch)
+            row = _pack_lanes(start, cols)
+            while True:
+                path = _packed_path(n, src[lo:hi], dst[lo:hi])
+                path[0] += row
+                # np.cumsum's result, without its wrapper's per-call cost
+                np.add.accumulate(path, axis=0, out=path)
+                live = path[:, 0] & _LANE_HIGH
+                for col in range(1, cols):
+                    live &= path[:, col]
+                flagged = live != _LANE_HIGH
+                r = int(flagged.argmax())
+                if flagged[r] or hi == batch:
+                    break
+                lo, hi, row = hi, batch, path[-1]
+            row = path[r if flagged[r] else -1].tolist()
             ka = [
                 x - s + (row[i // _LANES] >> i % _LANES * 16 & 0xFFFF)
                 for i, (x, s) in enumerate(zip(ka, start))
@@ -913,7 +928,7 @@ def _multi_first_phase(k0, m: int, max_steps: int, rng):
             for i, x in zip(alive, ka):
                 k[i] = x
             if 0 in ka:
-                steps += r + 1
+                steps += lo + r + 1
                 eliminations.append((alive.pop(ka.index(0)), steps))
                 break
             steps += batch

@@ -273,6 +273,20 @@ def test_image_entry_points_refuse_no_events_before_drawing():
         assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize(
+    "sample", [bell_sign_correlation, sample_image_events, image_correlation_event]
+)
+def test_samplers_refuse_non_integer_n_before_drawing(sample):
+    """A float n is refused by name before any draw; a numpy integer runs."""
+    a, b = setting(0), setting(45)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match=r"\bn\b"):
+        sample(a, b, 2.5, rng)
+    assert rng.bit_generator.state == state
+    assert sample(a, b, np.int64(2), rng) is not None
+
+
 def test_bell_sign_matches_linear_curve():
     rng = np.random.default_rng(6)
     for deg in (30, 90, 150):

@@ -887,6 +887,17 @@ def test_walk_config_refuses_non_integers(field, value):
         WalkConfig(**{"grid_resolution": 10, field: value})
 
 
+def test_born_statistics_refuses_non_integer_trials():
+    """A float or string trial count is refused by name, not by ``range``
+    or a comparison deep inside; a numpy integer still runs."""
+    state = normalize([0.6, 0.8])
+    config = WalkConfig(grid_resolution=10, seed=1)
+    for trials in (2.5, "3"):
+        with pytest.raises(ValueError, match="trials"):
+            born_statistics(state, trials, config)
+    assert born_statistics(state, np.int64(3), config).trials == 3
+
+
 def test_walk_config_stores_numpy_ints_as_python_ints():
     config = WalkConfig(grid_resolution=np.int64(10), max_steps=np.uint32(2), seed=np.int16(3))
     assert [type(v) for v in (config.grid_resolution, config.max_steps, config.seed)] == [int] * 3
@@ -1070,10 +1081,12 @@ def longest_batch(n):
     return max(1, min(1 << 14, _BATCH_BYTES // (8 * -(-n // 4))))
 
 
-def matrix_first_phase(k0, m, max_steps, rng):
+def matrix_first_phase(k0, m, max_steps, rng, batches=None):
     """Oracle for _multi_first_phase: the same draws and batch sizes, with
     each batch's path built as an (n, batch) int32 matrix of per-state net
-    moves, one cumsum per row and an exact test against -k_i."""
+    moves, one cumsum per row and an exact test against -k_i.  A list
+    ``batches`` gets (first step, batch size, row of the death or -1) of
+    every batch."""
     k = np.array(k0, dtype=np.int64)
     alive_idx = np.flatnonzero(k > 0)
     eliminations = [(int(i), 0) for i in np.flatnonzero(k == 0)]
@@ -1095,6 +1108,8 @@ def matrix_first_phase(k0, m, max_steps, rng):
             dead_mask = moved == -k[alive_idx, None]
             any_dead = dead_mask.any(axis=0)
             r = int(np.argmax(any_dead))
+            if batches is not None:
+                batches.append((steps, batch, r if any_dead[r] else -1))
             if any_dead[r]:
                 hit_row = r
                 steps += r + 1
@@ -1172,6 +1187,46 @@ def test_multi_first_phase_matches_matrix_oracle():
         alive = k0[k0 > 0]
         batches.add(min(max(alive.min() * (m - alive.min()) * alive.size // 4, 64), 1 << 14))
     assert any(b % 2 for b in batches)  # odd batch sizes were exercised
+
+
+def test_multi_first_phase_matches_matrix_oracle_at_slice_edges():
+    """A batch is read in two slices, its first max(64, batch // 3) steps
+    and then the rest.  Deaths on either side of the cut, batches without a
+    death and caps before, at and past the cut all give the oracle's outputs
+    and leave the stream where the oracle leaves it.  The caps fall in
+    batches read past their cut."""
+    kinds = {"death ends slice", "death starts rest", "no death",
+             "cap in slice", "cap at cut", "cap in rest"}
+    found = set()
+    gen = np.random.default_rng(64)
+    for t in range(20_000):
+        n = int(gen.integers(3, 7))
+        m = int(gen.integers(4 * n, 40))
+        k0 = gen.multinomial(m - n, np.full(n, 1 / n)) + 1
+        batch = first_batch(k0, m)
+        cut = min(max(64, batch // 3), batch)
+        cap = [cut // 2, cut, (cut + batch) // 2, 100 * m * m][t % 4]
+        oracle, rng, batches = trial_rng(64, t), trial_rng(64, t), []
+        expect = matrix_first_phase(k0, m, cap, oracle, batches)
+        assert _multi_first_phase(k0, m, cap, rng) == expect, t
+        assert rng.bit_generator.state == oracle.bit_generator.state, t
+        for start, size, dead in batches:
+            cut = max(64, size // 3)
+            if cut >= size:
+                continue
+            rest = dead < 0 or dead >= cut  # the batch is read past its cut
+            cases = {
+                "death ends slice": dead == cut - 1,
+                "death starts rest": dead == cut,
+                "no death": dead < 0,
+                "cap in slice": rest and start < cap < start + cut,
+                "cap at cut": rest and cap == start + cut,
+                "cap in rest": rest and start + cut < cap < start + size,
+            }
+            found |= {kind for kind, hit in cases.items() if hit}
+        if found == kinds:
+            break
+    assert found == kinds, kinds - found
 
 
 def test_multi_kernel_matches_matrix_oracle():
