@@ -232,10 +232,10 @@ def _event_count(n) -> int:
 
 def _chunks(rng: np.random.Generator, n: int):
     """Yield (count, stream) pieces of CHUNK_SIZE events with independent
-    child streams."""
-    streams = rng.spawn((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    for c, sub in enumerate(streams):
-        yield min(CHUNK_SIZE, n - c * CHUNK_SIZE), sub
+    child streams, each spawned as its chunk is reached: the children
+    ``rng.spawn(chunks)`` would give, without holding them all at once."""
+    for lo in range(0, n, CHUNK_SIZE):
+        yield min(CHUNK_SIZE, n - lo), rng.spawn(1)[0]
 
 
 def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:

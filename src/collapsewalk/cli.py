@@ -18,7 +18,7 @@ are accepted in degrees and converted to radians internally.  Seeds lie in
 value in the manifest.  The grid resolution M of born and walk is at most
 2**53, as float64 holds every integer only up to there.  A walk run buffers
 at most WALK_MAX_ROWS rows, and a born run may expect at most BORN_MAX_STEPS
-walk steps.
+walk steps, each trial counting at least BORN_TRIAL_STEPS.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but every run uses one thread.
@@ -53,6 +53,9 @@ WALK_MAX_ROWS = 1 << 18  # longest trajectory a walk run buffers
 # most expected walk steps of one born run, tens of seconds on a 2-vCPU VM; a
 # step of a two-state walk counts 1/64, as its kernel reads 64 steps per word
 BORN_MAX_STEPS = 1 << 30
+# least a trial counts against BORN_MAX_STEPS: a trial's fixed cost, about
+# 10 µs, whatever its walk
+BORN_TRIAL_STEPS = 1 << 9
 
 
 _SUBCOMMANDS = {
@@ -321,7 +324,7 @@ def _run_born(config: RunConfig, diagnostics: dict):
     steps = min(_expected_steps(k0), walk_config.max_steps)
     if np.count_nonzero(k0) <= 2:
         steps /= 64
-    if config.trials * steps > BORN_MAX_STEPS:
+    if config.trials * max(steps, BORN_TRIAL_STEPS) > BORN_MAX_STEPS:
         raise UsageError(
             f"born expects more than {BORN_MAX_STEPS} walk steps; "
             "lower --trials or --grid-resolution"
@@ -358,9 +361,8 @@ def _run_walk(config: RunConfig, diagnostics: dict):
     )
     m = walk_config.grid_resolution
     rows = []
-    outcome = _walk_counts(
-        k0, walk_config, visit=lambda step, k: rows.append((step, *(x / m for x in k)))
-    )
+    outcome = _walk_counts(k0, walk_config, visit=lambda first, block: rows.extend(
+        (step, *(x / m for x in k)) for step, k in enumerate(block, first)))
     diagnostics["winner"] = outcome.winner
     diagnostics["steps_taken"] = outcome.steps_taken
     header = ("step",) + tuple(f"w{i}" for i in range(k0.size))
@@ -398,15 +400,16 @@ def _report_acceptance(estimates, diagnostics: dict) -> None:
 
 def _run_bell(config: RunConfig, diagnostics: dict):
     thetas = _parse_grid(config.theta_grid, "theta-grid")
-    streams = np.random.default_rng(config.seed).spawn(len(thetas))
+    rng = np.random.default_rng(config.seed)
     header = ("theta_deg", "value", "stderr", "n", "model")
     rows = []
     estimates = []
     a = DetectorSetting.from_plane_angle_degrees(0.0)
-    for theta_deg, stream in zip(thetas, streams):
+    for theta_deg in thetas:
         b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
+        # spawned per angle: the children of one spawn of them all, not held at once
         est = correlation_estimate(
-            config.model, a, b, config.samples, stream, config.convention
+            config.model, a, b, config.samples, rng.spawn(1)[0], config.convention
         )
         rows.append((float(theta_deg), est.value, est.stderr, est.n, est.model))
         estimates.append(est)

@@ -6,6 +6,11 @@ state is the probability vector w_i = |a_i|^2 that seeds the random walk,
 while the off-diagonal cross terms kappa_ij = a_i * conj(a_j) ride along as
 passive bookkeeping ("spectators").  Cross terms never drive the walk; they
 are rescaled after every step and forced to zero once a state is eliminated.
+
+The walk's snapshots are built here as well: ``_synced_joints`` takes a block
+of the walk's weight rows, rescales the cross terms on the input's fixed unit
+phases (``_unit_phases``), checks the whole block at once with JointState's
+own checks and yields one read-only JointState per row.
 """
 
 from __future__ import annotations
@@ -132,16 +137,34 @@ class JointState:
         return self.weights.size
 
 
-def _joint_rows(weights, cross, alive):
-    """One JointState per row of the stacks weights and alive (rows, N) and
-    cross (rows, N, N), all checked at once by JointState's checks; the
-    stacks become read-only and each state holds row views of them."""
-    _check_joint(weights, cross, alive)
-    for arr in (weights, cross, alive):
+def _unit_phases(cross) -> np.ndarray:
+    """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0 or the quotient is not
+    finite (a subnormal kappa_ij, whose state has weight zero)."""
+    mag = np.abs(cross)
+    safe = np.where(mag > 0, mag, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = cross / safe
+    return np.where((mag > 0) & np.isfinite(unit), unit, 0.0)
+
+
+def _synced_joints(phases, w, alive):
+    """The joint states with weights ``w`` (zero at dead states) and
+    |kappa_ij| = sqrt(w_i w_j) on the given unit phases, one per row of the
+    (rows, N) stacks ``w`` and ``alive``; the diagonal and the rows and
+    columns of dead states are zero.  The rows are checked all at once by
+    JointState's checks; the stacks become read-only and each state holds
+    row views of them."""
+    n = w.shape[1]
+    kappa = phases * np.sqrt(w[:, :, None] * w[:, None, :])
+    dead = ~alive
+    kappa[dead[:, :, None] | dead[:, None, :]] = 0.0
+    kappa[:, range(n), range(n)] = 0.0
+    _check_joint(w, kappa, alive)
+    for arr in (w, kappa, alive):
         arr.setflags(write=False)
-    for w, k, al in zip(weights, cross, alive):
+    for wr, kr, ar in zip(w, kappa, alive):
         joint = object.__new__(JointState)
-        joint.__dict__.update(weights=w, cross=k, alive=al)  # frozen: set past __setattr__
+        joint.__dict__.update(weights=wr, cross=kr, alive=ar)  # frozen: set past __setattr__
         yield joint
 
 

@@ -11,7 +11,10 @@ state holds all M units (a simplex vertex).
 ``run_walk`` and the ``walk`` command share one step loop, ``_walk_counts``:
 over the n alive states in index order, a step draws ``a = rng.integers(n)``,
 then ``b = rng.integers(n - 1)`` shifted past ``a``, and moves one unit from
-the a-th to the b-th.  ``born_statistics`` runs
+the a-th to the b-th.  The loop keeps the count rows, step 0 included, and
+hands them over in blocks; ``run_walk`` turns each block into its observer's
+snapshots through ``states._synced_joints``, and the command writes
+``k_i / M`` from them.  ``born_statistics`` runs
 large trial batches through distribution-identical vectorized kernels.  In
 the two-state kernel each raw uint64 word of the bit generator is 64 steps:
 one pass over a draw takes every word's end position from its popcount, cuts
@@ -57,7 +60,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateGridError, MaxStepsExceededError
-from .states import JointState, QuantumState, _joint_rows
+from .states import JointState, QuantumState, _synced_joints, _unit_phases
 
 # numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
 # the 4-word entropy pool, and the pool words hashed into the output state
@@ -346,35 +349,6 @@ def _exact_largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
     return np.array(base, dtype=np.int64)
 
 
-def _unit_phases(cross) -> np.ndarray:
-    """kappa_ij / |kappa_ij|, and 0 where kappa_ij = 0 or the quotient is not
-    finite (a subnormal kappa_ij, whose state has weight zero)."""
-    mag = np.abs(cross)
-    safe = np.where(mag > 0, mag, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        unit = cross / safe
-    return np.where((mag > 0) & np.isfinite(unit), unit, 0.0)
-
-
-def _synced_joints(phases, w, alive):
-    """The joint states with weights ``w`` (zero at dead states) and
-    |kappa_ij| = sqrt(w_i w_j) on the given unit phases, one per row of the
-    (rows, N) stacks ``w`` and ``alive``; the diagonal and the rows and
-    columns of dead states are zero.  The rows are checked all at once."""
-    n = w.shape[1]
-    kappa = phases * np.sqrt(w[:, :, None] * w[:, None, :])
-    dead = ~alive
-    kappa[dead[:, :, None] | dead[:, None, :]] = 0.0
-    kappa[:, range(n), range(n)] = 0.0
-    return _joint_rows(w, kappa, alive)
-
-
-def _synced_joint(phases, w, alive) -> JointState:
-    """The one-row case of ``_synced_joints``."""
-    w, alive = np.array(w, float)[None], np.array(alive, bool)[None]
-    return next(_synced_joints(phases, w, alive))
-
-
 def run_walk(
     joint: JointState,
     config: WalkConfig,
@@ -387,10 +361,12 @@ def run_walk(
     ``b = rng.integers(n - 1)`` over the n alive states in index order,
     shifts ``b`` past ``a`` and moves one unit from the a-th to the b-th.
     ``observer(step, joint_state)``, when given, sees step 0 and every step
-    after it, in order.  The snapshots come in blocks of at most 256 KiB of
-    cross terms (at least one step), each checked as one, after the block's
-    steps are drawn: if the observer raises at step j, no later snapshot is
-    delivered, but ``rng`` may be up to one block past step j.  Raises
+    after it, in order.  The step loop hands its count rows over in blocks
+    of at most 256 KiB of cross terms (at least one step), and
+    ``states._synced_joints`` builds and checks each block's snapshots as
+    one.  A full block is handed over when the step after it is drawn: if
+    the observer raises at step j, no later snapshot is delivered, but
+    ``rng`` may be up to one block past step j.  Raises
     MaxStepsExceededError at the safety cap, once the steps walked before it
     are delivered.  A positive weight quantized to zero (allowed at
     M >= 10 N) gives a RuntimeWarning.
@@ -403,48 +379,38 @@ def run_walk(
         return _walk_counts(k0, config, rng)
     # the phases come from the input joint at every step, so derive them once
     phases = _unit_phases(joint.cross)
-    block = max(1, _SNAPSHOT_BYTES // (16 * k0.size**2))
-    rows = []
 
-    def deliver(last):
-        if not rows:
-            return
+    def deliver(first, rows):
         counts = np.array(rows)
-        rows.clear()
-        snaps = _synced_joints(phases, counts / m, counts > 0)
-        for step, snap in enumerate(snaps, last + 1 - len(counts)):
+        for step, snap in enumerate(_synced_joints(phases, counts / m, counts > 0), first):
             observer(step, snap)
 
-    def visit(step, k):
-        rows.append(k.copy())
-        if len(rows) == block:
-            deliver(step)
-
-    try:
-        outcome = _walk_counts(k0, config, rng, visit)
-    except MaxStepsExceededError:
-        deliver(config.max_steps)
-        raise
-    deliver(outcome.steps_taken)
-    return outcome
+    return _walk_counts(k0, config, rng, deliver)
 
 
-def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda step, k: None):
+def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda first, rows: None):
     """``run_walk`` from the grid counts ``k0``: its one step loop.
 
-    ``visit(step, k)`` gets the counts as a Python list, which the loop goes
-    on to change, at step 0 and after every step, before the cap check.
+    The loop keeps the counts of step 0 and of every step after it as
+    Python lists, and hands them over in blocks, ``visit(first, rows)``
+    with ``rows[j]`` the counts of step ``first + j``.  A block holds at
+    most ``_SNAPSHOT_BYTES`` of the cross terms they make (at least one
+    row) and is handed over when the next step is drawn, or, never empty,
+    at the end of the walk and at the cap, before MaxStepsExceededError.
     Without ``rng`` the walk draws from ``default_rng(config.seed)``.
     """
     k = k0.tolist()
     alive = [i for i, x in enumerate(k) if x > 0]
     eliminations = [(i, 0) for i, x in enumerate(k) if x == 0]
-    visit(0, k)
+    block = max(1, _SNAPSHOT_BYTES // (16 * len(k) ** 2))
+    rows = [k[:]]
+    first = 0
     if rng is None:
         rng = np.random.default_rng(config.seed)
     steps = 0
     while len(alive) > 1:
         if steps >= config.max_steps:
+            visit(first, rows)
             raise MaxStepsExceededError(
                 f"walk not absorbed after {config.max_steps} steps"
             )
@@ -458,7 +424,11 @@ def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda step
         steps += 1
         if k[src] == 0:
             eliminations.append((alive.pop(a), steps))
-        visit(steps, k)
+        if len(rows) == block:
+            visit(first, rows)
+            first, rows = steps, []
+        rows.append(k[:])
+    visit(first, rows)
     return WalkOutcome(
         winner=alive[0],
         steps_taken=steps,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from collapsewalk import (
 from collapsewalk.bell import (
     CHUNK_SIZE,
     VERDICT_ALPHA,
+    _chunks,
     _disc_points,
     _dot_pairs,
     _plane,
@@ -569,6 +571,24 @@ def test_image_event_streaming_equals_batch():
         batch = sample_image_events(setting(0), setting(70), n, rng)
         assert batch.outcome_a.size == n
         assert streamed == estimate_from_events(batch, convention)
+
+
+def test_chunks_spawn_each_stream_as_it_is_reached():
+    """The chunk streams are the children one spawn of them all would give,
+    and the first chunk of 20,000 comes without spawning the others."""
+    n = 2 * CHUNK_SIZE + 5
+    chunks = list(_chunks(np.random.default_rng(5), n))
+    assert [count for count, _ in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 5]
+    spawned = np.random.default_rng(5).spawn(3)
+    for (_, got), want in zip(chunks, spawned):
+        assert got.bit_generator.state == want.bit_generator.state
+    tracemalloc.start()
+    try:
+        next(_chunks(np.random.default_rng(5), 20_000 * CHUNK_SIZE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_estimates_carry_the_image_event_acceptance_rate():

@@ -727,6 +727,11 @@ def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
         (["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
           "--trials", "2"], False),
         (["born", "--amplitudes", "1,0;1,0", "--trials", str(2**60)], False),
+        # every trial counts at least BORN_TRIAL_STEPS, however short its walk
+        (["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "2",
+          "--trials", str(10**9)], False),
+        (["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "2",
+          "--trials", str(2 * 10**6)], True),
     ],
 )
 def test_born_step_budget(argv, accepted, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import json
 import tracemalloc
 import warnings
 
@@ -8,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from collapsewalk.states import _check_joint
+from collapsewalk import cli
+from collapsewalk.states import _check_joint, _synced_joints, _unit_phases
 from collapsewalk import (
     DegenerateGridError,
     JointState,
@@ -36,14 +39,13 @@ from collapsewalk.walk import (
     _pair_moves,
     _SeedWords,
     _SNAPSHOT_BYTES,
-    _synced_joint,
     _three_state_rounds,
     _trial_rngs,
     _trial_seed_words,
     _two_state_block,
     _two_state_draw,
     _two_state_rows,
-    _unit_phases,
+    _walk_counts,
     _words_per_draw,
 )
 
@@ -312,7 +314,7 @@ def test_reference_engine_invariants(start, seed):
         assert not alive[dead].any() and not k[dead].any()
         assert np.array_equal(alive, k > 0)
         w = k / m
-        synced = _synced_joint(unit, w, alive)
+        synced = next(_synced_joints(unit, w[None], alive[None]))
         pairs = np.outer(alive, alive)
         np.fill_diagonal(pairs, False)
         expect = np.where(pairs, np.sqrt(np.outer(w, w)), 0.0)
@@ -320,13 +322,14 @@ def test_reference_engine_invariants(start, seed):
         assert np.array_equal(synced.alive, alive)
 
 
-# ------------------------------------------------------------ _synced_joint
+# ----------------------------------------------------------- _synced_joints
 
 def sync(joint, w, alive=None):
     """``joint`` re-synced to weights ``w``, as run_walk's snapshots are; by
     default a state dies when its weight reaches zero."""
     alive = joint.alive & (w > 0) if alive is None else alive
-    return _synced_joint(_unit_phases(joint.cross), np.where(alive, w, 0.0), alive)
+    w = np.where(alive, w, 0.0)
+    return next(_synced_joints(_unit_phases(joint.cross), w[None], alive[None]))
 
 
 def test_synced_joint_elimination_zeroes_pair():
@@ -700,6 +703,94 @@ def test_observer_error_stops_the_snapshots(error):
             run_walk(joint, config, observer=observer)
         assert info.value is exc
         assert seen == list(range(j + 1))
+
+
+EDGE_BLOCK = 10  # rows of one block in the block-edge tests
+EDGE_ROWS = (9, 10, 11, 19, 20, 21)  # one row before each of two edges, on it, past it
+
+
+def edge_seed(k0, rows, capped):
+    """The first seed whose oracle walk from ``k0`` walks exactly ``rows``
+    rows (step 0 included), or, if ``capped``, more than ``rows``."""
+    for seed in range(10_000):
+        if len(oracle_walk(k0, np.random.default_rng(seed), rows)) == rows + capped:
+            return seed
+    raise AssertionError(f"no seed walks {rows} rows")
+
+
+def record_blocks(blocks, visit=lambda first, rows: None):
+    """A visit that records each block handed over, then passes it on."""
+    def record(first, rows):
+        blocks.append((first, [list(k) for k in rows]))
+        visit(first, rows)
+    return record
+
+
+def assert_blocks_are_rows(blocks, seen):
+    """The blocks hand over the rows ``seen``, steps 0..end once each and in
+    order, none empty and none longer than EDGE_BLOCK."""
+    assert all(0 < len(rows) <= EDGE_BLOCK for _, rows in blocks)
+    assert [first for first, _ in blocks] == list(itertools.accumulate(
+        [0] + [len(rows) for _, rows in blocks[:-1]]))
+    assert [k for _, rows in blocks for k in rows] == [k.tolist() for k in seen]
+
+
+@pytest.mark.parametrize("amplitudes", [[0.6, 0.8], np.sqrt([0.5, 0.3, 0.2])])
+@pytest.mark.parametrize("capped", [False, True])
+def test_blocks_at_their_edges(amplitudes, capped, monkeypatch, tmp_path):
+    """With blocks of 10 rows, walks that end, or are capped, one row before
+    a block edge, on it and one row past it: the step loop, the observed
+    run_walk and the walk command give the oracle's rows once each, in
+    order, in blocks none of which is empty; a cap raises after the capped
+    rows; and a caller's generator ends where the oracle leaves it."""
+    m = 11  # odd, so a two-state walk can end after an odd or an even step count
+    joint = form_joint(normalize(amplitudes))
+    k0 = quantize_weights(joint.weights, m)
+    monkeypatch.setattr("collapsewalk.walk._SNAPSHOT_BYTES", 16 * k0.size**2 * EDGE_BLOCK)
+    text = ";".join(f"{float(a)!r},0" for a in amplitudes)
+    command_blocks = []  # the blocks of the walk command's step loop
+    walk_counts = cli._walk_counts
+    monkeypatch.setattr(cli, "_walk_counts", lambda k, c, visit: walk_counts(
+        k, c, visit=record_blocks(command_blocks, visit)))
+    for rows in EDGE_ROWS:
+        seed = edge_seed(k0, rows, capped)
+        cap = rows - 1 if capped else 10**6
+        config = WalkConfig(grid_resolution=m, seed=seed, max_steps=cap)
+        h = np.random.default_rng(seed)
+        seen = oracle_walk(k0, h, cap)
+        assert len(seen) == rows
+
+        def ends():
+            return pytest.raises(MaxStepsExceededError) if capped else contextlib.nullcontext()
+
+        blocks = []
+        g = np.random.default_rng(seed)
+        with ends():
+            _walk_counts(k0, config, g, record_blocks(blocks))
+        assert_blocks_are_rows(blocks, seen)
+        assert g.bit_generator.state == h.bit_generator.state
+
+        snaps = []
+        g = np.random.default_rng(seed)
+        with ends():
+            run_walk(joint, config, rng=g,
+                     observer=lambda step, s: snaps.append((step, s.weights.tobytes())))
+        assert snaps == [(step, (k / m).tobytes()) for step, k in enumerate(seen)]
+        assert g.bit_generator.state == h.bit_generator.state
+
+        command_blocks.clear()
+        out = tmp_path / f"walk{rows}.json"
+        argv = ["walk", "--amplitudes", text, "--grid-resolution", str(m), "--seed", str(seed),
+                "--format", "json", "--out", str(out)]
+        if capped:
+            argv += ["--max-steps", str(cap)]
+        assert cli.main(argv) == (1 if capped else 0)
+        assert_blocks_are_rows(command_blocks, seen)
+        if not capped:
+            trajectory = json.loads(out.read_text())["trajectory"]
+            header = ["step"] + [f"w{i}" for i in range(k0.size)]
+            assert [[row[key] for key in header] for row in trajectory] == [
+                [step, *(k / m).tolist()] for step, k in enumerate(seen)]
 
 
 # ------------------------------------------------------------ born_statistics
