@@ -74,6 +74,7 @@ C1 = math.sqrt(3.0 / (4.0 * math.pi))
 UNIT_TOL = 1e-12
 CHUNK_SIZE = 1 << 14  # events per chunk: one chunk's arrays stay within L2
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
+SAMPLED_MODELS = ("bell-sign", "image-event")  # the others are closed forms and draw nothing
 VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma tail
 
 
@@ -99,10 +100,12 @@ class DetectorSetting:
     @classmethod
     def from_vector(cls, values) -> "DetectorSetting":
         v = np.asarray(values, dtype=float)
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"cannot orient a detector along a vector of norm {norm!r}")
-        return cls(v / norm)
+        # |v|^2 can overflow or underflow where v does not: scale by max |v_i|
+        peak = float(np.abs(v).max(initial=0.0))  # 0, inf or nan exactly when |v| is
+        if not 0.0 < peak < math.inf:
+            raise ValueError(f"cannot orient a detector along a vector of norm {peak!r}")
+        v = v / peak
+        return cls(v / np.linalg.norm(v))
 
     @classmethod
     def from_plane_angle_degrees(cls, degrees: float) -> "DetectorSetting":

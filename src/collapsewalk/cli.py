@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import DiffusionParams, greens_tilde
-from .bell import MODEL_TAGS, DetectorSetting, chsh, correlation_estimate, solve_c2
+from .bell import MODEL_TAGS, SAMPLED_MODELS, DetectorSetting, chsh, correlation_estimate, solve_c2
 from .errors import (
     AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
 )
@@ -405,12 +405,12 @@ def _run_bell(config: RunConfig, diagnostics: dict):
     rows = []
     estimates = []
     a = DetectorSetting.from_plane_angle_degrees(0.0)
+    draws = config.model in SAMPLED_MODELS
     for theta_deg in thetas:
         b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
         # spawned per angle: the children of one spawn of them all, not held at once
-        est = correlation_estimate(
-            config.model, a, b, config.samples, rng.spawn(1)[0], config.convention
-        )
+        stream = rng.spawn(1)[0] if draws else None
+        est = correlation_estimate(config.model, a, b, config.samples, stream, config.convention)
         rows.append((float(theta_deg), est.value, est.stderr, est.n, est.model))
         estimates.append(est)
     _report_acceptance(estimates, diagnostics)

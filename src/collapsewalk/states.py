@@ -9,8 +9,10 @@ are rescaled after every step and forced to zero once a state is eliminated.
 
 The walk's snapshots are built here as well: ``_synced_joints`` takes a block
 of the walk's weight rows, rescales the cross terms on the input's fixed unit
-phases (``_unit_phases``), checks the whole block at once with JointState's
-own checks and yields one read-only JointState per row.
+phases (``_unit_phases``) and yields one read-only JointState per row, valid
+by construction and not checked again.  The one invariant an accepted input
+can still break there, unit Hermitian phases on the pairs alive once the
+weights are quantized, ``run_walk`` checks once before its first draw.
 """
 
 from __future__ import annotations
@@ -59,51 +61,6 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
-def _check_joint(w, k, al):
-    """JointState's value checks over stacks: weights and alive (..., N),
-    cross (..., N, N).  Raises the error of the first row that fails one,
-    with the message that row alone gives.
-
-    A nan or infinite entry fails one of the first three checks (it makes
-    the sum or the Hermitian residual non-finite), and each of them first
-    looks for one, so non-finite input always gets that one message.
-    """
-    n = w.shape[-1]
-    total = w.sum(axis=-1)
-    # a row that fails may give nan or inf here; it fails below all the same
-    with np.errstate(invalid="ignore", over="ignore"):
-        skew = np.abs(k - np.swapaxes(k, -1, -2).conj())
-        gap = np.abs(np.abs(k) - np.sqrt(w[..., :, None] * w[..., None, :]))
-    gap.reshape(*w.shape[:-1], n * n)[..., :: n + 1] = 0.0  # the diagonal is unused
-    dead = ~al
-    any_dead = dead.any()
-    if any_dead:
-        rim = dead[..., :, None] | dead[..., None, :]  # the rows and columns of dead states
-        gap[rim] = 0.0
-    bad = (w.min(axis=-1) < 0) | ~(abs(total - 1.0) <= NORM_TOL)
-    bad |= ~(np.maximum(skew, gap).max(axis=(-2, -1)) <= NORM_TOL)
-    failed = bad
-    if any_dead:
-        failed = bad | np.where(dead, w, 0.0).any(axis=-1)
-        failed |= np.where(rim, k, 0.0).any(axis=(-2, -1))
-    if not failed.any():
-        return
-    r = np.unravel_index(np.argmax(failed), np.shape(failed))  # the first failing row
-    w, k, total = w[r], k[r], total[r]
-    if bad[r]:
-        _require_finite(w, k)
-        if w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        if skew[r].max() > NORM_TOL:
-            raise ValueError("cross terms must be Hermitian")
-        raise ValueError("|cross_ij| must equal sqrt(w_i w_j) for alive pairs")
-    if w[dead[r]].any():
-        raise ValueError("dead states must carry zero weight")
-    raise ValueError("dead states must have zero cross terms")
-
-
 @dataclass(frozen=True)
 class JointState:
     """Coupled system-detector state: simplex weights plus spectator cross terms.
@@ -127,7 +84,26 @@ class JointState:
             raise TooFewStatesError("need at least 2 states")
         if k.shape != (n, n) or al.shape != (n,):
             raise ValueError("weights, cross and alive have inconsistent shapes")
-        _check_joint(w, k, al)
+        _require_finite(w, k)
+        if w.min() < 0:
+            raise ValueError("weights must be nonnegative")
+        total = w.sum()
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        with np.errstate(over="ignore"):  # a huge finite entry fails all the same
+            skew = np.abs(k - k.conj().T).max()
+            gap = np.abs(np.abs(k) - np.sqrt(np.outer(w, w)))
+        if skew > NORM_TOL:
+            raise ValueError("cross terms must be Hermitian")
+        dead = ~al
+        gap[dead] = gap[:, dead] = 0.0  # the rows and columns of dead states
+        np.fill_diagonal(gap, 0.0)  # the diagonal is unused
+        if gap.max() > NORM_TOL:
+            raise ValueError("|cross_ij| must equal sqrt(w_i w_j) for alive pairs")
+        if w[dead].any():
+            raise ValueError("dead states must carry zero weight")
+        if k[dead].any() or k[:, dead].any():
+            raise ValueError("dead states must have zero cross terms")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cross", k)
         object.__setattr__(self, "alive", al)
@@ -151,15 +127,16 @@ def _synced_joints(phases, w, alive):
     """The joint states with weights ``w`` (zero at dead states) and
     |kappa_ij| = sqrt(w_i w_j) on the given unit phases, one per row of the
     (rows, N) stacks ``w`` and ``alive``; the diagonal and the rows and
-    columns of dead states are zero.  The rows are checked all at once by
-    JointState's checks; the stacks become read-only and each state holds
-    row views of them."""
+    columns of dead states are zero.  The rows are not checked again: counts
+    / M make valid weights, and ``run_walk`` has refused phases that are not
+    unit and Hermitian on the pairs alive at step 0, the one way a state
+    built here could fail JointState's checks.  The stacks become read-only
+    and each state holds row views of them."""
     n = w.shape[1]
     kappa = phases * np.sqrt(w[:, :, None] * w[:, None, :])
     dead = ~alive
     kappa[dead[:, :, None] | dead[:, None, :]] = 0.0
     kappa[:, range(n), range(n)] = 0.0
-    _check_joint(w, kappa, alive)
     for arr in (w, kappa, alive):
         arr.setflags(write=False)
     for wr, kr, ar in zip(w, kappa, alive):

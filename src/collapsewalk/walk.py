@@ -60,7 +60,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateGridError, MaxStepsExceededError
-from .states import JointState, QuantumState, _synced_joints, _unit_phases
+from .states import NORM_TOL, JointState, QuantumState, _synced_joints, _unit_phases
 
 # numpy's SeedSequence hash (bit_generator.pyx): hashmix and mix constants,
 # the 4-word entropy pool, and the pool words hashed into the output state
@@ -363,10 +363,14 @@ def run_walk(
     ``observer(step, joint_state)``, when given, sees step 0 and every step
     after it, in order.  The step loop hands its count rows over in blocks
     of at most 256 KiB of cross terms (at least one step), and
-    ``states._synced_joints`` builds and checks each block's snapshots as
-    one.  A full block is handed over when the step after it is drawn: if
-    the observer raises at step j, no later snapshot is delivered, but
-    ``rng`` may be up to one block past step j.  Raises
+    ``states._synced_joints`` builds each block's snapshots as one, without
+    checking them again.  Before it draws anything, an observed walk refuses
+    with ValueError an input whose phases phi_ij = kappa_ij / |kappa_ij| are
+    not unit and Hermitian within NORM_TOL on the pairs alive at step 0:
+    that is the one way an accepted JointState could make a snapshot fail
+    JointState's checks.  A full block is handed over when the step after
+    it is drawn: if the observer raises at step j, no later snapshot is
+    delivered, but ``rng`` may be up to one block past step j.  Raises
     MaxStepsExceededError at the safety cap, once the steps walked before it
     are delivered.  A positive weight quantized to zero (allowed at
     M >= 10 N) gives a RuntimeWarning.
@@ -377,8 +381,18 @@ def run_walk(
         warnings.warn(zeroed, RuntimeWarning, stacklevel=2)
     if observer is None:
         return _walk_counts(k0, config, rng)
-    # the phases come from the input joint at every step, so derive them once
+    # the phases come from the input joint at every step, so derive them once;
+    # a snapshot's kappa_ij is phi_ij sqrt(w_i w_j) with sqrt(w_i w_j) <= 1/2,
+    # so unit Hermitian phases on the pairs alive now keep every one valid
     phases = _unit_phases(joint.cross)
+    pairs = np.outer(k0 > 0, k0 > 0) & ~np.eye(k0.size, dtype=bool)
+    phi, mirror = phases[pairs], phases.T[pairs].conj()
+    off = float(np.maximum(abs(phi - mirror), abs(abs(phi) - 1.0)).max(initial=0.0))
+    if off > NORM_TOL:
+        raise ValueError(
+            f"cross-term phases phi_ij of the states alive at M={m} must be unit "
+            f"and Hermitian, off by {off!r}"
+        )
 
     def deliver(first, rows):
         counts = np.array(rows)

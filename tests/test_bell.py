@@ -905,6 +905,16 @@ def test_detector_settings_validate():
         DetectorSetting(np.array([1.0, 1.0, 0.0]))
     unit = DetectorSetting.from_vector([2.0, 0.0, 0.0])
     assert np.allclose(unit.direction, [1, 0, 0])
+    with pytest.raises(ValueError, match="norm 0.0"):
+        DetectorSetting.from_vector([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_detector_setting_from_vector_takes_finite_directions_of_any_size(scale):
+    """A finite direction whose squared norm overflows or underflows is a
+    direction all the same."""
+    unit = DetectorSetting.from_vector([scale, scale, 0.0])
+    assert np.allclose(unit.direction, [math.sqrt(0.5), math.sqrt(0.5), 0.0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -298,6 +298,34 @@ def test_bell_image_analytic_curve(tmp_path):
         assert abs(float(value) - math.cos(math.radians(float(deg)))) < 1e-6
 
 
+BELL_GOLDEN_SHA256 = {
+    "image-event": "0fce2b0ac4f90aec24aa7df6e56279c7d13fdbf9965e096dc9e31bdbf138f5c8",
+    "bell-sign": "7654998f1734c196fee8973d45967c03c9a41caf93ad56f169b1e8fdb10ae97b",
+}
+
+
+@pytest.mark.parametrize("model", ["quantum", "image-analytic", *BELL_GOLDEN_SHA256])
+def test_bell_spawns_streams_only_for_models_that_draw(model, monkeypatch, tmp_path):
+    """The closed-form models spawn no child stream; the sampled models
+    spawn one per angle and write their golden bytes."""
+    made = []
+
+    def default_rng(seed=None):
+        made.append(np.random.Generator(np.random.PCG64(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(collapsewalk.cli.np.random, "default_rng", default_rng)
+    out = tmp_path / "bell.csv"
+    argv = ["bell", "--model", model, "--theta-grid", "0:180:45", "--samples", "2000",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    (rng,) = made
+    draws = model in BELL_GOLDEN_SHA256
+    assert rng.bit_generator.seed_seq.n_children_spawned == 5 * draws
+    if draws:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_GOLDEN_SHA256[model]
+
+
 def test_bell_image_event_streams_same_as_batch(tmp_path):
     """The bell command reduces image events chunk by chunk; its rows and
     acceptance rates equal those of whole batches drawn on the same seed."""

@@ -159,6 +159,17 @@ def test_joint_state_rejects_nonfinite_cross_terms():
         JointState(good.weights, cross, good.alive)
 
 
+@pytest.mark.parametrize("entry", [1e308j, 1e308 + 1e308j])
+def test_joint_state_refuses_huge_cross_terms_quietly(entry):
+    """A finite cross term whose residual overflows is refused as not
+    Hermitian, with no overflow warning on the way."""
+    good = form_joint(normalize([1.0, 1.0]))
+    cross = good.cross.copy()
+    cross[0, 0] = entry
+    with pytest.raises(ValueError, match="Hermitian"):
+        JointState(good.weights, cross, good.alive)
+
+
 def reference_verdict(weights, cross, alive):
     """The original JointState validator, check for check, as the oracle:
     None when it accepts, else (exception type, message)."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from collapsewalk import cli
-from collapsewalk.states import _check_joint, _synced_joints, _unit_phases
+from collapsewalk.states import _synced_joints, _unit_phases
 from collapsewalk import (
     DegenerateGridError,
     JointState,
@@ -51,7 +51,6 @@ from collapsewalk.walk import (
 
 from chain_oracle import chain_solve
 from step_oracle import walk_step
-from test_states import joint_inputs
 
 
 # ---------------------------------------------------------------- quantize
@@ -595,20 +594,41 @@ def test_run_walk_cap_raises_after_the_oracle_snapshots(amplitudes, m):
 
 # --------------------------------------------------------- snapshot blocks
 
+def perturbed(joint, gen):
+    """``joint`` with the cross term of one pair of positive-weight states
+    moved within the tolerance: its phase turned by 0.9e-12, off Hermitian,
+    or its magnitude scaled by 1 + 0.9e-12 on both sides."""
+    live = np.flatnonzero(joint.weights > 0)
+    if live.size < 2:
+        return joint
+    cross = joint.cross.copy()
+    i, j = gen.choice(live, 2, replace=False)
+    if gen.random() < 0.5:
+        cross[i, j] *= np.exp(0.9e-12j)
+    else:
+        cross[i, j] *= 1.0 + 0.9e-12
+        cross[j, i] = np.conj(cross[i, j])
+    return JointState(joint.weights, cross, joint.alive)
+
+
 def test_observed_snapshots_pass_the_public_constructor_and_are_read_only():
     """Every snapshot of 40 observed walks over 2 to 6 states, some of zero
-    weight, goes back through JointState unchanged, and none of its arrays
-    can be written."""
+    weight, and of 40 more on cross terms perturbed at the tolerance, goes
+    back through JointState unchanged, and none of its arrays can be
+    written."""
     gen = np.random.default_rng(62)
-    for walk in range(40):
+    for walk in range(80):
         n = int(gen.integers(2, 7))
         raw = gen.normal(size=n) * np.exp(1j * gen.uniform(-np.pi, np.pi, n))
         raw[gen.random(n) < 0.25] = 0.0
         raw[0] = raw[0] or 1.0
+        joint = form_joint(normalize(raw))
+        if walk >= 40:
+            joint = perturbed(joint, gen)
         snaps = []
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "positive weights", RuntimeWarning)
-            run_walk(form_joint(normalize(raw)), WalkConfig(grid_resolution=10 * n, seed=walk),
+            run_walk(joint, WalkConfig(grid_resolution=10 * n, seed=walk),
                      observer=lambda step, s: snaps.append(s))
         for snap in snaps:
             arrays = (snap.weights, snap.cross, snap.alive)
@@ -648,32 +668,44 @@ def test_observed_walk_over_many_blocks_matches_reference_formula():
             assert_same_bits(a, b)
 
 
-@st.composite
-def joint_stacks(draw):
-    """One to four (weights, cross, alive) of one size, each valid or with
-    one corruption."""
-    n = draw(st.integers(2, 6))
-    return draw(st.lists(joint_inputs(n), min_size=1, max_size=4))
+def skewed_joint():
+    """An accepted two-state joint whose phases are 2.8e-11 from Hermitian:
+    its cross terms are within 1e-12 of Hermitian, but |kappa_01| is 0.03."""
+    w = np.array([0.999, 0.001])
+    cross = np.zeros((2, 2), dtype=complex)
+    cross[0, 1] = np.sqrt(w[0] * w[1])
+    cross[1, 0] = cross[0, 1] + 0.9e-12j
+    return JointState(w, cross, np.ones(2, dtype=bool))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(rows=joint_stacks())
-def test_stack_check_refuses_as_the_first_refusing_row(rows):
-    """The check over a stack refuses exactly when the constructor refuses
-    some row, with the first such row's message."""
-    verdicts = []
-    for row in rows:
-        try:
-            JointState(*row)
-        except ValueError as exc:
-            verdicts.append(str(exc))
-    stacks = (np.array(column) for column in zip(*rows))
-    try:
-        _check_joint(*stacks)
-    except ValueError as exc:
-        assert verdicts[:1] == [str(exc)]
-    else:
-        assert verdicts == []
+def zero_phase_joint():
+    """An accepted three-state joint with kappa_02 = kappa_12 = 0, allowed
+    at w_2 = 1e-24; at M = 2**40 state 2 quantizes to one unit, where
+    |kappa_02| must be 7e-7."""
+    w = np.array([0.5, 0.5 - 2.0**-40, 1e-24])
+    cross = np.zeros((3, 3), dtype=complex)
+    cross[0, 1] = np.sqrt(w[0] * w[1]) * np.exp(0.3j)
+    cross[1, 0] = np.conj(cross[0, 1])
+    return JointState(w, cross, np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("joint, config", [
+    (skewed_joint(), WalkConfig(grid_resolution=1000)),
+    (zero_phase_joint(), WalkConfig(grid_resolution=2**40, max_steps=50)),
+], ids=["skewed", "zero-phase"])
+def test_observed_walk_refuses_unsound_phases_before_drawing(joint, config):
+    """An input whose phases would give snapshots JointState refuses is
+    refused before the first draw, with a message naming the phases; the
+    unobserved walk still runs (up to its cap at M = 2**40)."""
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    seen = []
+    with pytest.raises(ValueError, match="phases"):
+        run_walk(joint, config, rng=rng, observer=lambda step, s: seen.append(step))
+    assert rng.bit_generator.state == state and seen == []
+    with contextlib.suppress(MaxStepsExceededError):
+        run_walk(joint, config, rng=rng)
+    assert rng.bit_generator.state != state
 
 
 class Halt(Exception):
