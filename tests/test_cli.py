@@ -680,6 +680,94 @@ def test_walk_golden_bytes(amplitudes, m, seed, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
 
 
+# sha256 of the CSV and of the JSON result of each README example and CI
+# smoke command (born and image-event at fewer trials or samples), fixed
+OUTPUT_SHA256 = {
+    ("born", "--amplitudes", "0.547722,0;0.836660,0", "--trials", "5000",
+     "--grid-resolution", "100", "--seed", "13"): (
+        "d3404d4c96c338a6be8ddbf618bbff0cf68d5865c6126fcf173c827e879d5af6",
+        "0a98937ea4e69e84b80aaf8d4777420f232421c516b40eb91523adf716ddb2fe",
+    ),
+    ("born", "--amplitudes", "0.6,0;0.8,0", "--trials", "100", "--grid-resolution", "20"): (
+        "32aab9482da83170cd0bf186b6e2d8d23e8e54eefac1df9bff70e3780d78f107",
+        "a00a6ab66b019177ee62ce3ee32d5e3b2c642b57e3d86748e5cb6259a5e4d4c7",
+    ),
+    ("born", "--amplitudes", "0.5,0;0.5,0;0.5,0;0.5,0;0.5,0", "--trials", "200",
+     "--grid-resolution", "60", "--seed", "1"): (
+        "5abfb64181aa6937df4de75eababc519c4b812f49724b55337ebf1a770a6b0f3",
+        "34bb1bf1625bd8f074194b317797af86a0823526f5d5a70ac37cf560fc210a0d",
+    ),
+    ("walk", "--amplitudes", "0.707107,0;0.707107,0", "--grid-resolution", "20"): (
+        "5ee8defa5edd06f3253bf155e69a74ff08c509092cb54f8134a11b6e952bd5d2",
+        "fbeecb9ac9e47545c1366d66c5f4f10a6bc03521c8073cad98d2270327a6298a",
+    ),
+    ("walk", "--amplitudes", "0.6,0;0.8,0", "--grid-resolution", "20", "--seed", "3"): (
+        "782489f56a6541d709ad3e44bd323cdacd72e71412aaad54ad62bc3a22547f84",
+        "380b6719608c68ef51bbf833c2beddf5772f29a8cfd0cb591365d47336cad07c",
+    ),
+    ("walk", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "30", "--seed", "3"): (
+        "acd4f82da150f53e8f12d59315674a184acfc48cae45380d69c5a4f7219f291c",
+        "f5ff1e340630296010522a7823295b865907f4801310dc35c8564cc032830d19",
+    ),
+    ("greens", "--x0", "0.5", "--laplace-s", "1", "--x-grid", "0:1:0.05"): (
+        "716ff6e35ab955b5fb8f7b034610c3fc9150e5e246ac31c4b9c07bc8611025d7",
+        "8fa2ed928f03181a55ad435ca8fc7fad4eeaa86b7e8da6c3d803b907dc094388",
+    ),
+    ("c2", "--theta-grid", "0:180:1"): (
+        "68fdd295771237d7d226ce7a945a4e6db7ffee13611160e5bc26b9de8634c77b",
+        "cef5aa4f87ddd31d56f1761a6c3555f4a7e52b67215b5f3dce01ad8f028a8938",
+    ),
+    ("c2", "--theta-grid", "0:180:90"): (
+        "d2b11a7ff83b492c289fbf9d7f2ab079f9c99262b784ad6ddfb3714170f1dd21",
+        "a7422f13471855919c8dae79655a0075da98ac0affbf206f4acf61510998a177",
+    ),
+    ("bell", "--model", "quantum", "--theta-grid", "0:180:15"): (
+        "cd47f92d0462412632caacc8506674207a3d71c64cbf8a4a23205be85c6e1bad",
+        "21eabfffbafeae2c854e9933bc52efdd7fc1cabb876e59853524e6e1b8a1ec27",
+    ),
+    ("bell", "--model", "quantum", "--theta-grid", "0:180:90"): (
+        "f706c934e6c55e74e20de9927ef9b95cd8cfc1cf7054bc9d560934dd9e2a75b2",
+        "a5fd1a09fd557fb30eed2ee6f17c54ce77e6e1daf41b00ac77b10793f46c0f16",
+    ),
+    ("bell", "--model", "image-analytic", "--theta-grid", "0:180:15"): (
+        "e380a4db66aee48dbd590574dab09f461f894cf5fcbce2cabb3f74e6b65d70d2",
+        "0eb20ed36dfe3fdef750e5d58bdfbd1ae586a84e61c5bebc3fe03c4a776fd9f7",
+    ),
+    ("bell", "--model", "bell-sign", "--theta-grid", "0:180:15", "--seed", "1"): (
+        "91fe7d45e5bbeb6ab46d79ad435769c8b2b036c7031a792448bcbe740f54f10f",
+        "e20b42c752760776c3b44485670f51889ae7232d59dec41813cb928118f95f7d",
+    ),
+    ("bell", "--model", "image-event", "--theta-grid", "0:180:90", "--samples", "1000",
+     "--seed", "1"): (
+        "98fbb4919b50c62d667d1ca10feec8790aeb30c2c26a5ec306dfcb70e6eaff0a",
+        "386200dcb07815f0abd304935e2fcdefcbb095ca620a220183b93c89b733e9a8",
+    ),
+    ("chsh", "--model", "quantum", "--settings", "0,90,45,135"): (
+        "37194ebb9132ee9ef408ca010cfa79e2cfd2f70c4306ef23b48e1ada121f6385",
+        "4fbd8baedbc2b14b4b708ac21ce990ec2d2e39f76c35a0d22c367fe9efba93cd",
+    ),
+    ("chsh", "--model", "bell-sign", "--settings", "0,90,45,135", "--samples", "1000",
+     "--seed", "1"): (
+        "a53afcc66a271f5f17e0e742f4157733062856fcc67b625af299fda741abb6f9",
+        "700696b6e194e16d1f458f8915bcfa910bdfa4ba53db1382b17645217afe0d18",
+    ),
+    ("chsh", "--model", "image-event", "--settings", "0,90,45,135", "--samples", "1000",
+     "--seed", "1"): (
+        "185f9af52b6293b55e4ccd63caa39d9ff0c192864f55ce4537cf075607d40fcb",
+        "d6225960b03e8ad03434cade876ba023b779ab112eb001f951dfe57609af3282",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_SHA256), ids=" ".join)
+def test_output_golden_sha256(argv, tmp_path):
+    """Each example's CSV and JSON bytes, fixed by their sha256."""
+    out = tmp_path / "result"
+    for fmt, want in zip(("csv", "json"), OUTPUT_SHA256[argv]):
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, fmt
+
+
 def test_walk_command_builds_no_joint_state(monkeypatch, tmp_path):
     """The walk command writes its rows from the step loop's counts: with
     every snapshot and JointState construction failing, it still writes
