@@ -82,8 +82,9 @@ def _unit_vector(values) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
-        raise ValueError(f"vector must have unit norm, got |v| = {np.linalg.norm(v)!r}")
+    norm = math.sqrt(v @ v)  # np.linalg.norm's own sum, as a Python float
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise ValueError(f"vector must have unit norm, got |v| = {norm!r}")
     v.setflags(write=False)
     return v
 

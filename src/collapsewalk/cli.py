@@ -12,13 +12,16 @@ or unknown subcommand and a flag before the subcommand get the parser of all
 six.  A config key of another subcommand is a usage error unless it holds
 null or its default, so a manifest that echoes every option still replays.
 
-CSV carries one header row, '.' decimals and 15 significant digits; angles
-are accepted in degrees and converted to radians internally.  Seeds lie in
-[0, 2**64), 0 included; --entropy asks the OS for one and records the drawn
-value in the manifest.  The grid resolution M of born and walk is at most
-2**53, as float64 holds every integer only up to there.  A walk run buffers
-at most WALK_MAX_ROWS rows, and a born run may expect at most BORN_MAX_STEPS
-walk steps, each trial counting at least BORN_TRIAL_STEPS.
+Each runner hands its result to _emit as columns; CSV is formatted column by
+column (one header row, '.' decimals, floats to 15 significant digits) and
+JSON rows are built only for JSON output.  Angles are accepted in degrees and
+converted to radians internally.  Seeds lie in [0, 2**64), 0 included;
+--entropy asks the OS for one and records the drawn value in the manifest.
+The grid resolution M of born and walk is at most 2**53, as float64 holds
+every integer only up to there.  A walk run buffers at most WALK_MAX_ROWS
+rows, a born run may expect at most BORN_MAX_STEPS walk steps, each trial
+counting at least BORN_TRIAL_STEPS, and a bell or chsh run of a sampled model
+draws at most BELL_MAX_EVENTS events.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but every run uses one thread.
@@ -56,6 +59,9 @@ BORN_MAX_STEPS = 1 << 30
 # least a trial counts against BORN_MAX_STEPS: a trial's fixed cost, about
 # 10 µs, whatever its walk
 BORN_TRIAL_STEPS = 1 << 9
+# most events a bell or chsh run of a sampled model draws, tens of seconds at
+# about 133 ns an image event
+BELL_MAX_EVENTS = 1 << 28
 
 
 _SUBCOMMANDS = {
@@ -267,34 +273,33 @@ def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
     return tuple(DetectorSetting.from_plane_angle_degrees(d) for d in degs)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.15g}"
-    return str(value)
+def _csv_cells(values: list) -> list[str]:
+    """One column's CSV cells, by the type of its first value: floats to 15
+    significant digits, bools as true/false, anything else through str."""
+    if isinstance(values[0], float):
+        return [f"{v:.15g}" for v in values]
+    if isinstance(values[0], bool):
+        return ["true" if v else "false" for v in values]
+    return [str(v) for v in values]
 
 
-def _emit(config: RunConfig, header, rows, json_obj) -> None:
+def _emit(config: RunConfig, columns: dict, fields: dict, key: str | None) -> None:
+    """Write a runner's result.  ``columns`` maps each header to its column,
+    a numpy array, range or list; JSON holds ``fields`` and the rows under
+    ``key``, or, with ``key`` None, the one row with ``fields`` over it."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
     if config.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        rows = zip(*map(_csv_cells, values))
+        text = "\n".join(map(",".join, [columns, *rows])) + "\n"
     else:
-        text = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
+        obj = {**rows[0], **fields} if key is None else {**fields, key: rows}
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if config.out is None:
         sys.stdout.write(text)
     else:
         with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _rows_to_json(header, rows):
-    return [
-        {k: (float(v) if isinstance(v, (float, np.floating)) else v)
-         for k, v in zip(header, row)}
-        for row in rows
-    ]
 
 
 def _walk_inputs(config: RunConfig):
@@ -336,16 +341,13 @@ def _run_born(config: RunConfig, diagnostics: dict):
         stats.steps_stderr if math.isfinite(stats.steps_stderr) else None
     )
     diagnostics["expected_steps"] = stats.expected_steps
-    header = ("state", "count", "frequency", "stderr")
-    rows = [
-        (i, int(stats.winner_counts[i]), float(stats.frequencies[i]), float(stats.stderr[i]))
-        for i in range(stats.winner_counts.size)
-    ]
-    return header, rows, {
-        "trials": stats.trials,
-        "excluded": stats.excluded,
-        "rows": _rows_to_json(header, rows),
+    columns = {
+        "state": range(stats.winner_counts.size),
+        "count": stats.winner_counts,
+        "frequency": stats.frequencies,
+        "stderr": stats.stderr,
     }
+    return columns, {"trials": stats.trials, "excluded": stats.excluded}, "rows"
 
 
 def _run_walk(config: RunConfig, diagnostics: dict):
@@ -359,19 +361,19 @@ def _run_walk(config: RunConfig, diagnostics: dict):
     walk_config = replace(
         walk_config, max_steps=min(walk_config.max_steps, WALK_MAX_ROWS - 1)
     )
-    m = walk_config.grid_resolution
-    rows = []
-    outcome = _walk_counts(k0, walk_config, visit=lambda first, block: rows.extend(
-        (step, *(x / m for x in k)) for step, k in enumerate(block, first)))
+    counts = []
+    outcome = _walk_counts(k0, walk_config, visit=lambda first, block: counts.extend(block))
     diagnostics["winner"] = outcome.winner
     diagnostics["steps_taken"] = outcome.steps_taken
-    header = ("step",) + tuple(f"w{i}" for i in range(k0.size))
-    return header, rows, {
+    # k / M exactly as Python divides it: both convert exactly for M <= 2**53
+    weights = np.array(counts, dtype=np.int64) / walk_config.grid_resolution
+    columns = {"step": range(len(counts))}
+    columns.update((f"w{i}", weights[:, i]) for i in range(k0.size))
+    return columns, {
         "winner": outcome.winner,
         "steps_taken": outcome.steps_taken,
         "elimination_order": [list(e) for e in outcome.elimination_order],
-        "trajectory": _rows_to_json(header, rows),
-    }
+    }, "trajectory"
 
 
 def _run_greens(config: RunConfig, diagnostics: dict):
@@ -383,9 +385,7 @@ def _run_greens(config: RunConfig, diagnostics: dict):
         raise UsageError("--laplace-s must be finite and positive")
     xs = _parse_grid(config.x_grid, "x-grid", 0.0, 1.0)
     values = greens_tilde(xs, config.laplace_s, params)
-    header = ("x", "value")
-    rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    return header, rows, {"laplace_s": config.laplace_s, "rows": _rows_to_json(header, rows)}
+    return {"x": xs, "value": values}, {"laplace_s": config.laplace_s}, "rows"
 
 
 def _report_acceptance(estimates, diagnostics: dict) -> None:
@@ -398,63 +398,61 @@ def _report_acceptance(estimates, diagnostics: dict) -> None:
         }
 
 
+def _check_events(config: RunConfig, points: int) -> None:
+    """A usage error if a sampled model would draw more than BELL_MAX_EVENTS
+    events over ``points`` correlations."""
+    if config.model in SAMPLED_MODELS and points * config.samples > BELL_MAX_EVENTS:
+        raise UsageError(
+            f"{config.subcommand} would draw more than {BELL_MAX_EVENTS} events; lower --samples"
+        )
+
+
 def _run_bell(config: RunConfig, diagnostics: dict):
     thetas = _parse_grid(config.theta_grid, "theta-grid")
+    _check_events(config, thetas.size)
     rng = np.random.default_rng(config.seed)
-    header = ("theta_deg", "value", "stderr", "n", "model")
-    rows = []
     estimates = []
     a = DetectorSetting.from_plane_angle_degrees(0.0)
     draws = config.model in SAMPLED_MODELS
-    for theta_deg in thetas:
-        b = DetectorSetting.from_plane_angle_degrees(float(theta_deg))
+    for theta_deg in thetas.tolist():
+        b = DetectorSetting.from_plane_angle_degrees(theta_deg)
         # spawned per angle: the children of one spawn of them all, not held at once
         stream = rng.spawn(1)[0] if draws else None
-        est = correlation_estimate(config.model, a, b, config.samples, stream, config.convention)
-        rows.append((float(theta_deg), est.value, est.stderr, est.n, est.model))
-        estimates.append(est)
+        estimates.append(
+            correlation_estimate(config.model, a, b, config.samples, stream, config.convention)
+        )
     _report_acceptance(estimates, diagnostics)
-    return header, rows, {"rows": _rows_to_json(header, rows)}
+    columns = {"theta_deg": thetas}
+    for name in ("value", "stderr", "n", "model"):
+        columns[name] = [getattr(e, name) for e in estimates]
+    return columns, {}, "rows"
 
 
 def _run_chsh(config: RunConfig, diagnostics: dict):
     a, a_alt, b, b_alt = _parse_settings(config.settings)
+    _check_events(config, 4)
     rng = np.random.default_rng(config.seed)
     report = chsh(
         config.model, a, a_alt, b, b_alt, config.samples, rng, config.convention
     )
     _report_acceptance(report.estimates, diagnostics)
     diagnostics["chsh_margin"] = report.chsh_margin
-    header = ("model", "S", "bound", "combined_stderr", "violated", "settings_deg")
-    row = (
-        report.model,
-        report.chsh_s,
-        report.chsh_bound,
-        report.chsh_stderr,
-        bool(report.chsh_violated),
-        config.settings.replace(",", ";"),
-    )
-    return header, [row], {
-        "model": report.model,
-        "S": report.chsh_s,
-        "bound": report.chsh_bound,
-        "combined_stderr": report.chsh_stderr,
-        "violated": bool(report.chsh_violated),
-        "settings_deg": [float(v) for v in config.settings.split(",")],
+    columns = {
+        "model": [report.model],
+        "S": [report.chsh_s],
+        "bound": [report.chsh_bound],
+        "combined_stderr": [report.chsh_stderr],
+        "violated": [bool(report.chsh_violated)],
+        "settings_deg": [config.settings.replace(",", ";")],
     }
+    return columns, {"settings_deg": [float(v) for v in config.settings.split(",")]}, None
 
 
 def _run_c2(config: RunConfig, diagnostics: dict):
     thetas = _parse_grid(config.theta_grid, "theta-grid", 0.0, 180.0)
-    header = ("theta_deg", "c2")
-    rows = []
-    worst = 0.0
-    for theta_deg in thetas:
-        consts = solve_c2(math.radians(float(theta_deg)))
-        worst = max(worst, consts.residual)
-        rows.append((float(theta_deg), consts.c2))
-    diagnostics["max_normalization_residual"] = worst
-    return header, rows, {"rows": _rows_to_json(header, rows)}
+    consts = [solve_c2(math.radians(theta_deg)) for theta_deg in thetas.tolist()]
+    diagnostics["max_normalization_residual"] = max(c.residual for c in consts)
+    return {"theta_deg": thetas, "c2": [c.c2 for c in consts]}, {}, "rows"
 
 
 _RUNNERS = {
@@ -477,8 +475,7 @@ def execute(config: RunConfig) -> int:
     error = None
     code = 0
     try:
-        header, rows, json_obj = _RUNNERS[config.subcommand](config, diagnostics)
-        _emit(config, header, rows, json_obj)
+        _emit(config, *_RUNNERS[config.subcommand](config, diagnostics))
     except CollapseWalkError as exc:
         if isinstance(exc, UsageError):
             raise

@@ -909,6 +909,29 @@ def test_detector_settings_validate():
         DetectorSetting.from_vector([0.0, 0.0, 0.0])
 
 
+def test_detector_setting_refusal_prints_its_norm_as_a_float():
+    with pytest.raises(ValueError) as info:
+        DetectorSetting([1, 1, 0])
+    assert str(info.value) == "vector must have unit norm, got |v| = 1.4142135623730951"
+
+
+def test_detector_setting_takes_the_vectors_linalg_norm_takes():
+    """Near the unit tolerance, a direction is accepted exactly when
+    np.linalg.norm puts it within UNIT_TOL of 1."""
+    rng = np.random.default_rng(27)
+    v = rng.standard_normal((2000, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v *= 1.0 + rng.uniform(-2e-12, 2e-12, (2000, 1))
+    for row in v:
+        accepted = abs(np.linalg.norm(row) - 1.0) <= 1e-12
+        try:
+            DetectorSetting(row)
+        except ValueError:
+            assert not accepted, row
+        else:
+            assert accepted, row
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-170])
 def test_detector_setting_from_vector_takes_finite_directions_of_any_size(scale):
     """A finite direction whose squared norm overflows or underflows is a

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import types
 
@@ -867,6 +868,64 @@ def test_born_step_budget(argv, accepted, monkeypatch, capsys):
     else:
         assert (code, called) == (2, [])
         assert err.startswith("usage error: born expects more than") and err.count("\n") == 1
+
+
+_CHSH_SETTINGS = ["--settings", "0,90,45,135"]
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["bell", "--model", "image-event", "--theta-grid", "0:1048575:1",
+          "--samples", str(10**15)], False),
+        (["chsh", "--model", "image-event", *_CHSH_SETTINGS, "--samples", str(10**18)], False),
+        (["bell", "--model", "bell-sign", "--theta-grid", "0:180:90",
+          "--samples", str(2**28 // 3 + 1)], False),
+        (["chsh", "--model", "bell-sign", *_CHSH_SETTINGS, "--samples", str(2**26 + 1)], False),
+        (["chsh", "--model", "bell-sign", *_CHSH_SETTINGS, "--samples", str(2**26)], True),
+        # the README example: 13 angles of 10**6 events
+        (["bell", "--model", "image-event", "--theta-grid", "0:180:15",
+          "--samples", "1000000"], True),
+    ],
+)
+def test_bell_event_budget(argv, accepted, monkeypatch, tmp_path, capsys):
+    """Sampled runs within BELL_MAX_EVENTS reach their estimator (stubbed
+    here, so nothing is drawn); the others exit 2 within a second, before
+    any draw, and write no result file."""
+    called = []
+
+    def stub(model, *args):
+        called.append(model)
+        raise collapsewalk.MaxStepsExceededError("stub")
+
+    monkeypatch.setattr(collapsewalk.cli, "correlation_estimate", stub)
+    monkeypatch.setattr(collapsewalk.cli, "chsh", stub)
+    out = tmp_path / "result.csv"
+    started = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert not out.exists()
+    if accepted:
+        assert (code, called[:1]) == (1, [argv[2]])
+    else:
+        assert (code, called) == (2, [])
+        assert elapsed < 1.0
+        assert err == (
+            f"usage error: {argv[0]} would draw more than {2**28} events; lower --samples\n"
+        )
+
+
+@pytest.mark.parametrize("model", ["quantum", "image-analytic"])
+def test_closed_form_models_take_any_sample_count(model, tmp_path):
+    """The event budget binds only the models that draw."""
+    out = tmp_path / "result.csv"
+    assert main(["bell", "--model", model, "--theta-grid", "0:180:90",
+                 "--samples", str(10**15), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert main(["chsh", "--model", model, *_CHSH_SETTINGS, "--samples", str(10**18),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith(f"{model},")
 
 
 def test_manifest_round_trip_reproduces_result(tmp_path):
