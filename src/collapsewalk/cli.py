@@ -18,10 +18,10 @@ JSON rows are built only for JSON output.  Angles are accepted in degrees and
 converted to radians internally.  Seeds lie in [0, 2**64), 0 included;
 --entropy asks the OS for one and records the drawn value in the manifest.
 The grid resolution M of born and walk is at most 2**53, as float64 holds
-every integer only up to there.  A walk run buffers at most WALK_MAX_ROWS
-rows, a born run may expect at most BORN_MAX_STEPS walk steps, each trial
-counting at least BORN_TRIAL_STEPS, and a bell or chsh run of a sampled model
-draws at most BELL_MAX_EVENTS events.
+every integer only up to there.  A walk run of N states buffers at most
+2 WALK_MAX_ROWS // N rows, a born run may expect at most BORN_MAX_STEPS walk
+steps, each trial counting at least BORN_TRIAL_STEPS, and a bell or chsh run
+of a sampled model draws at most BELL_MAX_EVENTS events.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but every run uses one thread.
@@ -52,7 +52,7 @@ from .walk import born_statistics, quantize_weights
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
-WALK_MAX_ROWS = 1 << 18  # longest trajectory a walk run buffers
+WALK_MAX_ROWS = 1 << 18  # longest two-state trajectory a walk run buffers
 # most expected walk steps of one born run, tens of seconds on a 2-vCPU VM; a
 # step of a two-state walk counts 1/64, as its kernel reads 64 steps per word
 BORN_MAX_STEPS = 1 << 30
@@ -352,22 +352,21 @@ def _run_born(config: RunConfig, diagnostics: dict):
 
 def _run_walk(config: RunConfig, diagnostics: dict):
     _, walk_config, k0 = _walk_inputs(config)
+    # cells, not rows: N states take 2 WALK_MAX_ROWS // N rows of N counts
+    limit = 2 * WALK_MAX_ROWS // k0.size
     # E[T] steps, plus the row of step 0
-    if _expected_steps(k0) + 1 > WALK_MAX_ROWS:
+    if _expected_steps(k0) + 1 > limit:
         raise UsageError(
-            f"walk expects more than {WALK_MAX_ROWS} trajectory rows; "
+            f"walk of {k0.size} states expects more than {limit} trajectory rows; "
             "lower --grid-resolution"
         )
-    walk_config = replace(
-        walk_config, max_steps=min(walk_config.max_steps, WALK_MAX_ROWS - 1)
-    )
-    counts = []
-    outcome = _walk_counts(k0, walk_config, visit=lambda first, block: counts.extend(block))
-    diagnostics["winner"] = outcome.winner
-    diagnostics["steps_taken"] = outcome.steps_taken
+    walk_config = replace(walk_config, max_steps=min(walk_config.max_steps, limit - 1))
+    blocks = []
+    outcome = _walk_counts(k0, walk_config, visit=lambda first, block: blocks.append(block))
+    diagnostics.update(winner=outcome.winner, steps_taken=outcome.steps_taken)
     # k / M exactly as Python divides it: both convert exactly for M <= 2**53
-    weights = np.array(counts, dtype=np.int64) / walk_config.grid_resolution
-    columns = {"step": range(len(counts))}
+    weights = np.concatenate(blocks) / walk_config.grid_resolution
+    columns = {"step": range(len(weights))}
     columns.update((f"w{i}", weights[:, i]) for i in range(k0.size))
     return columns, {
         "winner": outcome.winner,

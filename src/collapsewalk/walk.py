@@ -8,13 +8,14 @@ weight equals its start weight (the multi-state gambler's ruin).  A state
 whose weight reaches zero is eliminated permanently; the walk stops when one
 state holds all M units (a simplex vertex).
 
-``run_walk`` and the ``walk`` command share one step loop, ``_walk_counts``:
+``run_walk`` and the ``walk`` command share one engine, ``_walk_counts``:
 over the n alive states in index order, a step draws ``a = rng.integers(n)``,
 then ``b = rng.integers(n - 1)`` shifted past ``a``, and moves one unit from
-the a-th to the b-th.  The loop keeps the count rows, step 0 included, and
-hands them over in blocks; ``run_walk`` turns each block into its observer's
-snapshots through ``states._synced_joints``, and the command writes
-``k_i / M`` from them.  ``born_statistics`` runs
+the a-th to the b-th.  The engine draws runs of steps, each in one
+``integers`` call that reads the stream as those scalar draws do, and hands
+the count rows, step 0 included, over in blocks; ``run_walk`` turns each
+block into its observer's snapshots through ``states._synced_joints``, and
+the command writes ``k_i / M`` from them.  ``born_statistics`` runs
 large trial batches through distribution-identical vectorized kernels.  In
 the two-state kernel each raw uint64 word of the bit generator is 64 steps:
 one pass over a draw takes every word's end position from its popcount, cuts
@@ -91,7 +92,7 @@ _LANE_SHIFTS = np.arange(0, 48, 16, dtype=np.uint64)
 _LANE_UNITS = np.uint64(1) << _LANE_SHIFTS
 _LANE_PAD = np.uint64(_LANE_TOP << 48)  # the unused fourth lane
 _ROUND_BYTES = 1 << 17  # raw words of one sub-block of a round
-_SNAPSHOT_BYTES = 1 << 18  # cross terms of one block of observed snapshots
+_SNAPSHOT_BYTES = 1 << 18  # cross terms of a snapshot block, count rows of a run
 
 
 def _byte_tables():
@@ -361,16 +362,16 @@ def run_walk(
     ``b = rng.integers(n - 1)`` over the n alive states in index order,
     shifts ``b`` past ``a`` and moves one unit from the a-th to the b-th.
     ``observer(step, joint_state)``, when given, sees step 0 and every step
-    after it, in order.  The step loop hands its count rows over in blocks
-    of at most 256 KiB of cross terms (at least one step), and
+    after it, in order.  ``_walk_counts`` hands its count rows over in
+    blocks of at most 256 KiB of cross terms (at least one step), and
     ``states._synced_joints`` builds each block's snapshots as one, without
     checking them again.  Before it draws anything, an observed walk refuses
     with ValueError an input whose phases phi_ij = kappa_ij / |kappa_ij| are
     not unit and Hermitian within NORM_TOL on the pairs alive at step 0:
     that is the one way an accepted JointState could make a snapshot fail
-    JointState's checks.  A full block is handed over when the step after
-    it is drawn: if the observer raises at step j, no later snapshot is
-    delivered, but ``rng`` may be up to one block past step j.  Raises
+    JointState's checks.  A run's blocks are handed over once the run is
+    drawn: if the observer raises at step j, no later snapshot is
+    delivered, but ``rng`` may be up to one run past step j.  Raises
     MaxStepsExceededError at the safety cap, once the steps walked before it
     are delivered.  A positive weight quantized to zero (allowed at
     M >= 10 N) gives a RuntimeWarning.
@@ -394,60 +395,68 @@ def run_walk(
             f"and Hermitian, off by {off!r}"
         )
 
-    def deliver(first, rows):
-        counts = np.array(rows)
+    def deliver(first, counts):
         for step, snap in enumerate(_synced_joints(phases, counts / m, counts > 0), first):
             observer(step, snap)
 
     return _walk_counts(k0, config, rng, deliver)
 
 
-def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=lambda first, rows: None):
-    """``run_walk`` from the grid counts ``k0``: its one step loop.
+def _walk_counts(k0: np.ndarray, config: WalkConfig, rng=None, visit=None):
+    """``run_walk`` from the grid counts ``k0``, in runs of steps.
 
-    The loop keeps the counts of step 0 and of every step after it as
-    Python lists, and hands them over in blocks, ``visit(first, rows)``
-    with ``rows[j]`` the counts of step ``first + j``.  A block holds at
-    most ``_SNAPSHOT_BYTES`` of the cross terms they make (at least one
-    row) and is handed over when the next step is drawn, or, never empty,
-    at the end of the walk and at the cap, before MaxStepsExceededError.
-    Without ``rng`` the walk draws from ``default_rng(config.seed)``.
+    A run draws its steps in one ``rng.integers(0, bounds)`` call, bounds
+    n, n - 1, n, ... for its n alive states, which numpy reads exactly as
+    the scalar draws (Lemire rejections and a spare uint32 half included).
+    One scatter and one cumsum count the states it moves; if one dies, the
+    saved stream state is restored and the steps up to that death are drawn
+    again.  A run is as long as the walk so far, at least 64 steps and at
+    most ``_SNAPSHOT_BYTES`` of count rows.  ``visit(first, rows)``, when
+    given, gets ``rows[j]``, the counts of step ``first + j``: step 0 alone,
+    then each run in blocks of at most ``_SNAPSHOT_BYTES`` of cross terms
+    (at least one row), before MaxStepsExceededError at the cap.  Without
+    ``rng`` the walk draws from ``default_rng(config.seed)``.
     """
-    k = k0.tolist()
-    alive = [i for i, x in enumerate(k) if x > 0]
-    eliminations = [(i, 0) for i, x in enumerate(k) if x == 0]
-    block = max(1, _SNAPSHOT_BYTES // (16 * len(k) ** 2))
-    rows = [k[:]]
-    first = 0
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    k = np.array(k0, dtype=np.int64)
+    alive = np.flatnonzero(k)
+    eliminations = [(i, 0) for i in np.flatnonzero(k == 0).tolist()]
+    block = max(1, _SNAPSHOT_BYTES // (16 * k.size**2))
+    longest = max(1, _SNAPSHOT_BYTES // (8 * k.size))
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    if visit is not None:
+        visit(0, k[None].copy())
     steps = 0
-    while len(alive) > 1:
+    while alive.size > 1:
         if steps >= config.max_steps:
-            visit(first, rows)
-            raise MaxStepsExceededError(
-                f"walk not absorbed after {config.max_steps} steps"
-            )
-        n = len(alive)
-        a = int(rng.integers(n))
-        b = int(rng.integers(n - 1))
-        b += b >= a
-        src = alive[a]
-        k[src] -= 1
-        k[alive[b]] += 1
-        steps += 1
-        if k[src] == 0:
-            eliminations.append((alive.pop(a), steps))
-        if len(rows) == block:
-            visit(first, rows)
-            first, rows = steps, []
-        rows.append(k[:])
-    visit(first, rows)
-    return WalkOutcome(
-        winner=alive[0],
-        steps_taken=steps,
-        elimination_order=tuple(eliminations),
-    )
+            raise MaxStepsExceededError(f"walk not absorbed after {config.max_steps} steps")
+        run = min(max(64, steps), longest, config.max_steps - steps)
+        bounds = np.tile([alive.size, alive.size - 1], run)
+        saved = rng.bit_generator.state
+        pairs = rng.integers(0, bounds).reshape(run, 2)
+        pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
+        # columns only for the states the run moves: a cumsum costs per column
+        cols = np.flatnonzero(np.bincount(pairs.reshape(-1), minlength=alive.size))
+        cols, pairs = alive[cols], np.searchsorted(cols, pairs)
+        counts = np.zeros((run, cols.size), dtype=np.int64)
+        counts[np.arange(run)[:, None], pairs] = (-1, 1)
+        counts[0] += k[cols]
+        np.cumsum(counts, axis=0, out=counts)
+        died = counts[np.arange(run), pairs[:, 0]] == 0
+        if died.any():
+            run = int(died.argmax()) + 1
+            rng.bit_generator.state = saved
+            rng.integers(0, bounds[: 2 * run])
+            dead = int(cols[pairs[run - 1, 0]])
+            alive = alive[alive != dead]
+            eliminations.append((dead, steps + run))
+        if visit is not None:
+            rows = np.tile(k, (run, 1))
+            rows[:, cols] = counts[:run]
+            for lo in range(0, run, block):
+                visit(steps + 1 + lo, rows[lo : lo + block])
+        k[cols] = counts[run - 1]
+        steps += run
+    return WalkOutcome(int(alive[0]), steps, tuple(eliminations))
 
 
 def born_statistics(

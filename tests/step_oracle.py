@@ -1,11 +1,11 @@
 """One step of the grid walk on numpy arrays, the tests' oracle for ``run_walk``.
 
-``run_walk`` keeps its counts and alive states in Python lists.  This module
-takes the same step from (counts, alive mask) arrays, one call per step, with
-the same draws: over the n alive states in index order, ``a =
-rng.integers(n)`` and then ``b = rng.integers(n - 1)``, with ``b`` shifted
-past ``a``; one unit moves from the a-th alive state to the b-th.  It shares
-no code with the package.
+``run_walk`` draws its steps in runs, each in one ``integers`` call over an
+array of bounds.  This module takes one step per call from (counts, alive
+mask) arrays, with the scalar draws that run reads as: over the n alive
+states in index order, ``a = rng.integers(n)`` and then ``b =
+rng.integers(n - 1)``, with ``b`` shifted past ``a``; one unit moves from
+the a-th alive state to the b-th.  It shares no code with the package.
 """
 
 import numpy as np

@@ -410,6 +410,37 @@ def test_walk_run_capped_at_max_rows(tmp_path, monkeypatch):
     assert "39 steps" in manifest["error"]
 
 
+def test_walk_budget_counts_cells(tmp_path, monkeypatch, capsys):
+    """A walk of N states may buffer 2 WALK_MAX_ROWS // N rows of N counts.
+    724 equal amplitudes at M = 724 expect 261,727 rows, under WALK_MAX_ROWS
+    but about 1.9e8 cells: exit 2 within a second, before any draw, with no
+    result file.  [4, 3, 1] / 8 at M = 8 expects 20 rows, refused when three
+    states may take 19 and accepted when they may take 20."""
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(collapsewalk.cli, "_walk_counts", no_walk)
+    out = tmp_path / "walk.csv"
+    argv = ["walk", "--amplitudes", ";".join(["1,0"] * 724), "--grid-resolution", "724",
+            "--out", str(out)]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "usage error: walk of 724 states expects more than 724 trajectory rows; "
+        "lower --grid-resolution\n"
+    )
+    monkeypatch.undo()
+    amplitudes = ";".join(f"{math.sqrt(w)!r},0" for w in (0.5, 0.375, 0.125))
+    argv = ["walk", "--amplitudes", amplitudes, "--grid-resolution", "8", "--out", str(out)]
+    monkeypatch.setattr(collapsewalk.cli, "WALK_MAX_ROWS", 29)  # 58 // 3 = 19 rows
+    assert main(argv) == 2
+    monkeypatch.setattr(collapsewalk.cli, "WALK_MAX_ROWS", 30)  # 60 // 3 = 20 rows
+    assert main(argv) == 0  # seed 0 walks 7 steps
+    assert len(out.read_text().splitlines()) == 1 + 8
+
+
 def test_chsh_quantum_json(tmp_path):
     proc = run_cli(
         ["chsh", "--model", "quantum", "--settings", "0,90,45,135", "--format", "json"],

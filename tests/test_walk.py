@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -823,6 +824,98 @@ def test_blocks_at_their_edges(amplitudes, capped, monkeypatch, tmp_path):
             header = ["step"] + [f"w{i}" for i in range(k0.size)]
             assert [[row[key] for key in header] for row in trajectory] == [
                 [step, *(k / m).tolist()] for step, k in enumerate(seen)]
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def same_state(a, b):
+    """Bit generator state dicts equal field by field, arrays by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("bit", BIT_GENERATORS + [np.random.PCG64DXSM])
+@pytest.mark.parametrize("spare_half", [False, True])
+def test_array_bounds_draw_as_scalar_draws(bit, spare_half):
+    """``integers(0, bounds)`` gives the scalar draws ``integers(b)`` for
+    b in bounds, in order, and leaves the same state: with bounds that
+    Lemire's method rejects about 1/4 and 1/2 of the time, from a spare
+    uint32 half, and with bounds of 1, which draw nothing."""
+    g = np.random.Generator(bit(11))
+    if spare_half:
+        g.integers(3)
+    h = np.random.Generator(bit(11))
+    h.bit_generator.state = g.bit_generator.state
+    bounds = np.tile([3 * 2**30 + 1, 2**31 + 5, 3, 1, 2], 400)
+    assert g.integers(0, bounds).tolist() == [int(h.integers(b)) for b in bounds.tolist()]
+    assert same_state(g.bit_generator.state, h.bit_generator.state)
+    # the 1,600 draws that read the stream did not take one uint32 half each
+    plain = np.random.Generator(bit(11))
+    if spare_half:
+        plain.integers(3)
+    plain.integers(0, 2**32, size=1600)  # one half each, never rejected
+    assert not same_state(g.bit_generator.state, plain.bit_generator.state)
+    state = g.bit_generator.state
+    assert g.integers(0, np.ones(50, dtype=np.int64)).tolist() == [0] * 50
+    assert same_state(g.bit_generator.state, state)
+
+
+def oracle_outcome(seen):
+    """(winner, steps, elimination order) of the oracle rows ``seen``."""
+    dead = [(i, 0) for i in np.flatnonzero(seen[0] == 0).tolist()]
+    for step, (before, after) in enumerate(zip(seen, seen[1:]), 1):
+        dead += [(i, step) for i in np.flatnonzero((before > 0) & (after == 0)).tolist()]
+    return int(np.argmax(seen[-1])), len(seen) - 1, tuple(dead)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    counts=st.lists(st.integers(0, 12), min_size=2, max_size=8).filter(lambda k: sum(k) >= 2),
+    bit=st.sampled_from(BIT_GENERATORS),
+    seed=st.integers(0, 2**32 - 1),
+    spare_half=st.booleans(),
+    cap=st.one_of(st.none(), st.sampled_from([64, 128, 256]), st.integers(1, 600)),
+    cap_at_death=st.booleans(),
+    block=st.sampled_from([None, 1, 3, 10]),
+)
+def test_run_loop_walks_as_the_step_oracle(counts, bit, seed, spare_half, cap, cap_at_death, block):
+    """_walk_counts on 2 to 8 states, some at zero, over four bit generators,
+    some holding a spare uint32 half: the rows it hands over, its outcome
+    and the whole state it leaves are the step oracle's.  Runs are cut by a
+    death, by the cap (which falls mid-run, on the 64, 128 and 256 step
+    edges of runs without a death, or on the step of a death) or, with
+    ``block`` rows of snapshots, by the run length 2 N ``block``."""
+    k0 = np.array(counts, dtype=np.int64)
+    g = np.random.Generator(bit(seed))
+    if spare_half:
+        g.integers(3)
+    start = g.bit_generator.state
+    h = np.random.Generator(bit(seed))
+    if cap_at_death:
+        h.bit_generator.state = start
+        deaths = [step for _, step in oracle_outcome(oracle_walk(k0, h, 10**6))[2] if step]
+        cap = deaths[0] if deaths else cap
+    cap = cap or 10**6
+    h.bit_generator.state = start
+    seen = oracle_walk(k0, h, cap)
+    capped = np.count_nonzero(seen[-1]) > 1
+    blocks = []
+    snapshot = _SNAPSHOT_BYTES if block is None else 16 * k0.size**2 * block
+    with mock.patch("collapsewalk.walk._SNAPSHOT_BYTES", snapshot):
+        with pytest.raises(MaxStepsExceededError) if capped else contextlib.nullcontext():
+            out = _walk_counts(k0, WalkConfig(grid_resolution=int(k0.sum()), max_steps=cap), g,
+                               lambda first, rows: blocks.append((first, rows.tolist())))
+    assert [first for first, _ in blocks] == list(itertools.accumulate(
+        [0] + [len(rows) for _, rows in blocks[:-1]]))
+    assert all(0 < len(rows) <= max(1, snapshot // (16 * k0.size**2)) for _, rows in blocks)
+    assert [k for _, rows in blocks for k in rows] == [k.tolist() for k in seen]
+    if not capped:
+        assert (out.winner, out.steps_taken, out.elimination_order) == oracle_outcome(seen)
+    assert same_state(g.bit_generator.state, h.bit_generator.state)
 
 
 # ------------------------------------------------------------ born_statistics
