@@ -729,6 +729,11 @@ OUTPUT_SHA256 = {
         "5abfb64181aa6937df4de75eababc519c4b812f49724b55337ebf1a770a6b0f3",
         "34bb1bf1625bd8f074194b317797af86a0823526f5d5a70ac37cf560fc210a0d",
     ),
+    ("born", "--amplitudes", "0.6,0;0,0;0.8,0", "--trials", "200", "--grid-resolution",
+     "20", "--seed", "2"): (
+        "ef15f84c2330adcd22d88da6f881dcec3663fd85109ddb19490428eb3edace77",
+        "fe98ca4d13ecae67d4ee270979731961a3cb46ff60722b3d3c8ab1ae8b5df49d",
+    ),
     ("walk", "--amplitudes", "0.707107,0;0.707107,0", "--grid-resolution", "20"): (
         "5ee8defa5edd06f3253bf155e69a74ff08c509092cb54f8134a11b6e952bd5d2",
         "fbeecb9ac9e47545c1366d66c5f4f10a6bc03521c8073cad98d2270327a6298a",

@@ -1043,6 +1043,12 @@ BORN_GOLDEN = [
     ((13, 51), 64, 0, 2000, [404, 1596], 1287814),
     ((40, 35, 30, 25, 25, 20, 15, 10), 200, 2**64 - 1, 30,
      [9, 3, 5, 2, 5, 1, 2, 3], 518813),
+    # zero weights: two or three alive states among more, and a single one
+    ((40, 0, 60), 100, 7, 300, [111, 0, 189], 680054),
+    ((0, 37, 0, 63), 100, 2**40, 300, [0, 119, 0, 181], 697406),
+    ((0, 30, 20, 0, 50), 100, 2**63, 300, [0, 86, 56, 0, 158], 1010591),
+    ((0, 64), 64, 3, 200, [0, 200], 0),
+    ((100, 0, 0), 100, 1, 50, [50, 0, 0], 0),
 ]
 
 
@@ -1504,9 +1510,9 @@ def test_seed_block_memory_is_bounded():
 
 
 def per_trial_block(k0, m, cap, rngs):
-    """Oracle for _born_block on N >= 3 states: _multi_first_phase one trial
-    at a time, then one _two_state_block call on the rows left with two
-    states.  Returns (winners, steps) arrays."""
+    """Oracle for _born_block: _multi_first_phase one trial at a time (a
+    no-op from two or fewer alive states), then one _two_state_block call on
+    the rows left with two states.  Returns (winners, steps) arrays."""
     rows = len(rngs)
     winners = np.full(rows, -1, dtype=np.int64)
     steps = np.zeros(rows, dtype=np.int64)
@@ -1539,7 +1545,9 @@ def first_batch(k0, m):
 def test_born_block_matches_per_trial_composition():
     """180 blocks of N = 3-9 states, half of them with exactly three alive
     states among zero weights: the cross-trial rounds and the per-trial path
-    give the same winners and steps, caps around the first batch included."""
+    give the same winners and steps, caps around the first batch included.
+    Then 48 blocks that skip the first phase: one or two alive states among
+    N = 3-9, and two-state grids, with and without a zero count."""
     gen = np.random.default_rng(64)
     seen = set()
     for case in range(180):
@@ -1565,10 +1573,32 @@ def test_born_block_matches_per_trial_composition():
             seen.add(("odd batch", b % 2 == 1))
             seen.add(("zero weights", k0.size > 3))
             seen.add(("sub-blocks", rows > _ROUND_BYTES // (8 * b)))
+    for case in range(48):
+        kind = case % 4
+        n = 2 if kind >= 2 else int(gen.integers(3, 10))
+        m = int(gen.integers(max(n, 6), 121))
+        alive = 1 + (kind != 0 and kind != 3)
+        k0 = np.zeros(n, dtype=np.int64)
+        split = 1 + gen.multinomial(m - alive, [1 / alive] * alive)
+        k0[gen.choice(n, alive, replace=False)] = split
+        cap_kind = case // 4 % 4
+        cap = [1, 7, 64, 100 * m * m][cap_kind]
+        rows = int(gen.integers(1, 41))
+        seeds = [(64, 180 + case, t) for t in range(rows)]
+        got = _born_block(k0, m, cap, [np.random.default_rng(s) for s in seeds])
+        expect = per_trial_block(k0, m, cap, [np.random.default_rng(s) for s in seeds])
+        assert [a.tolist() for a in got] == [a.tolist() for a in expect], (
+            case, k0.tolist(), m, cap
+        )
+        seen.add(("skips first phase", min(n, 3), np.count_nonzero(k0), cap_kind))
     assert seen == {("cap", c) for c in range(6)} | {
         (name, flag)
         for name in ("odd batch", "zero weights", "sub-blocks")
         for flag in (False, True)
+    } | {
+        ("skips first phase", n, alive, c)  # n = 3: any N >= 3
+        for n, alive in ((3, 1), (3, 2), (2, 2), (2, 1))
+        for c in range(4)
     }
 
 
