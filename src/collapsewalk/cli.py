@@ -261,7 +261,8 @@ def _parse_grid(
     return np.minimum(grid, hi)  # absorbs rounding of the last point
 
 
-def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
+def _parse_settings(spec: str) -> list[float]:
+    """The four angles a, a', b, b' of ``--settings``, in degrees."""
     try:
         degs = [float(v) for v in spec.split(",")]
     except ValueError as exc:
@@ -270,7 +271,7 @@ def _parse_settings(spec: str) -> tuple[DetectorSetting, ...]:
         raise UsageError("--settings needs finite angles")
     if len(degs) != 4:
         raise UsageError("--settings needs exactly four angles: a,a',b,b'")
-    return tuple(DetectorSetting.from_plane_angle_degrees(d) for d in degs)
+    return degs
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -428,7 +429,8 @@ def _run_bell(config: RunConfig, diagnostics: dict):
 
 
 def _run_chsh(config: RunConfig, diagnostics: dict):
-    a, a_alt, b, b_alt = _parse_settings(config.settings)
+    degs = _parse_settings(config.settings)
+    a, a_alt, b, b_alt = map(DetectorSetting.from_plane_angle_degrees, degs)
     _check_events(config, 4)
     rng = np.random.default_rng(config.seed)
     report = chsh(
@@ -442,9 +444,9 @@ def _run_chsh(config: RunConfig, diagnostics: dict):
         "bound": [report.chsh_bound],
         "combined_stderr": [report.chsh_stderr],
         "violated": [bool(report.chsh_violated)],
-        "settings_deg": [config.settings.replace(",", ";")],
+        "settings_deg": [";".join(_csv_cells(degs))],
     }
-    return columns, {"settings_deg": [float(v) for v in config.settings.split(",")]}, None
+    return columns, {"settings_deg": degs}, None
 
 
 def _run_c2(config: RunConfig, diagnostics: dict):

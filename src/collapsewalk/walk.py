@@ -38,8 +38,10 @@ at the same counts, so with exactly three alive states ``born_statistics``
 runs the block's first phases in cross-trial rounds: each round draws one
 batch of raw words per trial, reads its uint32 halves as the ``integers``
 draws by threshold comparisons, and gives all rows one cumsum; a trial
-whose draws hit a Lemire rejection reruns on the per-trial path.  The
-two-state tails of the block then share one set of two-state rounds.
+whose draws hit a Lemire rejection reruns on the per-trial path.  A block
+with two or fewer alive states skips the first phase.  Every block, two-state
+grids included, then ends in one two-state pass: its rows left with two
+states share one set of two-state rounds.
 Every path reads the same stream words as the step-by-step definitions, so
 outputs are bit-identical.
 
@@ -532,49 +534,37 @@ def born_statistics(
 def _born_block(k0: np.ndarray, m: int, max_steps: int, rngs: list):
     """Winners (-1 on a cap hit) and steps of one block of trials.
 
-    With three alive states the first phases of the whole block run in
-    cross-trial rounds (``_three_state_rounds``); rows whose draws hit a
-    Lemire rejection, and blocks with any other alive count, run
-    ``_multi_first_phase`` one trial at a time.  Trials left with two states
-    then share one ``_two_state_block`` call, which two-state trials enter
-    directly.
+    First phase: with three alive states the block's rows run in cross-trial
+    rounds (``_three_state_rounds``); rows whose draws hit a Lemire
+    rejection, and every row when more than three states are alive, run
+    ``_multi_first_phase`` one trial at a time; with two or fewer alive, as
+    on a two-state grid, the rows keep ``k0``.  Then one tail pass: a row
+    with one alive state has that state as winner, and rows with two alive
+    states below the cap share one ``_two_state_block`` call from the
+    lower-index survivor's count.
     """
     rows = len(rngs)
-    if k0.size == 2:
-        return _two_state_block(
-            np.full(rows, k0[0]), np.full(rows, max_steps), rngs, m
-        )
-    winners = np.full(rows, -1, dtype=np.int64)
-    steps = np.zeros(rows, dtype=np.int64)
-    pos = np.zeros(rows, dtype=np.int64)
-    pairs = np.zeros((rows, 2), dtype=np.int64)
-    tail = np.zeros(rows, dtype=bool)
     alive0 = np.flatnonzero(k0)
+    counts = np.tile(k0, (rows, 1))
+    steps = np.zeros(rows, dtype=np.int64)
+    per_trial = range(rows) if alive0.size > 3 else []
     if alive0.size == 3:
-        counts, steps, rerun = _three_state_rounds(k0[alive0], m, max_steps, rngs)
-        tail = (counts == 0).any(axis=1) & (steps < max_steps) & ~rerun
-        left = counts[tail]
-        survivors = np.nonzero(left)  # two per row, in index order
-        pairs[tail] = alive0[survivors[1]].reshape(-1, 2)
-        pos[tail] = left[survivors].reshape(-1, 2)[:, 0]
-        per_trial = np.flatnonzero(rerun).tolist()
-    else:
-        per_trial = range(rows)
-    for t in per_trial:
-        k, alive, steps[t], _ = _multi_first_phase(k0, m, max_steps, rngs[t])
-        if len(alive) == 1:
-            winners[t] = alive[0]
-        elif steps[t] < max_steps:
-            tail[t] = True
-            pos[t] = k[alive[0]]
-            pairs[t] = alive
-    tails = np.flatnonzero(tail)
-    if tails.size:
-        won, tail_steps = _two_state_block(
-            pos[tails], max_steps - steps[tails], [rngs[t] for t in tails], m
+        counts[:, alive0], steps, rerun = _three_state_rounds(
+            k0[alive0], m, max_steps, rngs
         )
-        winners[tails] = np.where(won < 0, -1, pairs[tails, won])
-        steps[tails] += tail_steps
+        per_trial = np.flatnonzero(rerun).tolist()
+    for t in per_trial:
+        counts[t], _, steps[t], _ = _multi_first_phase(k0, m, max_steps, rngs[t])
+    alive = counts > 0
+    left = alive.sum(axis=1)
+    winners = np.where(left == 1, alive.argmax(axis=1), -1)
+    tails = np.flatnonzero((left == 2) & (steps < max_steps))
+    pairs = np.nonzero(alive[tails])[1].reshape(-1, 2)  # survivors, in index order
+    won, tail_steps = _two_state_block(
+        counts[tails, pairs[:, 0]], max_steps - steps[tails], [rngs[t] for t in tails], m
+    )
+    winners[tails] = np.where(won < 0, -1, pairs[np.arange(tails.size), won])
+    steps[tails] += tail_steps
     return winners, steps
 
 

@@ -452,6 +452,17 @@ def test_chsh_quantum_json(tmp_path):
     assert payload["violated"] is True
 
 
+@pytest.mark.parametrize("spec", ["0, 90 ,45,135\n", "0,90,45,1_35"])
+def test_chsh_csv_writes_the_angles_it_ran(spec, tmp_path):
+    """The settings cell holds the parsed angles, not the flag's text:
+    spaces, a newline or digit underscores write the bytes of 0,90,45,135."""
+    argv = ["chsh", "--model", "quantum", "--settings"]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert main([*argv, "0,90,45,135", "--out", str(want)]) == 0
+    assert main([*argv, spec, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_c2_grid_endpoints_zero(tmp_path):
     proc = run_cli(["c2", "--theta-grid", "0:180:90"], tmp_path)
     assert proc.returncode == 0
