@@ -731,6 +731,11 @@ OUTPUT_SHA256 = {
         "d3404d4c96c338a6be8ddbf618bbff0cf68d5865c6126fcf173c827e879d5af6",
         "0a98937ea4e69e84b80aaf8d4777420f232421c516b40eb91523adf716ddb2fe",
     ),
+    ("born", "--amplitudes", "0.547723,0;0.836660,0", "--trials", "300",
+     "--grid-resolution", "1000", "--seed", "5"): (
+        "7fb40be7d5ac8ca46f6a749bc749577c6d53cf1adc75b1115ee6f8e9c7f80194",
+        "94c98df70227edba6e1eec0e4219d0caa1a7879c43322797a87e5218484556bc",
+    ),
     ("born", "--amplitudes", "0.6,0;0.8,0", "--trials", "100", "--grid-resolution", "20"): (
         "32aab9482da83170cd0bf186b6e2d8d23e8e54eefac1df9bff70e3780d78f107",
         "a00a6ab66b019177ee62ce3ee32d5e3b2c642b57e3d86748e5cb6259a5e4d4c7",
