@@ -1,6 +1,12 @@
 import contextlib
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from collapsewalk import cli
+from collapsewalk import cli, walk
 from collapsewalk.states import _synced_joints, _unit_phases
 from collapsewalk import (
     DegenerateGridError,
@@ -1081,6 +1087,164 @@ def test_born_statistics_golden_with_excluded_trials():
     assert stats.winner_counts.tolist() == [87, 211]
     assert stats.mean_steps == 61490790 / 298
     assert stats.steps_stderr == 11081.426577434942
+
+
+# ---------------------------------------------------------------- helper process
+
+# 301 walks of 210,000 expected steps: over _SPLIT_STEPS, so a helper process
+# takes trials 0-149; the outcome is BORN_GOLDEN's, recorded in one process
+SPLIT_BATCH = (normalize(np.sqrt([0.3, 0.7])), 301)
+SPLIT_OUTCOME = ([88, 213], 64915236 / 301, 12228.028939677606, 0)
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+needs_helper = pytest.mark.skipif(
+    not hasattr(os, "fork") or (_CPUS or 1) < 2, reason="no fork or no second CPU"
+)
+
+
+def _split_outcome(seed=9):
+    stats = born_statistics(*SPLIT_BATCH, WalkConfig(grid_resolution=1000, seed=seed))
+    return stats.winner_counts.tolist(), stats.mean_steps, stats.steps_stderr, stats.excluded
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _exit_code(pid, timeout=60.0):
+    """The exit code of the forked child ``pid``, killing it after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"forked child {pid} did not finish in {timeout} s")
+
+
+@needs_helper
+def test_split_batch_runs_on_a_helper_with_the_serial_outcome():
+    walk._discard_helper()
+    assert _split_outcome() == SPLIT_OUTCOME
+    helper = walk._HELPERS[os.getpid()][0]
+    assert _split_outcome() == SPLIT_OUTCOME
+    assert walk._HELPERS[os.getpid()][0] == helper  # kept for the next call
+    if os.path.isdir(f"/proc/{helper}/fd"):
+        stdio = [os.readlink(f"/proc/{helper}/fd/{fd}") for fd in range(3)]
+        assert stdio == [os.devnull] * 3
+
+
+@needs_helper
+def test_helper_leaves_at_end_of_file():
+    """It holds no writing end of its own request pipe, so closing this
+    process's end (as the exit of this process does) ends it."""
+    _split_outcome()
+    helper, *fds = walk._HELPERS.pop(os.getpid())
+    for fd in fds:
+        os.close(fd)
+    assert _exit_code(helper) == 0
+
+
+@needs_helper
+def test_killed_helper_gives_the_serial_outcome():
+    _split_outcome()
+    helper = walk._HELPERS[os.getpid()][0]
+    os.kill(helper, signal.SIGKILL)
+    assert _split_outcome() == SPLIT_OUTCOME
+    assert os.getpid() not in walk._HELPERS and _gone(helper)
+    assert _split_outcome() == SPLIT_OUTCOME  # on a new helper
+    assert walk._HELPERS[os.getpid()][0] != helper
+
+
+@needs_helper
+def test_interrupted_call_discards_the_helper(monkeypatch):
+    """The helper's reply to an interrupted call (seed 10) must not be read
+    by the next one (seed 9)."""
+    _split_outcome()
+    helper = walk._HELPERS[os.getpid()][0]
+    born_counts = walk._born_counts
+
+    def interrupted(*args):
+        if args[-2] > 0:  # this process's half
+            raise KeyboardInterrupt
+        return born_counts(*args)
+
+    monkeypatch.setattr(walk, "_born_counts", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _split_outcome(seed=10)
+    monkeypatch.undo()
+    assert os.getpid() not in walk._HELPERS and _gone(helper)
+    assert _split_outcome() == SPLIT_OUTCOME
+
+
+@needs_helper
+def test_forked_child_forks_its_own_helper():
+    _split_outcome()
+    helper = walk._HELPERS[os.getpid()][0]
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            own = _split_outcome() == SPLIT_OUTCOME and walk._HELPERS[os.getpid()][0] != helper
+            walk._discard_helper()
+            code = 0 if own else 2
+        finally:
+            os._exit(code)
+    assert _exit_code(pid) == 0
+    assert walk._HELPERS[os.getpid()][0] == helper
+    assert _split_outcome() == SPLIT_OUTCOME
+
+
+@needs_helper
+def test_helper_holds_no_output_and_outlives_no_process(tmp_path):
+    """A process with unflushed output makes a split call and exits: its
+    output is written once, its stdout pipe closes on exit (or the run would
+    time out), its atexit hook runs once, and its helper is reaped."""
+    exits = tmp_path / "exits"
+    script = (
+        "import atexit, os, sys\n"
+        f"atexit.register(lambda: open({str(exits)!r}, 'a').write('exit'))\n"
+        "print('x', end='')\n"
+        "import numpy as np\n"
+        "from collapsewalk import WalkConfig, born_statistics, normalize, walk\n"
+        "state = normalize(np.sqrt([0.3, 0.7]))\n"
+        "born_statistics(state, 301, WalkConfig(grid_resolution=1000, seed=9))\n"
+        "sys.stderr.write(str(walk._HELPERS[os.getpid()][0]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "x"
+    assert exits.read_text() == "exit"
+    assert _gone(int(proc.stderr))
+
+
+@needs_helper
+def test_split_call_warns_nothing():
+    walk._discard_helper()  # the call below forks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _split_outcome() == SPLIT_OUTCOME
+    assert os.getpid() in walk._HELPERS
+
+
+def test_no_helper_while_other_threads_run():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert walk._helper() is None
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_born_statistics_mean_steps_matches_oracle():
