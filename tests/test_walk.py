@@ -1040,39 +1040,57 @@ def test_exact_grid_weights_do_not_warn(counts, m):
         run_walk(form_joint(state), config)
 
 
-# (grid weights, M, seed, trials) -> (winner counts, total steps,
-# steps_stderr), recorded from the per-trial trial_rng loop; seeds at and
-# beyond 2**32 take two and more entropy words.  steps_stderr comes from the
-# sum of squared steps, so it pins that sum as exactly as the total.
+# (grid weights, M, seed, trials) -> (winner counts, total steps), recorded
+# from the per-trial trial_rng loop; seeds at and beyond 2**32 take two and
+# more entropy words.
 BORN_GOLDEN = [
-    ((300, 700), 1000, 2**63 + 5, 300, [82, 218], 63187636, 10957.749910463892),
-    ((50, 30, 20), 100, 2**32, 300, [151, 93, 56], 928021, 117.95829895368773),
-    ((13, 51), 64, 0, 2000, [404, 1596], 1287814, 17.11773741306284),
+    ((300, 700), 1000, 2**63 + 5, 300, [82, 218], 63187636),
+    ((50, 30, 20), 100, 2**32, 300, [151, 93, 56], 928021),
+    ((13, 51), 64, 0, 2000, [404, 1596], 1287814),
     ((40, 35, 30, 25, 25, 20, 15, 10), 200, 2**64 - 1, 30,
-     [9, 3, 5, 2, 5, 1, 2, 3], 518813, 1935.4458702101203),
+     [9, 3, 5, 2, 5, 1, 2, 3], 518813),
     # zero weights: two or three alive states among more, and a single one
-    ((40, 0, 60), 100, 7, 300, [111, 0, 189], 680054, 118.61137148878743),
-    ((0, 37, 0, 63), 100, 2**40, 300, [0, 119, 0, 181], 697406, 116.05020050045033),
-    ((0, 30, 20, 0, 50), 100, 2**63, 300, [0, 86, 56, 0, 158], 1010591, 137.05527017803757),
-    ((0, 64), 64, 3, 200, [0, 200], 0, 0.0),
-    ((100, 0, 0), 100, 1, 50, [50, 0, 0], 0, 0.0),
+    ((40, 0, 60), 100, 7, 300, [111, 0, 189], 680054),
+    ((0, 37, 0, 63), 100, 2**40, 300, [0, 119, 0, 181], 697406),
+    ((0, 30, 20, 0, 50), 100, 2**63, 300, [0, 86, 56, 0, 158], 1010591),
+    ((0, 64), 64, 3, 200, [0, 200], 0),
+    ((100, 0, 0), 100, 1, 50, [50, 0, 0], 0),
     # M = 1000 and 3000 batches from 2 to 301 trials, odd counts included
-    ((500, 500), 1000, 11, 2, [1, 1], 478012, 1332.0),
-    ((300, 700), 1000, 2**40 + 3, 3, [1, 2], 423862, 40586.35518386827),
-    ((250, 250, 500), 1000, 77, 129, [32, 35, 62], 40107956, 20577.431944896918),
-    ((300, 700), 1000, 9, 301, [88, 213], 64915236, 12228.028939677606),
-    ((1500, 1500), 3000, 4, 2, [1, 1], 4954142, 1794479.0),
+    ((500, 500), 1000, 11, 2, [1, 1], 478012),
+    ((300, 700), 1000, 2**40 + 3, 3, [1, 2], 423862),
+    ((250, 250, 500), 1000, 77, 129, [32, 35, 62], 40107956),
+    ((300, 700), 1000, 9, 301, [88, 213], 64915236),
+    ((1500, 1500), 3000, 4, 2, [1, 1], 4954142),
 ]
 
+# steps_stderr of each BORN_GOLDEN row, by (grid weights, M, seed, trials):
+# it comes from the sum of squared steps, so it pins that sum as exactly as
+# the total pins the sum of steps
+BORN_GOLDEN_STEPS_STDERR = {
+    ((300, 700), 1000, 2**63 + 5, 300): 10957.749910463892,
+    ((50, 30, 20), 100, 2**32, 300): 117.95829895368773,
+    ((13, 51), 64, 0, 2000): 17.11773741306284,
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 2**64 - 1, 30): 1935.4458702101203,
+    ((40, 0, 60), 100, 7, 300): 118.61137148878743,
+    ((0, 37, 0, 63), 100, 2**40, 300): 116.05020050045033,
+    ((0, 30, 20, 0, 50), 100, 2**63, 300): 137.05527017803757,
+    ((0, 64), 64, 3, 200): 0.0,
+    ((100, 0, 0), 100, 1, 50): 0.0,
+    ((500, 500), 1000, 11, 2): 1332.0,
+    ((300, 700), 1000, 2**40 + 3, 3): 40586.35518386827,
+    ((250, 250, 500), 1000, 77, 129): 20577.431944896918,
+    ((300, 700), 1000, 9, 301): 12228.028939677606,
+    ((1500, 1500), 3000, 4, 2): 1794479.0,
+}
 
-@pytest.mark.parametrize("k, m, seed, trials, counts, total, steps_stderr", BORN_GOLDEN)
-def test_born_statistics_golden_counts_and_steps(k, m, seed, trials, counts, total,
-                                                 steps_stderr):
+
+@pytest.mark.parametrize("k, m, seed, trials, counts, total", BORN_GOLDEN)
+def test_born_statistics_golden_counts_and_steps(k, m, seed, trials, counts, total):
     state = normalize(np.sqrt(np.array(k) / m))
     stats = born_statistics(state, trials, WalkConfig(grid_resolution=m, seed=seed))
     assert stats.winner_counts.tolist() == counts
     assert stats.mean_steps == total / trials
-    assert stats.steps_stderr == steps_stderr
+    assert stats.steps_stderr == BORN_GOLDEN_STEPS_STDERR[k, m, seed, trials]
     assert stats.expected_steps == (m * m - sum(ki * ki for ki in k)) / 2
 
 
