@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -571,6 +572,85 @@ def test_image_event_streaming_equals_batch():
         batch = sample_image_events(setting(0), setting(70), n, rng)
         assert batch.outcome_a.size == n
         assert streamed == estimate_from_events(batch, convention)
+
+
+# Image events at sizes of several chunks, pinned in one process: the four
+# canonical CHSH pairs at 10**5 events (7 chunks) and at 4 CHUNK_SIZE + 1 (5),
+# each on seed 41 + its index.  A pin is (children spawned on the caller's
+# stream, sha256 of sample_image_events' six columns, acceptance rate and the
+# caller's next spawned draw, sha256 of image_correlation_event's estimate,
+# spawn count and next draw).
+SPLIT_SIZE_PINS = {
+    (0, 45, 100000): (
+        7,
+        "02f171d6d34c23f090c79d55666dd708009a90d67daf6891c1b38c62ae4d57f6",
+        "7eb0f4877ea2edbdcff620525b9033f7616281354c0f6ca0cf373c2b208bd81f",
+    ),
+    (0, 135, 100000): (
+        7,
+        "77efea7aaa2ee6fe445c776a9f9b7bd63b7142082bf42921f0b8e2292bb78251",
+        "c7903206e2766a47780755ada28eb251b62211fa19200e569588546c06f9b14d",
+    ),
+    (90, 45, 100000): (
+        7,
+        "ae7f956baefdc991f06ce78419bbb39baf67aa26799a78056799f5481f6c3fd4",
+        "d6990615c985e285e969f2f811792a97e79c5ef6c0295d24decffba14a848ef7",
+    ),
+    (90, 135, 100000): (
+        7,
+        "5eb796a81f401471c846e3d5c0fcf945dc4070b20d1fa47ae35d787dd7efeecc",
+        "9ad696ed437b856268f3a79b31f2d96417d94d5c1fa59ef3aa93fb68fb6f31c9",
+    ),
+    (0, 45, 65537): (
+        5,
+        "838b5891a96c859b8077d4a74ccbee784688a27288f697a9f132c6a94fcf4832",
+        "88a1d87712bbbf37d32d0fadd4c30453f393bc87133d4aaa1fa683fb2be65b54",
+    ),
+    (0, 135, 65537): (
+        5,
+        "0c362011aa45fe7b84d82f29a6abbb085181309ce233e76fec38ec362a5658af",
+        "3b60374434db3dd0fb484aec0c5da2d1eea332bc248afb543f6b6ec935be0e26",
+    ),
+    (90, 45, 65537): (
+        5,
+        "107bd8991107cc503dca6c6439e419e91f07f0493847e4394d06b6218eefc64e",
+        "f75b501fb95dfea398908cb37efc18d9f46a7acc4db42e78e78ba245438113d1",
+    ),
+    (90, 135, 65537): (
+        5,
+        "6a0f6765752d53a1e64ed024c4e0d74e19c7dddbb66f9e456bf5be2d3f581e86",
+        "9d718ddcc20c68aabfdd96e56506641a07746a9d5e4f310a42362d42966a9c84",
+    ),
+}
+
+
+def _next_draw(rng):
+    """The caller's spawn count after a call, and its next child's first word."""
+    return rng.bit_generator.seed_seq.n_children_spawned, int(
+        rng.spawn(1)[0].integers(1 << 63)
+    )
+
+
+@pytest.mark.parametrize("case", list(SPLIT_SIZE_PINS), ids=lambda c: "{}-{}-n{}".format(*c))
+def test_image_events_at_split_sizes_match_their_pins(case):
+    """Bytes that do not depend on where the chunks ran."""
+    x, y, n = case
+    seed = 41 + list(SPLIT_SIZE_PINS).index(case)
+    spawned, batch_sha, estimate_sha = SPLIT_SIZE_PINS[case]
+    rng = np.random.default_rng(seed)
+    batch = sample_image_events(setting(x), setting(y), n, rng)
+    digest = hashlib.sha256()
+    for name in ("dot_a", "dot_b", "mu_a", "mu_b", "outcome_a", "outcome_b"):
+        digest.update(getattr(batch, name).tobytes())
+    digest.update(repr(batch.acceptance_rate).encode())
+    after = _next_draw(rng)
+    digest.update(repr(after).encode())
+    assert (after[0], digest.hexdigest()) == (spawned, batch_sha)
+    rng = np.random.default_rng(seed)
+    est = image_correlation_event(setting(x), setting(y), n, rng)
+    after = _next_draw(rng)
+    assert after[0] == spawned
+    assert hashlib.sha256(repr((est, *after)).encode()).hexdigest() == estimate_sha
 
 
 def test_chunks_spawn_each_stream_as_it_is_reached():

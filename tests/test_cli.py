@@ -809,6 +809,17 @@ OUTPUT_SHA256 = {
         "185f9af52b6293b55e4ccd63caa39d9ff0c192864f55ce4537cf075607d40fcb",
         "d6225960b03e8ad03434cade876ba023b779ab112eb001f951dfe57609af3282",
     ),
+    # sizes of several chunks per correlation: 7 chunks at 10**5, 13 at 2 10**5
+    ("bell", "--model", "image-event", "--theta-grid", "0:180:45", "--samples", "100000",
+     "--seed", "1"): (
+        "a6e4ec69d724f2733eeabd04bf369d435dd50be13c42988a5d11bfc67da1e8e1",
+        "830ba11b03345acdedfdd52d931dead5b3bbae7f4c20d2a29efc2b7b7b620174",
+    ),
+    ("chsh", "--model", "image-event", "--settings", "0,90,45,135", "--samples", "200000",
+     "--seed", "1"): (
+        "bdf0bd44595bf9d134044adabe9803aa17a334ba2501ea2a869b4dd899c65107",
+        "5734274b584f5d90b7b9ce30b700de5f816125635d39fa8e389f029e4ed8e461",
+    ),
 }
 
 
