@@ -54,9 +54,11 @@ Image-event batches and estimates carry this rate as ``acceptance_rate``.
 
 Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
 independent child streams, so results are reproducible for a given seed
-regardless of scheduling.  Per-seed draws depend on CHUNK_SIZE and on the
-order in which the samplers consume their streams; changing either changes
-the per-seed output of both estimators (sign model, image events), not their
+regardless of scheduling: image-event calls of at least _SPLIT_CHUNKS chunks
+share them with a forked helper process (see ``_helper``) and give the bytes
+of one process.  Per-seed draws depend on CHUNK_SIZE and on the order in
+which the samplers consume their streams; changing either changes the
+per-seed output of both estimators (sign model, image events), not their
 laws.
 """
 
@@ -68,6 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _helper
 from .errors import NoRealRootError, RejectionStallError
 
 C1 = math.sqrt(3.0 / (4.0 * math.pi))
@@ -76,6 +79,8 @@ CHUNK_SIZE = 1 << 14  # events per chunk: one chunk's arrays stay within L2
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
 SAMPLED_MODELS = ("bell-sign", "image-event")  # the others are closed forms and draw nothing
 VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma tail
+_SPLIT_CHUNKS = 4  # fewest chunks of an image-event call that a helper shares: about 5 ms
+_EVENT_BYTES = 20  # one image event's columns: two float64 projections, four int8 labels
 
 
 def _unit_vector(values) -> np.ndarray:
@@ -240,6 +245,27 @@ def _chunks(rng: np.random.Generator, n: int):
     ``rng.spawn(chunks)`` would give, without holding them all at once."""
     for lo in range(0, n, CHUNK_SIZE):
         yield min(CHUNK_SIZE, n - lo), rng.spawn(1)[0]
+
+
+@dataclass(frozen=True)
+class _ChildChunks:
+    """``count`` full chunks on the children ``first``, ``first + 1``, ... of
+    a SeedSequence's fields: the streams ``_chunks`` spawns at those spawn
+    counts, built one at a time, so a helper process can be sent them."""
+
+    bit_generator: type
+    entropy: object
+    spawn_key: tuple
+    pool_size: int
+    first: int
+    count: int
+
+    def __iter__(self):
+        for i in range(self.first, self.first + self.count):
+            seq = np.random.SeedSequence(
+                self.entropy, spawn_key=(*self.spawn_key, i), pool_size=self.pool_size
+            )
+            yield CHUNK_SIZE, np.random.Generator(self.bit_generator(seq))
 
 
 def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
@@ -501,15 +527,13 @@ def _wing(sub: np.random.Generator, dot: np.ndarray, noisy: np.ndarray):
     return mu, out
 
 
-def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
-    """n image events for the settings a, b, one CHUNK_SIZE chunk at a time.
+def _image_events(a: DetectorSetting, b: DetectorSetting, chunks):
+    """Image events for the settings a, b, one (count, stream) chunk at a time.
 
     Yields (dot_a, dot_b, mu_a, mu_b, outcome_a, outcome_b, proposed,
     accepted) per chunk: the chunk's event arrays, then the overlap term's
     proposals and acceptances in it.
     """
-    if _event_count(n) < 1:
-        raise ValueError("need at least one event")
     consts = solve_c2(angle_between(a, b))
     c1, c2 = consts.c1, consts.c2
     cos_ab, sin_ab = _plane(a, b)
@@ -517,7 +541,7 @@ def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
     side = 4.0 * math.pi * c1 * c2
     mass = np.array([c1 * c1 * consts.overlap, side, side, 16.0 * math.pi * c2 * c2])
     edges = np.cumsum(mass / mass.sum())[:-1].tolist()
-    for count, sub in _chunks(_as_rng(rng), n):
+    for count, sub in chunks:
         r = sub.random(count)
         term = (r >= edges[0]).view(np.int8)
         term += r >= edges[1]
@@ -541,6 +565,58 @@ def _image_events(a: DetectorSetting, b: DetectorSetting, n: int, rng):
         yield da, db, mu_a, mu_b, out_a, out_b, proposed, accepted
 
 
+def _image_event_list(a: DetectorSetting, b: DetectorSetting, chunks) -> list:
+    """The per-chunk tuples of ``_image_events``."""
+    return list(_image_events(a, b, chunks))
+
+
+def _image_event_sums(a: DetectorSetting, b: DetectorSetting, chunks):
+    """(sum of E^A E^B, proposed, accepted) over the image events of chunks;
+    one chunk is held at a time."""
+    total = proposed = accepted = 0
+    for *_, out_a, out_b, tried, kept in _image_events(a, b, chunks):
+        total += _outcome_sum(out_a, out_b)
+        proposed += tried
+        accepted += kept
+    return total, proposed, accepted
+
+
+def _image_parts(task, a, b, n, rng, most: int | None = None) -> list:
+    """Results of ``task(a, b, chunks)`` over the chunks of n image events
+    drawn from rng, in chunk order.
+
+    In one process that is ``[task(a, b, _chunks(rng, n))]``.  From
+    _SPLIT_CHUNKS chunks, with a helper process and a stream of numpy's own
+    types, the helper runs chunks 0 to h - 1, h = chunks // 2 (at most
+    ``most``), on the children ``_chunks`` would spawn for them, while this
+    process runs the rest: ``[theirs, mine]``.  Either way rng ends with one
+    child spawned per chunk.
+    """
+    if _event_count(n) < 1:
+        raise ValueError("need at least one event")
+    rng = _as_rng(rng)
+    chunks = -(-n // CHUNK_SIZE)
+    gen, seq = rng.bit_generator, rng.bit_generator.seed_seq
+    helper = None
+    if (
+        chunks >= _SPLIT_CHUNKS
+        and type(rng) is np.random.Generator
+        and type(seq) is np.random.SeedSequence
+        and type(gen).__module__.startswith("numpy.random.")
+    ):
+        helper = _helper.current()
+    if helper is None:
+        return [task(a, b, _chunks(rng, n))]
+    h = min(chunks // 2, most or chunks)
+    theirs = _ChildChunks(
+        type(gen), seq.entropy, seq.spawn_key, seq.pool_size, seq.n_children_spawned, h
+    )
+    for _ in range(h):
+        seq.spawn(1)
+    mine = _chunks(rng, n - h * CHUNK_SIZE)
+    return list(_helper.split(helper, f"bell.{task.__name__}", (a, b, theirs), (a, b, mine)))
+
+
 def sample_image_events(
     a: DetectorSetting, b: DetectorSetting, n: int, rng=None
 ) -> ImageEventBatch:
@@ -560,8 +636,15 @@ def sample_image_events(
     (1.0 when no event came from that term).  A collapsed rate (below 1e-3
     after ten chunks' worth of proposals) cannot happen for valid constants
     and raises RejectionStallError.
+
+    From 4 chunks of CHUNK_SIZE events on, a forked helper process draws
+    chunks 0 to chunks // 2 - 1, at most the 12 whose columns fit its
+    ``_helper.REGION_BYTES`` reply region, while this process draws the
+    rest; the events are those one process draws (see ``_helper``).
     """
-    *columns, proposed, accepted = zip(*_image_events(a, b, n, rng))
+    most = _helper.REGION_BYTES // (CHUNK_SIZE * _EVENT_BYTES)
+    parts = _image_parts(_image_event_list, a, b, n, rng, most)
+    *columns, proposed, accepted = zip(*(chunk for part in parts for chunk in part))
     proposed, accepted = sum(proposed), sum(accepted)
     return ImageEventBatch(
         *(np.concatenate(column) for column in columns),
@@ -600,15 +683,14 @@ def image_correlation_event(
     Mean of E^A E^B over n sampled events; converges to cos(theta) (times
     the sign convention) as the mu = +-1 branches cancel.  The events and
     acceptance rate are those sample_image_events draws from the same rng,
-    reduced chunk by chunk, so memory stays at one chunk for any n.
+    reduced chunk by chunk, so memory stays at one chunk per process for any
+    n.  From 4 chunks on, a forked helper process reduces chunks 0 to
+    chunks // 2 - 1 while this process reduces the rest (see ``_helper``).
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    total = proposed = accepted = 0
-    for *_, out_a, out_b, tried, kept in _image_events(a, b, n, rng):
-        total += _outcome_sum(out_a, out_b)
-        proposed += tried
-        accepted += kept
+    parts = _image_parts(_image_event_sums, a, b, n, rng)
+    total, proposed, accepted = (sum(column) for column in zip(*parts))
     rate = accepted / proposed if proposed else 1.0
     return _sign_estimate(total, n, "image-event", convention, rate)
 

@@ -25,7 +25,8 @@ of a sampled model draws at most BELL_MAX_EVENTS events.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but they change nothing: every run uses one thread, and a large
-born batch runs half its trials in a forked helper process whatever they say.
+born batch or image-event correlation runs half its work in a forked helper
+process whatever they say.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 

@@ -50,32 +50,22 @@ from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
 block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
 it builds exactly those streams without one ``SeedSequence`` per trial.
 
-Who runs which trials: a batch of T >= 2 trials whose expected steps
-T (M^2 - sum k_i^2) / 2 reach ``_SPLIT_STEPS`` = 2**22 is split in two.  A
-helper process, forked at the first such call and kept for the next, runs
-trials 0 to T // 2 - 1 while the calling process runs the rest; every other
-batch runs in the calling process alone.  Both halves go through the same
-``_born_counts``, and its counts and step sums are Python ints, so the sums
-are bit-identical to a run in one process.  No helper is forked without
-``os.fork``, on one CPU, or while other Python threads run; a helper that
-died has its half run in the calling process.
+Large ``born_statistics`` batches run half their trials in a forked helper
+process, with the same result: see ``_helper``.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import math
 import operator
-import os
-import pickle
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from . import _helper
 from .errors import DegenerateGridError, MaxStepsExceededError
 from .states import NORM_TOL, JointState, QuantumState, _synced_joints, _unit_phases
 
@@ -491,7 +481,7 @@ def born_statistics(
     MaxStepsExceededError.  From ``_SPLIT_STEPS`` = 2**22 expected steps
     over the batch (and two trials), a forked helper process runs trials
     0 to trials // 2 - 1 while this process runs the rest, with the same
-    result as one process (see the module docstring).  ``workers`` is
+    result as one process (see ``_helper``).  ``workers`` is
     deprecated and ignored: the trials run in one thread per process, and
     the result never depended on it.  A positive weight that quantizes to
     zero (allowed at M >= 10 N) gives a RuntimeWarning.
@@ -514,11 +504,16 @@ def born_statistics(
     # no walk takes 2**62 steps; the clamp keeps step counts in int64
     args = (config.seed, k0, m, min(config.max_steps, 1 << 62))
     expected = _expected_steps(k0)
-    helper = _helper() if trials >= 2 and trials * expected >= _SPLIT_STEPS else None
+    helper = _helper.current() if trials >= 2 and trials * expected >= _SPLIT_STEPS else None
     if helper is None:
         counts, total, total_sq = _born_counts(*args, 0, trials)
     else:
-        counts, total, total_sq = _split_counts(helper, args, trials)
+        half = trials // 2
+        theirs, mine = _helper.split(
+            helper, "walk._born_counts", (*args, 0, half), (*args, half, trials)
+        )
+        counts = np.add(theirs[0], mine[0])
+        total, total_sq = theirs[1] + mine[1], theirs[2] + mine[2]
     counts = np.array(counts, dtype=np.int64)
     counted = int(counts.sum())
     excluded = trials - counted
@@ -564,156 +559,6 @@ def _born_counts(seed: int, k0: np.ndarray, m: int, max_steps: int, lo: int, hi:
                 total += step
                 total_sq += step * step
     return counts, total, total_sq
-
-
-# Each process's helper, by os.getpid(): (pid, request fd, reply fd).  A
-# process forked from one that holds a helper finds no entry and forks its own.
-_HELPERS: dict[int, tuple[int, int, int]] = {}
-
-
-def _split_counts(helper: tuple[int, int, int], args: tuple, trials: int):
-    """``_born_counts(*args, 0, trials)``: the helper runs the trials below
-    trials // 2 while this process runs the rest.
-
-    If this half raises, KeyboardInterrupt included, the helper is discarded,
-    so its reply can never be read as the next call's.  A dead helper's half
-    runs here, so the result never depends on the helper.
-    """
-    half = trials // 2
-    try:
-        sent = _send(helper[1], (*args, 0, half))
-        mine = _born_counts(*args, half, trials)
-        theirs = _receive(helper[2]) if sent else None
-    except BaseException:
-        _discard_helper()
-        raise
-    if theirs is None:
-        _discard_helper()
-        theirs = _born_counts(*args, 0, half)
-    counts = [a + b for a, b in zip(mine[0], theirs[0])]
-    return counts, mine[1] + theirs[1], mine[2] + theirs[2]
-
-
-def _helper() -> tuple[int, int, int] | None:
-    """This process's helper, forked at first use; None where it cannot help
-    or forking is unsafe: without ``os.fork``, on one CPU, or while other
-    Python threads run, which could hold a lock across the fork or share the
-    helper's pipes."""
-    if threading.active_count() > 1:
-        return None
-    helper = _HELPERS.get(os.getpid())
-    if helper is None and hasattr(os, "fork"):
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        if cpus >= 2:
-            try:
-                helper = _HELPERS[os.getpid()] = _fork_helper()
-            except OSError:  # out of processes or fds: this process runs it all
-                pass
-    return helper
-
-
-def _fork_helper() -> tuple[int, int, int]:
-    """Fork a helper that answers ``_born_counts`` requests over two pipes."""
-    request_in, request_out = os.pipe()
-    reply_in, reply_out = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns at a fork once numpy's OpenBLAS has started
-            # its threads; the helper runs only this module's integer numpy
-            # kernels and pickle, never BLAS, and no other Python thread runs
-            warnings.filterwarnings(
-                "ignore",
-                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may "
-                r"lead to deadlocks in the child\.",
-                DeprecationWarning,
-            )
-            pid = os.fork()
-    except OSError:
-        for fd in (request_in, request_out, reply_in, reply_out):
-            os.close(fd)
-        raise
-    if pid == 0:  # the parent's pipe ends and those of an ancestor's helper
-        inherited = [request_out, reply_in]
-        inherited += [fd for _, *fds in _HELPERS.values() for fd in fds]
-        _serve(request_in, reply_out, inherited)
-    os.close(request_in)
-    os.close(reply_out)
-    return pid, request_out, reply_in
-
-
-def _serve(requests: int, replies: int, inherited: list[int]):
-    """The helper's loop: answer each request until end of file, then leave
-    through ``os._exit``, on an error too.  So it never runs ``atexit``
-    hooks or flushes stdio buffers inherited from its parent.  It closes the
-    ``inherited`` pipe ends, so it reads end of file once its parent is gone,
-    and holds none of the parent's stdio open: fds 0-2 read /dev/null."""
-    try:
-        import gc
-        import signal
-
-        gc.freeze()  # the parent's objects are never finalized here
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-        for fd in inherited:
-            os.close(fd)
-        null = os.open(os.devnull, os.O_RDWR)
-        for fd in range(3):
-            os.dup2(null, fd)
-        while (request := _receive(requests)) is not None:
-            _send(replies, _born_counts(*request))
-    finally:
-        os._exit(0)
-
-
-@atexit.register
-def _discard_helper():
-    """Close this process's helper pipes, then kill and reap the helper."""
-    helper = _HELPERS.pop(os.getpid(), None)
-    if helper is None:
-        return
-    import signal
-
-    pid, *fds = helper
-    for fd in fds:
-        os.close(fd)
-    try:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    except OSError:  # reaped already, by a caller that waits for any child
-        pass
-
-
-def _send(fd: int, obj) -> bool:
-    """Write ``obj`` pickled, after its length; False if the reader is gone."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    try:
-        while view:
-            view = view[os.write(fd, view) :]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _receive(fd: int):
-    """The next object ``_send`` wrote to ``fd``; None at end of file."""
-    head = _read(fd, 8)
-    body = None if head is None else _read(fd, int.from_bytes(head, "little"))
-    return None if body is None else pickle.loads(body)
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    """Exactly ``size`` bytes from ``fd``; None if it ends first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
 
 
 def _born_block(k0: np.ndarray, m: int, max_steps: int, rngs: list):

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from collapsewalk import cli, walk
+from collapsewalk import _helper, cli, walk
 from collapsewalk.states import _synced_joints, _unit_phases
 from collapsewalk import (
     DegenerateGridError,
@@ -1148,11 +1148,11 @@ def _exit_code(pid, timeout=60.0):
 
 @needs_helper
 def test_split_batch_runs_on_a_helper_with_the_serial_outcome():
-    walk._discard_helper()
+    _helper.discard()
     assert _split_outcome() == SPLIT_OUTCOME
-    helper = walk._HELPERS[os.getpid()][0]
+    helper = _helper._HELPERS[os.getpid()].pid
     assert _split_outcome() == SPLIT_OUTCOME
-    assert walk._HELPERS[os.getpid()][0] == helper  # kept for the next call
+    assert _helper._HELPERS[os.getpid()].pid == helper  # kept for the next call
     if os.path.isdir(f"/proc/{helper}/fd"):
         stdio = [os.readlink(f"/proc/{helper}/fd/{fd}") for fd in range(3)]
         assert stdio == [os.devnull] * 3
@@ -1163,21 +1163,21 @@ def test_helper_leaves_at_end_of_file():
     """It holds no writing end of its own request pipe, so closing this
     process's end (as the exit of this process does) ends it."""
     _split_outcome()
-    helper, *fds = walk._HELPERS.pop(os.getpid())
-    for fd in fds:
-        os.close(fd)
-    assert _exit_code(helper) == 0
+    helper = _helper._HELPERS.pop(os.getpid())
+    os.close(helper.requests)
+    os.close(helper.replies)
+    assert _exit_code(helper.pid) == 0
 
 
 @needs_helper
 def test_killed_helper_gives_the_serial_outcome():
     _split_outcome()
-    helper = walk._HELPERS[os.getpid()][0]
+    helper = _helper._HELPERS[os.getpid()].pid
     os.kill(helper, signal.SIGKILL)
     assert _split_outcome() == SPLIT_OUTCOME
-    assert os.getpid() not in walk._HELPERS and _gone(helper)
+    assert os.getpid() not in _helper._HELPERS and _gone(helper)
     assert _split_outcome() == SPLIT_OUTCOME  # on a new helper
-    assert walk._HELPERS[os.getpid()][0] != helper
+    assert _helper._HELPERS[os.getpid()].pid != helper
 
 
 @needs_helper
@@ -1185,7 +1185,7 @@ def test_interrupted_call_discards_the_helper(monkeypatch):
     """The helper's reply to an interrupted call (seed 10) must not be read
     by the next one (seed 9)."""
     _split_outcome()
-    helper = walk._HELPERS[os.getpid()][0]
+    helper = _helper._HELPERS[os.getpid()].pid
     born_counts = walk._born_counts
 
     def interrupted(*args):
@@ -1197,25 +1197,25 @@ def test_interrupted_call_discards_the_helper(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _split_outcome(seed=10)
     monkeypatch.undo()
-    assert os.getpid() not in walk._HELPERS and _gone(helper)
+    assert os.getpid() not in _helper._HELPERS and _gone(helper)
     assert _split_outcome() == SPLIT_OUTCOME
 
 
 @needs_helper
 def test_forked_child_forks_its_own_helper():
     _split_outcome()
-    helper = walk._HELPERS[os.getpid()][0]
+    helper = _helper._HELPERS[os.getpid()].pid
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            own = _split_outcome() == SPLIT_OUTCOME and walk._HELPERS[os.getpid()][0] != helper
-            walk._discard_helper()
+            own = _split_outcome() == SPLIT_OUTCOME and _helper._HELPERS[os.getpid()].pid != helper
+            _helper.discard()
             code = 0 if own else 2
         finally:
             os._exit(code)
     assert _exit_code(pid) == 0
-    assert walk._HELPERS[os.getpid()][0] == helper
+    assert _helper._HELPERS[os.getpid()].pid == helper
     assert _split_outcome() == SPLIT_OUTCOME
 
 
@@ -1230,10 +1230,10 @@ def test_helper_holds_no_output_and_outlives_no_process(tmp_path):
         f"atexit.register(lambda: open({str(exits)!r}, 'a').write('exit'))\n"
         "print('x', end='')\n"
         "import numpy as np\n"
-        "from collapsewalk import WalkConfig, born_statistics, normalize, walk\n"
+        "from collapsewalk import WalkConfig, _helper, born_statistics, normalize\n"
         "state = normalize(np.sqrt([0.3, 0.7]))\n"
         "born_statistics(state, 301, WalkConfig(grid_resolution=1000, seed=9))\n"
-        "sys.stderr.write(str(walk._HELPERS[os.getpid()][0]))\n"
+        "sys.stderr.write(str(_helper._HELPERS[os.getpid()].pid))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
@@ -1246,11 +1246,11 @@ def test_helper_holds_no_output_and_outlives_no_process(tmp_path):
 
 @needs_helper
 def test_split_call_warns_nothing():
-    walk._discard_helper()  # the call below forks
+    _helper.discard()  # the call below forks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _split_outcome() == SPLIT_OUTCOME
-    assert os.getpid() in walk._HELPERS
+    assert os.getpid() in _helper._HELPERS
 
 
 def test_no_helper_while_other_threads_run():
@@ -1258,7 +1258,7 @@ def test_no_helper_while_other_threads_run():
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert walk._helper() is None
+        assert _helper.current() is None
     finally:
         release.set()
         thread.join(timeout=10)
