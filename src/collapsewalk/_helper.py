@@ -44,7 +44,6 @@ import pickle
 import threading
 import time
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,15 +57,15 @@ _LATE_RATIO = 2.0  # a late reply comes this many times the caller's half after 
 _ALIGN = 64  # byte alignment of each array in the region
 
 
-@dataclass
 class Helper:
     """One helper process, its pipe ends in this process and its region."""
 
-    pid: int
-    requests: int  # writing end of the request pipe
-    replies: int  # reading end of the reply pipe
-    region: mmap.mmap
-    late: int = 0  # replies in a row that came late
+    def __init__(self, pid: int, requests: int, replies: int, region: mmap.mmap):
+        self.pid = pid
+        self.requests = requests  # writing end of the request pipe
+        self.replies = replies  # reading end of the reply pipe
+        self.region = region
+        self.late = 0  # replies in a row that came late
 
 
 # Each process's helper, by os.getpid(); None once that process stopped

@@ -247,23 +247,23 @@ def _chunks(rng: np.random.Generator, n: int):
         yield min(CHUNK_SIZE, n - lo), rng.spawn(1)[0]
 
 
-@dataclass(frozen=True)
 class _ChildChunks:
     """``count`` full chunks on the children ``first``, ``first + 1``, ... of
-    a SeedSequence's fields: the streams ``_chunks`` spawns at those spawn
-    counts, built one at a time, so a helper process can be sent them."""
+    ``rng``'s SeedSequence: the streams ``_chunks`` spawns at those spawn
+    counts, built one at a time from fields that pickle, so a helper process
+    can be sent them."""
 
-    bit_generator: type
-    entropy: object
-    spawn_key: tuple
-    pool_size: int
-    first: int
-    count: int
+    def __init__(self, rng: np.random.Generator, first: int, count: int):
+        seq = rng.bit_generator.seed_seq
+        self.bit_generator = type(rng.bit_generator)
+        self.fields = seq.entropy, seq.spawn_key, seq.pool_size
+        self.first, self.count = first, count
 
     def __iter__(self):
+        entropy, spawn_key, pool_size = self.fields
         for i in range(self.first, self.first + self.count):
             seq = np.random.SeedSequence(
-                self.entropy, spawn_key=(*self.spawn_key, i), pool_size=self.pool_size
+                entropy, spawn_key=(*spawn_key, i), pool_size=pool_size
             )
             yield CHUNK_SIZE, np.random.Generator(self.bit_generator(seq))
 
@@ -581,7 +581,7 @@ def _image_event_sums(a: DetectorSetting, b: DetectorSetting, chunks):
     return total, proposed, accepted
 
 
-def _image_parts(task, a, b, n, rng, most: int | None = None) -> list:
+def _image_parts(task, a, b, n, rng, most: int | None = None):
     """Results of ``task(a, b, chunks)`` over the chunks of n image events
     drawn from rng, in chunk order.
 
@@ -589,7 +589,7 @@ def _image_parts(task, a, b, n, rng, most: int | None = None) -> list:
     _SPLIT_CHUNKS chunks, with a helper process and a stream of numpy's own
     types, the helper runs chunks 0 to h - 1, h = chunks // 2 (at most
     ``most``), on the children ``_chunks`` would spawn for them, while this
-    process runs the rest: ``[theirs, mine]``.  Either way rng ends with one
+    process runs the rest: ``(theirs, mine)``.  Either way rng ends with one
     child spawned per chunk.
     """
     if _event_count(n) < 1:
@@ -608,13 +608,11 @@ def _image_parts(task, a, b, n, rng, most: int | None = None) -> list:
     if helper is None:
         return [task(a, b, _chunks(rng, n))]
     h = min(chunks // 2, most or chunks)
-    theirs = _ChildChunks(
-        type(gen), seq.entropy, seq.spawn_key, seq.pool_size, seq.n_children_spawned, h
-    )
+    theirs = _ChildChunks(rng, seq.n_children_spawned, h)
     for _ in range(h):
         seq.spawn(1)
     mine = _chunks(rng, n - h * CHUNK_SIZE)
-    return list(_helper.split(helper, f"bell.{task.__name__}", (a, b, theirs), (a, b, mine)))
+    return _helper.split(helper, f"bell.{task.__name__}", (a, b, theirs), (a, b, mine))
 
 
 def sample_image_events(
