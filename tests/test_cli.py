@@ -750,6 +750,13 @@ OUTPUT_SHA256 = {
         "ef15f84c2330adcd22d88da6f881dcec3663fd85109ddb19490428eb3edace77",
         "fe98ca4d13ecae67d4ee270979731961a3cb46ff60722b3d3c8ab1ae8b5df49d",
     ),
+    # the bench's eight-state batch: 25 trials at M = 200
+    ("born", "--amplitudes",
+     "0.447214,0;0.418330,0;0.387298,0;0.353553,0;0.353553,0;0.316228,0;0.273861,0;0.223607,0",
+     "--trials", "25", "--grid-resolution", "200", "--seed", "3"): (
+        "0fd8101ebfec72e31f848edb5b73d3240c0b322845f91ce0c60bb2ef78aeffd7",
+        "835366405a7a1d3b82f6e39a32a902e0ffd32664c31e81f194319d315fac6e89",
+    ),
     ("walk", "--amplitudes", "0.707107,0;0.707107,0", "--grid-resolution", "20"): (
         "5ee8defa5edd06f3253bf155e69a74ff08c509092cb54f8134a11b6e952bd5d2",
         "fbeecb9ac9e47545c1366d66c5f4f10a6bc03521c8073cad98d2270327a6298a",

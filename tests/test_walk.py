@@ -1061,6 +1061,13 @@ BORN_GOLDEN = [
     ((250, 250, 500), 1000, 77, 129, [32, 35, 62], 40107956),
     ((300, 700), 1000, 9, 301, [88, 213], 64915236),
     ((1500, 1500), 3000, 4, 2, [1, 1], 4954142),
+    # N >= 4 batches of a few ms: the bench's eight-state shape, four and five
+    # states at 20 and 19 trials and four at 19, and four alive among eight
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 3, 25, [4, 3, 2, 3, 3, 2, 5, 3], 494225),
+    ((25, 25, 25, 25), 100, 2**32 + 1, 20, [7, 3, 5, 5], 67130),
+    ((20, 20, 20, 20, 20), 100, 6, 19, [5, 5, 5, 1, 3], 69110),
+    ((25, 25, 25, 25), 100, 2**63 + 1, 19, [4, 7, 5, 3], 74049),
+    ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25, [0, 5, 0, 9, 0, 7, 0, 4], 383404),
 ]
 
 # steps_stderr of each BORN_GOLDEN row, by (grid weights, M, seed, trials):
@@ -1081,6 +1088,11 @@ BORN_GOLDEN_STEPS_STDERR = {
     ((250, 250, 500), 1000, 77, 129): 20577.431944896918,
     ((300, 700), 1000, 9, 301): 12228.028939677606,
     ((1500, 1500), 3000, 4, 2): 1794479.0,
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 3, 25): 2078.714993291128,
+    ((25, 25, 25, 25), 100, 2**32 + 1, 20): 310.6981146081396,
+    ((20, 20, 20, 20, 20), 100, 6, 19): 351.87246169787636,
+    ((25, 25, 25, 25), 100, 2**63 + 1, 19): 305.33159093802607,
+    ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25): 1457.8796585909736,
 }
 
 
