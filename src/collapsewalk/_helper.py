@@ -6,10 +6,12 @@ two results.  Both halves go through the same function and each piece of
 work draws from its own stream, so a split result is bit-identical to one
 process's.
 
-* ``born_statistics``: a batch of T >= 2 trials whose expected steps
-  T (M^2 - sum k_i^2) / 2 reach ``walk._SPLIT_STEPS`` = 2**22.  The helper
-  runs ``walk._born_counts`` on trials 0 to T // 2 - 1, the caller on the
-  rest; counts and step sums are Python ints, so they add up exactly.
+* ``born_statistics``: a batch of T >= 2 trials whose estimated kernel
+  time in one process reaches ``walk._SPLIT_NS`` (about 2.1 ms): its
+  expected steps T (M^2 - sum k_i^2) / 2 at ``walk._STEP_NS`` per step, a
+  cost for two, three, and four or more alive states.  The helper runs
+  ``walk._born_counts`` on trials 0 to T // 2 - 1, the caller on the rest;
+  counts and step sums are Python ints, so they add up exactly.
 * ``sample_image_events`` and ``image_correlation_event``: a call of at
   least ``bell._SPLIT_CHUNKS`` = 4 chunks.  The helper runs chunks 0 to
   h - 1, h = chunks // 2, on the child streams the caller would spawn for
@@ -31,7 +33,9 @@ and one whose caller's half raised is discarded, so a stale reply is never
 read.  When ``_LATE_CALLS`` replies in a row arrive more than
 ``_LATE_RATIO`` times the caller's half time after that half ended (the
 split took some 1.5 times one process's time: the other CPU is busy), the
-process discards its helper and runs every later call alone.
+process discards its helper and runs its calls alone for a back-off,
+``_BACKOFF_S`` at its first stop and twice the last one at each later
+stop; then it forks a helper again.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ if TYPE_CHECKING:
 REGION_BYTES = 1 << 22  # shared reply region; arrays beyond it go through the pipe
 _LATE_CALLS = 3  # late replies in a row after which a process stops splitting
 _LATE_RATIO = 2.0  # a late reply comes this many times the caller's half after it
+_BACKOFF_S = 1.0  # seconds a first stop lasts; each later stop lasts twice the last
 _ALIGN = 64  # byte alignment of each array in the region
 
 
@@ -68,19 +73,24 @@ class Helper:
         self.late = 0  # replies in a row that came late
 
 
-# Each process's helper, by os.getpid(); None once that process stopped
-# splitting.  A process forked from one that holds a helper finds no entry.
+# Each process's helper, by os.getpid(); None while that process's stop
+# lasts.  A process forked from one that holds a helper finds no entry.
 _HELPERS: dict[int, Helper | None] = {}
+# By os.getpid(), for each process that stopped splitting: the
+# time.monotonic() at which its last stop ends and how long that stop lasts.
+_STOPS: dict[int, tuple[float, float]] = {}
 
 
 def current() -> Helper | None:
     """This process's helper, forked at first use; None where it cannot help
     or forking is unsafe: without ``os.fork``, on one CPU, while other
     Python threads run (which could hold a lock across the fork or share the
-    helper's pipes), or after the process stopped splitting."""
+    helper's pipes), or while the process's stop lasts."""
     if threading.active_count() > 1:
         return None
     pid = os.getpid()
+    if pid in _HELPERS and _HELPERS[pid] is None and time.monotonic() >= _STOPS[pid][0]:
+        del _HELPERS[pid]  # the stop is over: fork again
     if pid in _HELPERS or not hasattr(os, "fork"):
         return _HELPERS.get(pid)
     if hasattr(os, "sched_getaffinity"):
@@ -124,7 +134,10 @@ def split(helper: Helper, task: str, theirs: tuple, mine: tuple):
         helper.late += 1
         if helper.late >= _LATE_CALLS:
             discard()
-            _HELPERS[os.getpid()] = None
+            pid = os.getpid()
+            wait = 2 * _STOPS[pid][1] if pid in _STOPS else _BACKOFF_S
+            _HELPERS[pid] = None
+            _STOPS[pid] = (time.monotonic() + wait, wait)
     else:
         helper.late = 0
     return reply, result

@@ -50,8 +50,10 @@ from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
 block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
 it builds exactly those streams without one ``SeedSequence`` per trial.
 
-Large ``born_statistics`` batches run half their trials in a forked helper
-process, with the same result: see ``_helper``.
+A ``born_statistics`` batch whose kernel time, estimated from its expected
+steps at a cost per step for its count of alive states, reaches about 2 ms
+runs half its trials in a forked helper process, with the same result: see
+``_helper``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,22 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
-_SPLIT_STEPS = 1 << 22  # expected steps of a batch that a helper process shares
+
+# One-process kernel time of a born batch per expected step, in ns, by its
+# alive states: 2, 3, and 4 or more.  Measured in-process (2 vCPUs, Python
+# 3.11, numpy 2.4), whole batches, median of 7 seeds:
+# * two states: 0.48-0.55 ns per step at M = 1000 (6 ns at M = 100);
+# * three: 3.9-5.2 ns at M = 1000, where the two-state tails dominate.  At
+#   M = 100 a step costs 12 ns, but the cross-trial rounds cost per round,
+#   so a half of at most _SEED_BLOCK trials takes nearly the whole's time:
+#   4 ns keeps 100 trials at M = 100 whole and splits M = 1000;
+# * four or more: 22 ns for four states at M = 200, 32-41 ns for eight,
+#   63 ns for sixteen, 170 ns for four at M = 40; the cheapest is taken.
+_STEP_NS = {2: 0.5, 3: 4.0, 4: 28.0}
+# Estimated kernel time (about 2.1 ms) from which a helper process shares a
+# batch: 13 round trips of 0.16 ms, and 2**22 steps of two states as before.
+# Measured split against whole there: -5% to -19%, and +3% to +32% at 1.3 ms.
+_SPLIT_NS = 1 << 21
 
 # N-state batches: 16-bit lanes, four to a uint64 column
 _LANES = 4
@@ -478,10 +495,13 @@ def born_statistics(
     blocks by ``_trial_rngs``, through a vectorized kernel that is
     distribution-identical to ``run_walk``.  Trials hitting the step cap are
     excluded from the counts; more than 1% exclusions raises
-    MaxStepsExceededError.  From ``_SPLIT_STEPS`` = 2**22 expected steps
-    over the batch (and two trials), a forked helper process runs trials
-    0 to trials // 2 - 1 while this process runs the rest, with the same
-    result as one process (see ``_helper``).  ``workers`` is
+    MaxStepsExceededError.  A batch of at least two trials whose estimated
+    one-process kernel time, trials (M^2 - sum k_i^2) / 2 expected steps at
+    ``_STEP_NS`` per step for its count of alive states (two, three, four
+    or more), reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
+    forked helper runs trials 0 to trials // 2 - 1 while this process runs
+    the rest, with the same result as one process (see ``_helper``).
+    ``workers`` is
     deprecated and ignored: the trials run in one thread per process, and
     the result never depended on it.  A positive weight that quantizes to
     zero (allowed at M >= 10 N) gives a RuntimeWarning.
@@ -504,7 +524,8 @@ def born_statistics(
     # no walk takes 2**62 steps; the clamp keeps step counts in int64
     args = (config.seed, k0, m, min(config.max_steps, 1 << 62))
     expected = _expected_steps(k0)
-    helper = _helper.current() if trials >= 2 and trials * expected >= _SPLIT_STEPS else None
+    kernel_ns = trials * expected * _STEP_NS.get(min(int(np.count_nonzero(k0)), 4), 0.0)
+    helper = _helper.current() if trials >= 2 and kernel_ns >= _SPLIT_NS else None
     if helper is None:
         counts, total, total_sq = _born_counts(*args, 0, trials)
     else:

@@ -295,6 +295,43 @@ def test_late_replies_stop_the_split(monkeypatch):
     assert _helper.current() is not None  # discard forgets the stop
 
 
+@needs_helper
+def test_a_stop_ends_after_its_back_off(monkeypatch):
+    """After a stop the process runs its calls alone until the back-off has
+    passed, then forks a helper again; its next stop lasts twice as long."""
+    args = (11, np.array([300, 700]), 1000, 1 << 62)
+    born_counts = walk._born_counts
+
+    def slow(*call):
+        if call[0] == 11 and call[-2:] == (0, 1):  # the stub's half of a late call
+            time.sleep(0.25)
+        return born_counts(*call)
+
+    monkeypatch.setattr(walk, "_born_counts", slow)
+    monkeypatch.setattr(_helper, "_BACKOFF_S", 0.3)
+    monkeypatch.setattr(_helper, "_STOPS", {})  # no earlier stop of this process
+    late, mine = (*args, 0, 1), (*args, 1, 41)
+    pid = os.getpid()
+    try:
+        helper = _fresh_helper()  # forked with the stub in place
+        for wait in (0.3, 0.6):
+            helper.late = 0  # its first, tiny round trip may have come late
+            for _ in range(_helper._LATE_CALLS):
+                _helper.split(helper, "walk._born_counts", late, mine)
+            assert _helper._HELPERS[pid] is None and _gone(helper.pid)
+            end, lasts = _helper._STOPS[pid]
+            assert lasts == wait
+            assert _helper.current() is None  # the stop lasts
+            time.sleep(max(0.0, end - time.monotonic()))
+            again = _helper.current()
+            assert isinstance(again, _helper.Helper) and again.pid != helper.pid
+            _round_trip(again)
+            helper = again
+    finally:
+        monkeypatch.undo()
+        _helper.discard()
+
+
 # ------------------------------------------------------------------ a whole command
 
 

@@ -1121,8 +1121,9 @@ def test_born_statistics_golden_with_excluded_trials():
 
 # ---------------------------------------------------------------- helper process
 
-# 301 walks of 210,000 expected steps: over _SPLIT_STEPS, so a helper process
-# takes trials 0-149; the outcome is BORN_GOLDEN's, recorded in one process
+# 301 walks of 210,000 expected two-state steps, an estimated 32 ms of kernel
+# time: over _SPLIT_NS, so a helper process takes trials 0-149; the outcome
+# is BORN_GOLDEN's, recorded in one process
 SPLIT_BATCH = (normalize(np.sqrt([0.3, 0.7])), 301)
 SPLIT_OUTCOME = ([88, 213], 64915236 / 301, 12228.028939677606, 0)
 
@@ -1263,6 +1264,45 @@ def test_split_call_warns_nothing():
         warnings.simplefilter("error")
         assert _split_outcome() == SPLIT_OUTCOME
     assert os.getpid() in _helper._HELPERS
+
+
+def _born_outcome(k, m, seed, trials):
+    state = normalize(np.sqrt(np.array(k) / m))
+    stats = born_statistics(state, trials, WalkConfig(grid_resolution=m, seed=seed))
+    return stats.winner_counts.tolist(), stats.mean_steps, stats.steps_stderr, stats.excluded
+
+
+@needs_helper
+@pytest.mark.parametrize("k, m, seed, trials", [
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 3, 25),  # the bench's eight states, ~12 ms
+    ((25, 25, 25, 25), 100, 2**32 + 1, 20),  # 2.1 ms estimated, just over the floor
+    ((20, 20, 20, 20, 20), 100, 6, 19),  # 2.13 ms
+    ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25),  # four alive among eight
+    ((500, 300, 200), 1000, 8, 100),  # three states at M = 1000, as before
+])
+def test_batch_over_the_time_floor_splits_with_the_one_process_outcome(
+    k, m, seed, trials, monkeypatch
+):
+    with monkeypatch.context() as patch:
+        patch.setattr(_helper, "current", lambda: None)
+        want = _born_outcome(k, m, seed, trials)
+    _helper.discard()
+    assert _born_outcome(k, m, seed, trials) == want
+    assert isinstance(_helper._HELPERS[os.getpid()], _helper.Helper)
+
+
+@needs_helper
+@pytest.mark.parametrize("k, m, trials", [
+    ((50, 30, 20), 100, 100),  # the bench's three states: rounds cost per round
+    ((0, 100, 0), 100, 5000),  # one alive state: no step
+    ((25, 25, 25, 25), 100, 19),  # 1.995 ms estimated, just under the floor
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 4),  # 1.92 ms
+    ((300, 700), 1000, 19),  # 3,990,000 two-state steps, under 2**22
+])
+def test_batch_under_the_time_floor_forks_nothing(k, m, trials):
+    _helper.discard()
+    _born_outcome(k, m, 1, trials)
+    assert os.getpid() not in _helper._HELPERS
 
 
 def test_no_helper_while_other_threads_run():
