@@ -88,12 +88,14 @@ _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 #   M = 100 a step costs 12 ns, but the cross-trial rounds cost per round,
 #   so a half of at most _SEED_BLOCK trials takes nearly the whole's time:
 #   4 ns keeps 100 trials at M = 100 whole and splits M = 1000;
-# * four or more: 22 ns for four states at M = 200, 32-41 ns for eight,
-#   63 ns for sixteen, 170 ns for four at M = 40; the cheapest is taken.
+# * four or more: 22-28 ns for four states at M = 200, 32-41 ns for eight,
+#   63 ns for sixteen, 170 ns for four at M = 40.  28 ns, near the cheapest,
+#   seldom overestimates a batch.
 _STEP_NS = {2: 0.5, 3: 4.0, 4: 28.0}
 # Estimated kernel time (about 2.1 ms) from which a helper process shares a
 # batch: 13 round trips of 0.16 ms, and 2**22 steps of two states as before.
-# Measured split against whole there: -5% to -19%, and +3% to +32% at 1.3 ms.
+# Split against whole, measured: -1% to -15% at 2.1-2.4 ms of kernel time,
+# +3% and +32% at 1.3-1.4 ms.
 _SPLIT_NS = 1 << 21
 
 # N-state batches: 16-bit lanes, four to a uint64 column
@@ -501,10 +503,9 @@ def born_statistics(
     or more), reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
     forked helper runs trials 0 to trials // 2 - 1 while this process runs
     the rest, with the same result as one process (see ``_helper``).
-    ``workers`` is
-    deprecated and ignored: the trials run in one thread per process, and
-    the result never depended on it.  A positive weight that quantizes to
-    zero (allowed at M >= 10 N) gives a RuntimeWarning.
+    ``workers`` is deprecated and ignored: the trials run in one thread per
+    process, and the result never depended on it.  A positive weight that
+    quantizes to zero (allowed at M >= 10 N) gives a RuntimeWarning.
     """
     if workers > 1:
         warnings.warn(

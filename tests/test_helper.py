@@ -1,5 +1,6 @@
 """The forked helper process: lifecycle, placement, fds, the reply region and
-the rule that stops splitting, on ``born`` batches and on image-event calls.
+the rule that stops splitting for a back-off, on ``born`` batches and on
+image-event calls.
 
 Every split call must give the bytes of one process; these tests compare
 with calls made while ``_helper.current`` finds no helper.
