@@ -33,6 +33,9 @@ needs_helper = pytest.mark.skipif(
     not hasattr(os, "fork") or (_CPUS or 1) < 2, reason="no fork or no second CPU"
 )
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+needs_stat = pytest.mark.skipif(
+    not os.access("/proc/self/stat", os.R_OK), reason="no /proc/<pid>/stat"
+)
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity"
 )
@@ -257,6 +260,63 @@ def test_helper_holds_only_its_pipe_ends():
     ends = {os.readlink(f"/proc/self/fd/{fd}") for fd in (helper.requests, helper.replies)}
     assert [held.pop(fd) for fd in range(3)] == [os.devnull] * 3
     assert len(held) == 2 and set(held.values()) == ends
+
+
+# ------------------------------------------------------------------ the helper's heap
+
+
+def _minor_faults(pid):
+    """Minor faults of pid so far, field 10 of /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat", "rb") as stat:
+        return int(stat.read().rsplit(b")", 1)[1].split()[7])
+
+
+def _rss_mb(pid):
+    with open(f"/proc/{pid}/status") as status:
+        line = next(line for line in status if line.startswith("VmRSS:"))
+    return int(line.split()[1]) / 1024
+
+
+def _image_calls(helper, count, rng, after=None):
+    """count 10**5-event image calls that split, with no stop in between;
+    ``after()`` runs after each."""
+    for _ in range(count):
+        sample_image_events(*PAIR, N, rng)
+        assert _helper._HELPERS[os.getpid()] is helper
+        if after:
+            after()
+
+
+@needs_helper
+@needs_stat
+def test_helper_keeps_its_heap_between_image_calls(monkeypatch):
+    """A helper that gives its heap back after each reply faults it in again
+    at the next request: about 1,000 minor faults per call where trimming is
+    on, 0-40 where the helper keeps its heap."""
+    monkeypatch.setattr(_helper, "_LATE_CALLS", 1 << 30)  # a busy CPU stops nothing here
+    helper = _fresh_helper()
+    rng = np.random.default_rng(12)
+    _image_calls(helper, 10, rng)
+    before = _minor_faults(helper.pid)
+    _image_calls(helper, 20, rng)
+    per_call = (_minor_faults(helper.pid) - before) / 20
+    assert per_call < 100, per_call
+    _helper.discard()
+
+
+@needs_helper
+@needs_stat
+def test_kept_heap_does_not_grow(monkeypatch):
+    """The helper's VmRSS after each of 30 calls stays within 4 MB of its
+    reading after the first 10: keeping the heap is no leak."""
+    monkeypatch.setattr(_helper, "_LATE_CALLS", 1 << 30)
+    helper = _fresh_helper()
+    rng = np.random.default_rng(13)
+    _image_calls(helper, 10, rng)
+    settled, readings = _rss_mb(helper.pid), []
+    _image_calls(helper, 30, rng, lambda: readings.append(_rss_mb(helper.pid)))
+    assert max(abs(mb - settled) for mb in readings) < 4, (settled, readings)
+    _helper.discard()
 
 
 # ------------------------------------------------------------------ a busy second CPU
