@@ -25,7 +25,11 @@ fork it moves itself off the CPU its parent was on (where
 ``os.sched_setaffinity`` and /proc exist), so that the halves run side by
 side.  Arrays in its reply go through a ``REGION_BYTES`` shared anonymous
 mapping made before the fork; only their places cross the pipe, and the
-caller copies them out before its next call.
+caller copies them out before its next call.  The helper keeps its heap
+between requests (glibc's trim threshold raised to ``_TRIM_THRESHOLD``, in
+the helper only): a 10**5-event image half frees what it allocated once it
+has replied, and a heap given back at each reply had to be faulted in again
+at the next request, about 1,000 minor faults that the caller waited for.
 
 No helper is forked without ``os.fork``, on one CPU, or while other Python
 threads run.  A helper that died has its half run in the calling process,
@@ -60,6 +64,7 @@ _LATE_CALLS = 3  # late replies in a row after which a process stops splitting
 _LATE_RATIO = 2.0  # a late reply comes this many times the caller's half after it
 _BACKOFF_S = 1.0  # seconds a first stop lasts; each later stop lasts twice the last
 _ALIGN = 64  # byte alignment of each array in the region
+_TRIM_THRESHOLD = 1 << 26  # free heap top, in bytes, the helper keeps instead of trimming
 
 
 class Helper:
@@ -195,10 +200,13 @@ def _serve(requests: int, replies: int, region: mmap.mmap, cpu: int | None):
     through ``os._exit``, on an error too.  So it never runs ``atexit``
     hooks or flushes stdio buffers inherited from its parent.
 
-    First it keeps off ``cpu``, its parent's, if another CPU is allowed.  It
-    keeps no inherited fd but its two pipe ends, with fds 0-2 on /dev/null:
-    it reads end of file once its parent is gone, and holds none of its
-    parent's files or pipes open.
+    First it keeps off ``cpu``, its parent's, if another CPU is allowed, and
+    keeps the heap its replies free instead of trimming it, so that a request
+    does not fault in again the pages the last one gave back (where the C
+    library has no ``mallopt`` it trims as before).  It keeps no inherited fd
+    but its two pipe ends, with fds 0-2 on /dev/null: it reads end of file
+    once its parent is gone, and holds none of its parent's files or pipes
+    open.
     """
     try:
         import gc
@@ -212,6 +220,10 @@ def _serve(requests: int, replies: int, region: mmap.mmap, cpu: int | None):
             except OSError:  # not allowed here: run where the scheduler puts it
                 pass
         gc.freeze()  # the parent's objects are never finalized here
+        try:
+            _keep_heap()
+        except (OSError, AttributeError):  # no glibc mallopt: the heap trims as before
+            pass
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
         null = os.open(os.devnull, os.O_RDWR)
         for fd in range(3):
@@ -226,6 +238,16 @@ def _serve(requests: int, replies: int, region: mmap.mmap, cpu: int | None):
             _send(replies, _task(task)(*args), region)
     finally:
         os._exit(0)
+
+
+def _keep_heap():
+    """Raise glibc's trim threshold to ``_TRIM_THRESHOLD`` in this process:
+    the heap a reply freed stays mapped for the next request.  glibc then
+    stops moving its mmap threshold, which stays where the parent's left it.
+    OSError or AttributeError where the C library has no ``mallopt``."""
+    import ctypes  # numpy has imported it already
+
+    ctypes.CDLL(None).mallopt(-1, _TRIM_THRESHOLD)  # -1: M_TRIM_THRESHOLD, <malloc.h>
 
 
 @atexit.register

@@ -493,7 +493,7 @@ def _overlap_term_draws(
     margin, so one round nearly always suffices.  A collapsed rate (below
     1e-3 after ten chunks' worth of proposals) raises RejectionStallError.
     """
-    us, vs = [np.empty(0)], [np.empty(0)]
+    us, vs = [], []
     have = proposed = accepted = 0
     while have < need:
         if proposed >= 10 * CHUNK_SIZE and accepted < 1e-3 * proposed:
@@ -510,7 +510,10 @@ def _overlap_term_draws(
         us.append(u.take(keep))
         vs.append(v.take(keep))
         have += keep.size
-    return np.concatenate(us), np.concatenate(vs), proposed, accepted
+    if len(us) == 1:  # nearly always: that round's arrays, not a copy of them
+        return us[0], vs[0], proposed, accepted
+    empty = [np.empty(0)]  # need == 0 still gives float64 arrays
+    return np.concatenate(empty + us), np.concatenate(empty + vs), proposed, accepted
 
 
 def _wing(sub: np.random.Generator, dot: np.ndarray, noisy: np.ndarray):

@@ -31,6 +31,7 @@ from collapsewalk.bell import (
     _chunks,
     _disc_points,
     _dot_pairs,
+    _overlap_term_draws,
     _plane,
     estimate_from_events,
 )
@@ -162,6 +163,27 @@ def test_disc_points_fill_over_several_rounds():
     assert rng.calls >= 2
     assert p.size == q.size == s.size == 1000
     assert np.all(s < 1.0) and np.array_equal(s, p * p + q * q)
+
+
+@pytest.mark.parametrize(
+    "need, rate", [(1, 4 / (3 * math.pi)), (5000, 4 / (3 * math.pi)), (5000, 1.0)]
+)
+def test_overlap_term_draws_give_need_pairs(need, rate):
+    """need float64 pairs from one round at the true rate, I(90 deg) / 2 pi
+    = 4 / 3 pi, or from several at rate 1.0, which sizes each round too
+    small."""
+    rng = np.random.default_rng(21)
+    u, v, proposed, accepted = _overlap_term_draws(rng, need, 0.0, 1.0, rate)
+    assert u.dtype == v.dtype == np.float64 and u.shape == v.shape == (need,)
+    assert np.all(np.abs(u) <= 1.0) and np.all(np.abs(v) <= 1.0)
+    first = int((need + 4.0 * math.sqrt(need)) / rate) + 1
+    assert (proposed == first) == (rate < 1.0) and accepted >= need
+
+
+def test_overlap_term_draws_of_no_pairs_propose_nothing():
+    u, v, proposed, accepted = _overlap_term_draws(np.random.default_rng(0), 0, 0.0, 1.0, 0.5)
+    assert u.dtype == v.dtype == np.float64 and u.size == v.size == 0
+    assert proposed == accepted == 0
 
 
 def dot_pairs_cos_oracle(rng, n, cos_ab, sin_ab, tilted=False):
