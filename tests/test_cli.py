@@ -757,6 +757,12 @@ OUTPUT_SHA256 = {
         "0fd8101ebfec72e31f848edb5b73d3240c0b322845f91ce0c60bb2ef78aeffd7",
         "835366405a7a1d3b82f6e39a32a902e0ffd32664c31e81f194319d315fac6e89",
     ),
+    # the bench's three-state batch: 100 trials of [.5, .3, .2] at M = 100
+    ("born", "--amplitudes", "0.707107,0;0.547723,0;0.447214,0", "--trials", "100",
+     "--grid-resolution", "100", "--seed", "4"): (
+        "75d6265959558ec5a011f7f6df66f0b27c9bd9d251579d6fb9119c9eed5bafed",
+        "36371fa8d728baf9ed5b1f1a8a24b7b0a112d799ece606a22ab1f8acc8362c1f",
+    ),
     ("walk", "--amplitudes", "0.707107,0;0.707107,0", "--grid-resolution", "20"): (
         "5ee8defa5edd06f3253bf155e69a74ff08c509092cb54f8134a11b6e952bd5d2",
         "fbeecb9ac9e47545c1366d66c5f4f10a6bc03521c8073cad98d2270327a6298a",

@@ -1068,6 +1068,10 @@ BORN_GOLDEN = [
     ((20, 20, 20, 20, 20), 100, 6, 19, [5, 5, 5, 1, 3], 69110),
     ((25, 25, 25, 25), 100, 2**63 + 1, 19, [4, 7, 5, 3], 74049),
     ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25, [0, 5, 0, 9, 0, 7, 0, 4], 383404),
+    # a few ms of short walks: the bench's three-state batch, and 1,000
+    # two-state trials at M = 100
+    ((50, 30, 20), 100, 601, 100, [52, 30, 18], 276653),
+    ((30, 70), 100, 70, 1000, [312, 688], 2205788),
 ]
 
 # steps_stderr of each BORN_GOLDEN row, by (grid weights, M, seed, trials):
@@ -1093,6 +1097,8 @@ BORN_GOLDEN_STEPS_STDERR = {
     ((20, 20, 20, 20, 20), 100, 6, 19): 351.87246169787636,
     ((25, 25, 25, 25), 100, 2**63 + 1, 19): 305.33159093802607,
     ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25): 1457.8796585909736,
+    ((50, 30, 20), 100, 601, 100): 206.0022891188887,
+    ((30, 70), 100, 70, 1000): 67.93419759044967,
 }
 
 
