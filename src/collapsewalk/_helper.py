@@ -7,9 +7,10 @@ work draws from its own stream, so a split result is bit-identical to one
 process's.
 
 * ``born_statistics``: a batch of T >= 2 trials whose estimated kernel
-  time in one process reaches ``walk._SPLIT_NS`` (about 2.1 ms): its
-  expected steps T (M^2 - sum k_i^2) / 2 at ``walk._STEP_NS`` per step, a
-  cost for two, three, and four or more alive states.  The helper runs
+  time in one process reaches ``walk._SPLIT_NS`` (about 2.1 ms):
+  ``walk._kernel_ns``, T times a cost per trial plus (M^2 - sum k_i^2) / 2
+  expected steps at a cost per step, both for two, three, or four or more
+  alive states (``walk._KERNEL_NS``).  The helper runs
   ``walk._born_counts`` on trials 0 to T // 2 - 1, the caller on the rest;
   counts and step sums are Python ints, so they add up exactly.
 * ``sample_image_events`` and ``image_correlation_event``: a call of at

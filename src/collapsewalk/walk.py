@@ -50,9 +50,9 @@ from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
 block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
 it builds exactly those streams without one ``SeedSequence`` per trial.
 
-A ``born_statistics`` batch whose kernel time, estimated from its expected
-steps at a cost per step for its count of alive states, reaches about 2 ms
-runs half its trials in a forked helper process, with the same result: see
+A ``born_statistics`` batch whose kernel time, estimated from its trials
+and expected steps at costs for its count of alive states, reaches about
+2 ms runs half its trials in a forked helper process, with the same result: see
 ``_helper``.
 """
 
@@ -80,20 +80,23 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 
-# One-process kernel time of a born batch per expected step, in ns, by its
-# alive states: 2, 3, and 4 or more.  Measured in-process (2 vCPUs, Python
-# 3.11, numpy 2.4), whole batches, median of 7 seeds:
-# * two states: 0.48-0.55 ns per step at M = 1000 (6 ns at M = 100);
-# * three: 3.9-5.2 ns at M = 1000, where the two-state tails dominate.  At
-#   M = 100 a step costs 12 ns, but the cross-trial rounds cost per round,
-#   so a half of at most _SEED_BLOCK trials takes nearly the whole's time:
-#   4 ns keeps 100 trials at M = 100 whole and splits M = 1000;
-# * four or more: 22-28 ns for four states at M = 200, 32-41 ns for eight,
-#   63 ns for sixteen, 170 ns for four at M = 40.  28 ns, near the cheapest,
-#   seldom overestimates a batch.
-_STEP_NS = {2: 0.5, 3: 4.0, 4: 28.0}
+# One-process kernel time of a born batch, in ns per trial and ns per
+# expected step, by its alive states: 2, 3, and 4 or more.  Measured
+# in-process (2 vCPUs, Python 3.11, numpy 2.4), whole 100-trial batches of
+# _born_counts, median of 7 seeds, as us per trial at expected steps:
+# * two states: 6.8 at M = 20 (84 steps), 11.7 at M = 100 (2,100), 83 at
+#   M = 1000 (210,000);
+# * three: 33 at M = 100 (3,100), 181 at M = 300 (27,900), 1,070 at M = 1000
+#   (310,000).  Either 50-trial half of the M = 100 batch takes about 60%
+#   of the whole's time;
+# * four or more: 80 for four states at M = 40 (600), 117 at M = 100 (3,750),
+#   225 at M = 200 (15,000); 460 for eight states at M = 200 (17,150).
+# Each pair is the line through its regime's cheapest and dearest points
+# (four states for four or more), so the batches in between, and those of
+# more than four states, are underestimated and stay whole near the floor.
+_KERNEL_NS = {2: (6770.0, 0.365), 3: (22600.0, 3.38), 4: (73600.0, 10.1)}
 # Estimated kernel time (about 2.1 ms) from which a helper process shares a
-# batch: 13 round trips of 0.16 ms, and 2**22 steps of two states as before.
+# batch: 13 round trips of 0.16 ms.
 # Split against whole, measured: -1% to -15% at 2.1-2.4 ms of kernel time,
 # +3% and +32% at 1.3-1.4 ms.
 _SPLIT_NS = 1 << 21
@@ -498,9 +501,9 @@ def born_statistics(
     distribution-identical to ``run_walk``.  Trials hitting the step cap are
     excluded from the counts; more than 1% exclusions raises
     MaxStepsExceededError.  A batch of at least two trials whose estimated
-    one-process kernel time, trials (M^2 - sum k_i^2) / 2 expected steps at
-    ``_STEP_NS`` per step for its count of alive states (two, three, four
-    or more), reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
+    one-process kernel time (``_kernel_ns``: a cost per trial plus one per
+    expected step, (M^2 - sum k_i^2) / 2 steps a trial, for its count of
+    alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
     forked helper runs trials 0 to trials // 2 - 1 while this process runs
     the rest, with the same result as one process (see ``_helper``).
     ``workers`` is deprecated and ignored: the trials run in one thread per
@@ -525,8 +528,7 @@ def born_statistics(
     # no walk takes 2**62 steps; the clamp keeps step counts in int64
     args = (config.seed, k0, m, min(config.max_steps, 1 << 62))
     expected = _expected_steps(k0)
-    kernel_ns = trials * expected * _STEP_NS.get(min(int(np.count_nonzero(k0)), 4), 0.0)
-    helper = _helper.current() if trials >= 2 and kernel_ns >= _SPLIT_NS else None
+    helper = _helper.current() if trials >= 2 and _kernel_ns(k0, trials) >= _SPLIT_NS else None
     if helper is None:
         counts, total, total_sq = _born_counts(*args, 0, trials)
     else:
@@ -560,6 +562,17 @@ def born_statistics(
         steps_stderr=steps_stderr,
         expected_steps=float(expected),
     )
+
+
+def _kernel_ns(k0: np.ndarray, trials: int) -> float:
+    """Estimated one-process kernel time of ``trials`` walks from ``k0``, in
+    ns: a cost per trial plus one per expected step, from ``_KERNEL_NS`` by
+    the count of alive states; 0 with fewer than two, where no walk steps."""
+    alive = int(np.count_nonzero(k0))
+    if alive < 2:
+        return 0.0
+    per_trial, per_step = _KERNEL_NS[min(alive, 4)]
+    return trials * (per_trial + _expected_steps(k0) * per_step)
 
 
 def _born_counts(seed: int, k0: np.ndarray, m: int, max_steps: int, lo: int, hi: int):

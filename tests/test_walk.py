@@ -1280,11 +1280,15 @@ def _born_outcome(k, m, seed, trials):
 
 @needs_helper
 @pytest.mark.parametrize("k, m, seed, trials", [
-    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 3, 25),  # the bench's eight states, ~12 ms
-    ((25, 25, 25, 25), 100, 2**32 + 1, 20),  # 2.1 ms estimated, just over the floor
-    ((20, 20, 20, 20, 20), 100, 6, 19),  # 2.13 ms
-    ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25),  # four alive among eight
-    ((500, 300, 200), 1000, 8, 100),  # three states at M = 1000, as before
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 3, 25),  # the bench's eight states, 6.2 ms
+    ((25, 25, 25, 25), 100, 2**32 + 1, 20),  # 2.23 ms estimated
+    ((20, 20, 20, 20, 20), 100, 6, 19),  # 2.17 ms
+    ((0, 50, 0, 50, 0, 50, 0, 50), 200, 12, 25),  # four alive among eight, 5.6 ms
+    ((500, 300, 200), 1000, 8, 100),  # three states at M = 1000, 107 ms
+    ((25, 25, 25, 25), 100, 2**63 + 1, 19),  # 2.12 ms, just over the floor
+    ((50, 30, 20), 100, 601, 100),  # the bench's three states, 3.3 ms
+    ((50, 30, 20), 100, 601, 64),  # 2.12 ms, just over
+    ((30, 70), 100, 70, 1000),  # two states at M = 100, 7.5 ms
 ])
 def test_batch_over_the_time_floor_splits_with_the_one_process_outcome(
     k, m, seed, trials, monkeypatch
@@ -1299,16 +1303,32 @@ def test_batch_over_the_time_floor_splits_with_the_one_process_outcome(
 
 @needs_helper
 @pytest.mark.parametrize("k, m, trials", [
-    ((50, 30, 20), 100, 100),  # the bench's three states: rounds cost per round
+    ((50, 30, 20), 100, 63),  # 2.08 ms estimated, just under the floor
     ((0, 100, 0), 100, 5000),  # one alive state: no step
-    ((25, 25, 25, 25), 100, 19),  # 1.995 ms estimated, just under the floor
-    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 4),  # 1.92 ms
-    ((300, 700), 1000, 19),  # 3,990,000 two-state steps, under 2**22
+    ((25, 25, 25, 25), 100, 18),  # 2.01 ms, just under
+    ((40, 35, 30, 25, 25, 20, 15, 10), 200, 4),  # 0.99 ms
+    ((300, 700), 1000, 25),  # 2.09 ms, just under
 ])
 def test_batch_under_the_time_floor_forks_nothing(k, m, trials):
     _helper.discard()
     _born_outcome(k, m, 1, trials)
     assert os.getpid() not in _helper._HELPERS
+
+
+def test_kernel_estimate_per_trial_and_step():
+    """No walk steps with fewer than two alive states; the estimate grows
+    with trials; the bench's three-state and two-state batches reach the
+    floor; batches that measured slower split stay under it (four states at
+    M = 100 and 6 trials, +32%; two states at M = 1000 and 10 trials, +3%)."""
+    for k in [(0, 100, 0), (100,), (0, 0, 0)]:
+        assert walk._kernel_ns(np.array(k), 1000) == 0
+    for k in [(6, 14), (50, 30, 20), (25, 25, 25, 25), (40, 35, 30, 25, 25, 20, 15, 10)]:
+        times = [walk._kernel_ns(np.array(k), t) for t in range(1, 200)]
+        assert times == sorted(times) and times[0] > 0
+    assert walk._kernel_ns(np.array([50, 30, 20]), 100) >= walk._SPLIT_NS
+    assert walk._kernel_ns(np.array([300, 700]), 100) >= walk._SPLIT_NS
+    assert walk._kernel_ns(np.array([25, 25, 25, 25]), 6) < walk._SPLIT_NS
+    assert walk._kernel_ns(np.array([300, 700]), 10) < walk._SPLIT_NS
 
 
 def test_no_helper_while_other_threads_run():
