@@ -52,8 +52,8 @@ it builds exactly those streams without one ``SeedSequence`` per trial.
 
 A ``born_statistics`` batch whose kernel time, estimated from its trials
 and expected steps at costs for its count of alive states, reaches about
-2 ms runs half its trials in a forked helper process, with the same result: see
-``_helper``.
+2 ms runs half its trials in a forked helper process, with the same result:
+see ``_helper``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 # * three: 33 at M = 100 (3,100), 181 at M = 300 (27,900), 1,070 at M = 1000
 #   (310,000).  Either 50-trial half of the M = 100 batch takes about 60%
 #   of the whole's time;
-# * four or more: 80 for four states at M = 40 (600), 117 at M = 100 (3,750),
+# * four or more: 80 for four states at M = 40 (600), 119 at M = 100 (3,750),
 #   225 at M = 200 (15,000); 460 for eight states at M = 200 (17,150).
 # Each pair is the line through its regime's cheapest and dearest points
 # (four states for four or more), so the batches in between, and those of
