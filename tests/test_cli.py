@@ -833,6 +833,23 @@ OUTPUT_SHA256 = {
         "bdf0bd44595bf9d134044adabe9803aa17a334ba2501ea2a869b4dd899c65107",
         "5734274b584f5d90b7b9ce30b700de5f816125635d39fa8e389f029e4ed8e461",
     ),
+    # the sign model at the bench's 7 chunks per correlation, at 13 (the CI
+    # smoke command) and at exactly 4 chunks per angle
+    ("chsh", "--model", "bell-sign", "--settings", "0,90,45,135", "--samples", "100000",
+     "--seed", "1"): (
+        "ac6a367f21b83c2c23d55761384a8215499168ce1c4275b190667ce10497e657",
+        "e4ed503e8cbaade1d60cb5aa3db0eede2f901ba6199339568424a73e5184c8eb",
+    ),
+    ("chsh", "--model", "bell-sign", "--settings", "0,90,45,135", "--samples", "200000",
+     "--seed", "1"): (
+        "49ac1a8a7101f8695a816b7e6a0a55a4a518f2986edd6f4d2b3891e20f1af43d",
+        "0116d68bf0401a8fea61e8967544ae959576dbe48a9aa54bf818e8afa8c6d5d4",
+    ),
+    ("bell", "--model", "bell-sign", "--theta-grid", "0:180:45", "--samples", "65536",
+     "--seed", "2"): (
+        "e1cb0d8b2cebd5677e104ae0a07d12308af2b57532a7f4f1e9394936fdcafad3",
+        "e9721d96bf91a741f00242db6989277966d396908e7ea64ee43fe2aa9e15dfbe",
+    ),
 }
 
 
