@@ -13,12 +13,13 @@ process's.
   alive states (``walk._KERNEL_NS``).  The helper runs
   ``walk._born_counts`` on trials 0 to T // 2 - 1, the caller on the rest;
   counts and step sums are Python ints, so they add up exactly.
-* ``sample_image_events`` and ``image_correlation_event``: a call of at
-  least ``bell._SPLIT_CHUNKS`` = 4 chunks.  The helper runs chunks 0 to
-  h - 1, h = chunks // 2, on the child streams the caller would spawn for
-  them (for ``sample_image_events`` at most the chunks whose columns fit
-  the reply region); the caller runs the rest.  Every other call, and
-  ``bell_sign_correlation`` always, runs in the calling process.
+* ``sample_image_events``, ``image_correlation_event`` and
+  ``bell_sign_correlation``: a call of at least ``bell._SPLIT_CHUNKS`` = 4
+  chunks.  The helper runs chunks 0 to h - 1, h = chunks // 2, on the child
+  streams the caller would spawn for them (for ``sample_image_events`` at
+  most the chunks whose columns fit the reply region); the caller runs the
+  rest.  The two estimators' halves reply with integer sums.  Every other
+  call runs in the calling process.
 
 The helper is forked at the first such call and kept for the next; a
 process forked from one that holds a helper forks its own.  Right after the

@@ -54,9 +54,9 @@ Image-event batches and estimates carry this rate as ``acceptance_rate``.
 
 Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
 independent child streams, so results are reproducible for a given seed
-regardless of scheduling: image-event calls of at least _SPLIT_CHUNKS chunks
-share them with a forked helper process (see ``_helper``) and give the bytes
-of one process.  Per-seed draws depend on CHUNK_SIZE and on the order in
+regardless of scheduling: image-event and sign-model calls of at least
+_SPLIT_CHUNKS chunks share them with a forked helper process (see
+``_helper``) and give the bytes of one process.  Per-seed draws depend on CHUNK_SIZE and on the order in
 which the samplers consume their streams; changing either changes the
 per-seed output of both estimators (sign model, image events), not their
 laws.
@@ -79,7 +79,9 @@ CHUNK_SIZE = 1 << 14  # events per chunk: one chunk's arrays stay within L2
 MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
 SAMPLED_MODELS = ("bell-sign", "image-event")  # the others are closed forms and draw nothing
 VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma tail
-_SPLIT_CHUNKS = 4  # fewest chunks of an image-event call that a helper shares: about 5 ms
+# fewest chunks of a sampled call that a helper shares: in one process, about
+# 5 ms of image events or 1.6-1.9 ms of sign-model events
+_SPLIT_CHUNKS = 4
 _EVENT_BYTES = 20  # one image event's columns: two float64 projections, four int8 labels
 
 
@@ -273,10 +275,13 @@ def _plane(a: DetectorSetting, b: DetectorSetting) -> tuple[float, float]:
 
     The sine comes from the cross product, not from sqrt(1 - cos^2), so it is
     exactly zero for identical or opposite directions even when a.a rounds
-    below one.
+    below one.  The cross product is formed from Python floats, with the
+    products and differences ``np.cross`` forms and ``np.linalg.norm``'s
+    sum, at a tenth of ``np.cross``'s cost.
     """
-    cos_ab = float(a.direction @ b.direction)
-    return cos_ab, float(np.linalg.norm(np.cross(a.direction, b.direction)))
+    (a0, a1, a2), (b0, b1, b2) = a.direction.tolist(), b.direction.tolist()
+    cross = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return float(a.direction @ b.direction), math.sqrt(cross @ cross)
 
 
 def _disc_points(rng: np.random.Generator, n: int):
@@ -357,13 +362,20 @@ def quantum_correlation(a: DetectorSetting, b: DetectorSetting) -> float:
     return -float(a.direction @ b.direction)
 
 
+def _estimate_count(n) -> None:
+    """ValueError unless the integer ``n`` is at least 2: the stderr of a
+    mean of n products needs n - 1 > 0.  The estimators check it before
+    they draw, so a refused call leaves the caller's stream as it was."""
+    if _event_count(n) < 2:
+        raise ValueError("a correlation estimate needs at least two events")
+
+
 def _sign_estimate(
     total: int, n: int, model: str, convention: int = 1, acceptance_rate=None
 ) -> CorrelationEstimate:
     """Estimate from the sum of n products E^A E^B in {-1, +1}: the mean,
     with stderr sqrt((1 - mean^2) / (n - 1)), so n must be at least 2."""
-    if n < 2:
-        raise ValueError("a correlation estimate needs at least two events")
+    _estimate_count(n)
     value = convention * (total / n)
     stderr = math.sqrt(max(0.0, 1.0 - value * value) / (n - 1))
     return CorrelationEstimate(value, stderr, n, model, acceptance_rate)
@@ -375,14 +387,20 @@ def bell_sign_correlation(
     """Deterministic hemisphere model: E^A = sign(a.lam), E^B = -sign(b.lam).
 
     Ties a.lam = 0 (measure zero) are resampled.  The estimate converges to
-    -1 + 2 theta / pi and never violates the inequalities.
+    -1 + 2 theta / pi and never violates the inequalities.  From 4 chunks on,
+    a forked helper process sums chunks 0 to chunks // 2 - 1 while this
+    process sums the rest (see ``_helper``).
     """
-    if _event_count(n) < 1:
-        raise ValueError("need at least one sample")
-    rng = _as_rng(rng)
+    _estimate_count(n)
+    total = sum(_chunk_parts(_sign_sums, a, b, n, rng))
+    return _sign_estimate(total, n, "bell-sign")
+
+
+def _sign_sums(a: DetectorSetting, b: DetectorSetting, chunks) -> int:
+    """Sum of E^A E^B over the sign-model events of chunks."""
     cos_ab, sin_ab = _plane(a, b)
     total = 0
-    for count, sub in _chunks(rng, n):
+    for count, sub in chunks:
         da, db = _dot_pairs(sub, count, cos_ab, sin_ab)
         tie = (da == 0.0) | (db == 0.0)
         while np.any(tie):
@@ -390,7 +408,7 @@ def bell_sign_correlation(
             tie = (da == 0.0) | (db == 0.0)
         # E^A E^B = -1 where the projections share a sign, +1 elsewhere
         total += count - 2 * int(np.count_nonzero(np.signbit(da) == np.signbit(db)))
-    return _sign_estimate(total, n, "bell-sign")
+    return total
 
 
 def overlap_integral(theta: float) -> float:
@@ -584,9 +602,9 @@ def _image_event_sums(a: DetectorSetting, b: DetectorSetting, chunks):
     return total, proposed, accepted
 
 
-def _image_parts(task, a, b, n, rng, most: int | None = None):
-    """Results of ``task(a, b, chunks)`` over the chunks of n image events
-    drawn from rng, in chunk order.
+def _chunk_parts(task, a, b, n, rng, most: int | None = None):
+    """Results of ``task(a, b, chunks)`` over the chunks of n events drawn
+    from rng, in chunk order.
 
     In one process that is ``[task(a, b, _chunks(rng, n))]``.  From
     _SPLIT_CHUNKS chunks, with a helper process and a stream of numpy's own
@@ -644,7 +662,7 @@ def sample_image_events(
     rest; the events are those one process draws (see ``_helper``).
     """
     most = _helper.REGION_BYTES // (CHUNK_SIZE * _EVENT_BYTES)
-    parts = _image_parts(_image_event_list, a, b, n, rng, most)
+    parts = _chunk_parts(_image_event_list, a, b, n, rng, most)
     *columns, proposed, accepted = zip(*(chunk for part in parts for chunk in part))
     proposed, accepted = sum(proposed), sum(accepted)
     return ImageEventBatch(
@@ -690,7 +708,8 @@ def image_correlation_event(
     """
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
-    parts = _image_parts(_image_event_sums, a, b, n, rng)
+    _estimate_count(n)
+    parts = _chunk_parts(_image_event_sums, a, b, n, rng)
     total, proposed, accepted = (sum(column) for column in zip(*parts))
     rate = accepted / proposed if proposed else 1.0
     return _sign_estimate(total, n, "image-event", convention, rate)

@@ -126,7 +126,10 @@ _OPTIONS = {
         help="coplanar degrees a,a',b,b' e.g. 0,90,45,135",
     ),
     "samples": _Option(int, 1_000_000, ("bell", "chsh"), minimum=2),
-    "convention": _Option(int, 1, ("bell", "chsh"), choices=(1, -1)),
+    "convention": _Option(
+        int, 1, ("bell", "chsh"), choices=(1, -1),
+        help="overall sign of the image models' correlation; quantum and bell-sign ignore it",
+    ),
 }
 
 RunConfig = make_dataclass(

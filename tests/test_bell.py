@@ -268,6 +268,19 @@ def test_bell_sign_antiparallel_exact():
     assert bell_sign_correlation(a, b, 5000, np.random.default_rng(4)).value == 1.0
 
 
+def test_plane_matches_numpy_cross_bit_for_bit():
+    """(a.b, |a x b|) equal to the floats np.cross and np.linalg.norm give,
+    on coplanar grid settings, their opposites and random directions."""
+    grid = [setting(deg) for deg in range(0, 360, 5)]
+    grid += [DetectorSetting(-s.direction) for s in grid[:10]]
+    rng = np.random.default_rng(21)
+    grid += [DetectorSetting.from_vector(v) for v in rng.normal(size=(60, 3))]
+    for a in grid:
+        for b in grid:
+            want = float(np.linalg.norm(np.cross(a.direction, b.direction)))
+            assert _plane(a, b) == (float(a.direction @ b.direction), want)
+
+
 def test_estimators_refuse_fewer_than_two_events():
     """One event gives no error estimate: the stderr sqrt((1 - E^2) / (n - 1))
     is undefined, and reading it as 0 let one event 'violate' CHSH at S = 4.
@@ -284,6 +297,19 @@ def test_estimators_refuse_fewer_than_two_events():
                 estimate(a, b, n, np.random.default_rng(1))
     assert bell_sign_correlation(a, b, 2, np.random.default_rng(1)).n == 2
     assert image_correlation_event(a, b, 2, np.random.default_rng(1)).n == 2
+
+
+def test_estimators_refuse_one_event_before_drawing():
+    """n = 1 is refused before any draw: the caller's stream spawns no child,
+    and its next child is the one a fresh stream of the seed spawns."""
+    a, b = setting(0), setting(45)
+    first = int(np.random.default_rng(3).spawn(1)[0].integers(1 << 63))
+    for estimate in (bell_sign_correlation, image_correlation_event):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="at least two events"):
+            estimate(a, b, 1, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert int(rng.spawn(1)[0].integers(1 << 63)) == first
 
 
 def test_image_entry_points_refuse_no_events_before_drawing():

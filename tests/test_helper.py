@@ -1,6 +1,6 @@
 """The forked helper process: lifecycle, placement, fds, the reply region and
-the rule that stops splitting for a back-off, on ``born`` batches and on
-image-event calls.
+the rule that stops splitting for a back-off, on ``born`` batches and on the
+sampled Bell calls (image events and the sign model).
 
 Every split call must give the bytes of one process; these tests compare
 with calls made while ``_helper.current`` finds no helper.
@@ -50,13 +50,21 @@ def _batch_key(batch):
     return [getattr(batch, name).tobytes() for name in COLUMNS] + [batch.acceptance_rate]
 
 
-def _draws(n=N, seed=7):
-    """The image-event outputs of seed at n events, and where each call left
-    its caller's stream: its spawn count and its next child's first word."""
+SAMPLERS = (
+    (sample_image_events, _batch_key),
+    (image_correlation_event, repr),
+    (bell_sign_correlation, repr),
+)
+
+
+def _draws(n=N, seed=7, pair=PAIR):
+    """The outputs of the three Bell samplers for seed at n events, and where
+    each call left its caller's stream: its spawn count and its next child's
+    first word."""
     out = []
-    for sampler, key in ((sample_image_events, _batch_key), (image_correlation_event, repr)):
+    for sampler, key in SAMPLERS:
         rng = np.random.default_rng(seed)
-        result = key(sampler(*PAIR, n, rng))
+        result = key(sampler(*pair, n, rng))
         out.append((result, rng.bit_generator.seed_seq.n_children_spawned,
                     int(rng.spawn(1)[0].integers(1 << 63))))
     return out
@@ -91,14 +99,15 @@ def _fresh_helper():
     return helper
 
 
-# ------------------------------------------------------------------ image events
+# ------------------------------------------------------------------ sampled Bell calls
 
 
 @needs_helper
 @pytest.mark.parametrize("n", [4 * CHUNK_SIZE, 4 * CHUNK_SIZE + 1, N, 30 * CHUNK_SIZE + 9])
 def test_image_event_split_gives_the_one_process_bytes(n, monkeypatch):
-    """Chunks 0 to h - 1 on the helper (h capped by the region at 30
-    chunks), the rest here: the same columns, estimate and caller stream."""
+    """Chunks 0 to h - 1 on the helper (for image-event columns, h capped by
+    the region at 30 chunks), the rest here: the same columns, image and
+    sign-model estimates and caller streams."""
     _helper.discard()
     split = _draws(n)
     assert isinstance(_helper._HELPERS[os.getpid()], _helper.Helper)
@@ -106,13 +115,29 @@ def test_image_event_split_gives_the_one_process_bytes(n, monkeypatch):
 
 
 @needs_helper
-def test_calls_under_four_chunks_and_sign_rounds_fork_nothing():
+@pytest.mark.parametrize("opposite", [False, True], ids=["parallel", "antiparallel"])
+def test_split_at_parallel_settings_gives_the_one_process_bytes(opposite, monkeypatch):
+    """Settings whose sin_ab is exactly 0: the sign model's estimate is
+    exactly -1 or +1 split as in one process."""
+    a = DetectorSetting.from_plane_angle_degrees(30)
+    pair = (a, DetectorSetting(-a.direction) if opposite else a)
+    assert bell._plane(*pair)[1] == 0.0
     _helper.discard()
-    sample_image_events(*PAIR, 3 * CHUNK_SIZE, np.random.default_rng(1))
-    image_correlation_event(*PAIR, 3 * CHUNK_SIZE, np.random.default_rng(1))
-    bell_sign_correlation(*PAIR, 40 * CHUNK_SIZE, np.random.default_rng(1))
+    split = _draws(N, 7, pair)
+    assert isinstance(_helper._HELPERS[os.getpid()], _helper.Helper)
+    assert split == _one_process(monkeypatch, N, 7, pair)
+    assert bell_sign_correlation(*pair, N, np.random.default_rng(7)).value == (
+        1.0 if opposite else -1.0
+    )
+
+
+@needs_helper
+def test_calls_under_four_chunks_fork_nothing():
+    _helper.discard()
+    for sampler, _ in SAMPLERS:
+        sampler(*PAIR, 3 * CHUNK_SIZE, np.random.default_rng(1))
     assert os.getpid() not in _helper._HELPERS
-    sample_image_events(*PAIR, 4 * CHUNK_SIZE, np.random.default_rng(1))
+    bell_sign_correlation(*PAIR, 4 * CHUNK_SIZE, np.random.default_rng(1))
     assert os.getpid() in _helper._HELPERS
 
 
