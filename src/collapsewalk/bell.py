@@ -56,10 +56,10 @@ Every Monte Carlo estimator draws through chunks of CHUNK_SIZE events with
 independent child streams, so results are reproducible for a given seed
 regardless of scheduling: image-event and sign-model calls of at least
 _SPLIT_CHUNKS chunks share them with a forked helper process (see
-``_helper``) and give the bytes of one process.  Per-seed draws depend on CHUNK_SIZE and on the order in
-which the samplers consume their streams; changing either changes the
-per-seed output of both estimators (sign model, image events), not their
-laws.
+``_helper``) and give the bytes of one process.  Per-seed draws depend on
+CHUNK_SIZE and on the order in which the samplers consume their streams;
+changing either changes the per-seed output of both estimators (sign model,
+image events), not their laws.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ MODEL_TAGS = ("quantum", "bell-sign", "image-analytic", "image-event")
 SAMPLED_MODELS = ("bell-sign", "image-event")  # the others are closed forms and draw nothing
 VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma tail
 # fewest chunks of a sampled call that a helper shares: in one process, about
-# 5 ms of image events or 1.6-1.9 ms of sign-model events
+# 5 ms of image events or 2 ms of sign-model events
 _SPLIT_CHUNKS = 4
 _EVENT_BYTES = 20  # one image event's columns: two float64 projections, four int8 labels
 
