@@ -850,6 +850,19 @@ OUTPUT_SHA256 = {
         "e1cb0d8b2cebd5677e104ae0a07d12308af2b57532a7f4f1e9394936fdcafad3",
         "e9721d96bf91a741f00242db6989277966d396908e7ea64ee43fe2aa9e15dfbe",
     ),
+    # the closed forms on a fine grid: 3,601 angles each
+    ("c2", "--theta-grid", "0:180:0.05"): (
+        "4dd81861d52f154d21982c9f1807dcb5be54dd5765183c04bc66114c87cd8c55",
+        "44f8233189cc4e1b8b64018f92dc2f1710f2f0973793088e171ae3e1bc70165c",
+    ),
+    ("bell", "--model", "quantum", "--theta-grid", "0:180:0.05"): (
+        "20dad4006e8069fb58a051a6ed4776c118a8acaab6b65e61932af865644c7113",
+        "270894f966d1fefd0082debe1c0597b487a9f30dc283400c0663eecec10d1c8d",
+    ),
+    ("bell", "--model", "image-analytic", "--theta-grid", "0:180:0.05"): (
+        "372f24e7c0eae405c54afc852d16d4b19ae501e38d4f48b0b280e066edc6a5d3",
+        "724583624d87f72a56363138811a78221a6a0c85457052502e95627d58be2c6f",
+    ),
 }
 
 
