@@ -83,27 +83,30 @@ VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma
 # 5 ms of image events or 2 ms of sign-model events
 _SPLIT_CHUNKS = 4
 _EVENT_BYTES = 20  # one image event's columns: two float64 projections, four int8 labels
+# solve_c2's quadratic a c2^2 + b c2 + c has the fixed a = 16 pi and b = 8 pi c1,
+# and c = c1^2 I(theta) - 1
+_A_COEF = 16.0 * math.pi
+_B_COEF = 8.0 * math.pi * C1
+_C1_SQUARED = C1 * C1
 
 
-def _unit_vector(values) -> np.ndarray:
-    v = np.array(values, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    norm = math.sqrt(v @ v)  # np.linalg.norm's own sum, as a Python float
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise ValueError(f"vector must have unit norm, got |v| = {norm!r}")
-    v.setflags(write=False)
-    return v
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectorSetting:
     """Unit 3-vector measurement frame of one detector."""
 
     direction: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", _unit_vector(self.direction))
+    def __init__(self, direction):
+        v = np.array(direction, dtype=float)
+        if v.shape != (3,):
+            raise ValueError("direction must be a 3-vector")
+        # np.linalg.norm's own sum, as a Python float; ndarray.dot is the ddot
+        # that v @ v reaches, at half its call cost
+        norm = math.sqrt(v.dot(v))
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise ValueError(f"vector must have unit norm, got |v| = {norm!r}")
+        v.setflags(write=False)
+        self.__dict__.update(direction=v)  # frozen: set past __setattr__
 
     @classmethod
     def from_vector(cls, values) -> "DetectorSetting":
@@ -119,16 +122,17 @@ class DetectorSetting:
     def from_plane_angle_degrees(cls, degrees: float) -> "DetectorSetting":
         """Coplanar setting at the given angle in the x-z plane."""
         rad = math.radians(degrees)
-        return cls(np.array([math.sin(rad), 0.0, math.cos(rad)]))
+        return cls([math.sin(rad), 0.0, math.cos(rad)])  # the one array is built in __init__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelConstants:
     """Image-model densities: fixed c1 and the per-setting-pair c2.
 
     c2 solves 16 pi c2^2 + 8 pi c1 c2 + c1^2 I(theta) - 1 = 0 (the total
     joint mass over lam and both mu branches equals one); it vanishes for
-    parallel or antiparallel settings.
+    parallel or antiparallel settings.  The residual is the |.| of that
+    left-hand side, so it lies in [0, 1e-8].
     """
 
     c1: float
@@ -137,20 +141,24 @@ class ModelConstants:
     overlap: float
     residual: float
 
-    def __post_init__(self):
-        if not abs(self.c1 - C1) <= 1e-15:
+    def __init__(self, c1: float, c2: float, theta: float, overlap: float, residual: float):
+        if not abs(c1 - C1) <= 1e-15:
             raise ValueError("c1 must equal sqrt(3 / 4 pi)")
-        if not 0.0 <= self.c2 < math.inf:
+        if not 0.0 <= c2 < math.inf:
             raise ValueError("c2 must be finite and nonnegative")
-        if not 0.0 <= self.theta <= math.pi + 1e-12:  # the range overlap_integral takes
+        if not 0.0 <= theta <= math.pi + 1e-12:  # the range overlap_integral takes
             raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.overlap < math.inf:
+        if not 0.0 <= overlap < math.inf:
             raise ValueError("overlap must be finite and nonnegative")
-        if not self.residual <= 1e-8:
-            raise ValueError(f"normalization residual {self.residual!r} above 1e-8")
+        if not residual <= 1e-8:
+            raise ValueError(f"normalization residual {residual!r} above 1e-8")
+        if residual < 0.0:  # an absolute value
+            raise ValueError(f"normalization residual {residual!r} below 0")
+        # frozen: set past __setattr__
+        self.__dict__.update(c1=c1, c2=c2, theta=theta, overlap=overlap, residual=residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CorrelationEstimate:
     """Correlation value with its standard error and provenance tag; image-event
     estimates also carry their overlap term's acceptance rate."""
@@ -161,19 +169,23 @@ class CorrelationEstimate:
     model: str
     acceptance_rate: float | None = None
 
-    def __post_init__(self):
-        if self.model not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {self.model!r}")
-        if not 0.0 <= self.stderr < math.inf:
+    def __init__(
+        self, value: float, stderr: float, n: int, model: str, acceptance_rate: float | None = None
+    ):
+        if model not in MODEL_TAGS:
+            raise ValueError(f"unknown model tag {model!r}")
+        if not 0.0 <= stderr < math.inf:
             raise ValueError("stderr must be finite and nonnegative")
-        if operator.index(self.n) < 0:
+        if operator.index(n) < 0:
             raise ValueError("n must be nonnegative")
-        if self.acceptance_rate is not None and not 0.0 < self.acceptance_rate <= 1.0:
+        if acceptance_rate is not None and not 0.0 < acceptance_rate <= 1.0:
             raise ValueError("acceptance_rate must lie in (0, 1]")
-        if not abs(self.value) <= 1.0 + 3.0 * self.stderr + 1e-9:
-            raise ValueError(
-                f"estimate {self.value!r} outside the physical range by > 3 sigma"
-            )
+        if not abs(value) <= 1.0 + 3.0 * stderr + 1e-9:
+            raise ValueError(f"estimate {value!r} outside the physical range by > 3 sigma")
+        # frozen: set past __setattr__
+        self.__dict__.update(
+            value=value, stderr=stderr, n=n, model=model, acceptance_rate=acceptance_rate
+        )
 
 
 @dataclass(frozen=True)
@@ -359,7 +371,7 @@ def angle_between(a: DetectorSetting, b: DetectorSetting) -> float:
 
 def quantum_correlation(a: DetectorSetting, b: DetectorSetting) -> float:
     """Spin correlation of the anticorrelated pair: -a.b."""
-    return -float(a.direction @ b.direction)
+    return -float(a.direction.dot(b.direction))
 
 
 def _estimate_count(n) -> None:
@@ -435,23 +447,19 @@ def solve_c2(theta: float) -> ModelConstants:
     tolerance of zero are clamped to exactly zero.
     """
     overlap = overlap_integral(theta)
-    a_coef = 16.0 * math.pi
-    b_coef = 8.0 * math.pi * C1
-    c_coef = C1 * C1 * overlap - 1.0
-    disc = b_coef * b_coef - 4.0 * a_coef * c_coef
+    c_coef = _C1_SQUARED * overlap - 1.0
+    disc = _B_COEF * _B_COEF - 4.0 * _A_COEF * c_coef
     if disc < 0.0:
         if disc < -1e-9:
             raise NoRealRootError(f"discriminant {disc!r} negative; bad overlap")
         disc = 0.0
-    c2 = (-b_coef + math.sqrt(disc)) / (2.0 * a_coef)
+    c2 = (-_B_COEF + math.sqrt(disc)) / (2.0 * _A_COEF)
     if c2 < -1e-10:
         raise NoRealRootError(f"admissible root {c2!r} below -1e-10")
     if abs(c2) <= 1e-10:
         c2 = 0.0
-    residual = abs(a_coef * c2 * c2 + b_coef * c2 + c_coef)
-    return ModelConstants(
-        c1=C1, c2=c2, theta=theta, overlap=overlap, residual=residual
-    )
+    residual = abs(_A_COEF * c2 * c2 + _B_COEF * c2 + c_coef)
+    return ModelConstants(C1, c2, theta, overlap, residual)
 
 
 def image_correlation_analytic(
@@ -466,7 +474,7 @@ def image_correlation_analytic(
     if convention not in (1, -1):
         raise ValueError("convention must be +1 or -1")
     return CorrelationEstimate(
-        convention * float(a.direction @ b.direction), 0.0, 0, "image-analytic"
+        convention * float(a.direction.dot(b.direction)), 0.0, 0, "image-analytic"
     )
 
 
@@ -725,9 +733,7 @@ def correlation_estimate(
 ) -> CorrelationEstimate:
     """Uniform entry point over the four correlation models."""
     if model == "quantum":
-        return CorrelationEstimate(
-            value=quantum_correlation(a, b), stderr=0.0, n=0, model="quantum"
-        )
+        return CorrelationEstimate(quantum_correlation(a, b), 0.0, 0, "quantum")
     samples = 10**6 if n is None else n
     if model == "bell-sign":
         return bell_sign_correlation(a, b, samples, rng)

@@ -420,6 +420,16 @@ def test_model_constants_refuse_non_finite(bad):
             ModelConstants(**values)
 
 
+@pytest.mark.parametrize("bad", [-math.inf, -1.0, -1e-300])
+def test_model_constants_refuse_negative_residual(bad):
+    """The residual is an absolute value, so a negative one is refused; both
+    ends of [0, 1e-8] are accepted."""
+    with pytest.raises(ValueError, match="below 0"):
+        ModelConstants(c1=C1, c2=0.0, theta=0.0, overlap=4.0, residual=bad)
+    for residual in (0.0, 1e-8):
+        ModelConstants(c1=C1, c2=0.0, theta=0.0, overlap=4.0, residual=residual)
+
+
 def test_model_constants_refuse_theta_outside_overlap_range():
     """theta must lie where overlap_integral is defined, nan refused; the
     constants solve_c2 builds on every whole degree pass."""

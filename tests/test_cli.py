@@ -723,6 +723,27 @@ def test_walk_golden_bytes(amplitudes, m, seed, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
 
 
+@pytest.mark.parametrize(
+    "amplitudes, m",
+    [("0.6,0;0.8,0", "3"), ("0.6,0;0.8,0", "40"), ("1,0;1,0;1,0", "90")],
+)
+def test_walk_csv_cells_are_its_json_weights(amplitudes, m, tmp_path):
+    """Whether the CSV formats its weights through the table of the M + 1
+    strings (M + 1 rows or more) or one by one (fewer rows), each cell is
+    the JSON weight to 15 significant digits."""
+    argv = ["walk", "--amplitudes", amplitudes, "--grid-resolution", m, "--seed", "11"]
+    assert main(argv + ["--out", str(tmp_path / "walk.csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "walk.json")]) == 0
+    header, *rows = (tmp_path / "walk.csv").read_text().splitlines()
+    names = header.split(",")
+    trajectory = json.loads((tmp_path / "walk.json").read_text())["trajectory"]
+    assert len(rows) == len(trajectory)
+    for row, point in zip(rows, trajectory):
+        step, *cells = row.split(",")
+        assert int(step) == point["step"]
+        assert cells == [f"{point[name]:.15g}" for name in names[1:]]
+
+
 # sha256 of the CSV and of the JSON result of each README example and CI
 # smoke command (born and image-event at fewer trials or samples), fixed
 OUTPUT_SHA256 = {
