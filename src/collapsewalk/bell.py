@@ -83,11 +83,6 @@ VERDICT_ALPHA = 0.00135  # false-verdict rate of a margin: the one-sided 3 sigma
 # 5 ms of image events or 2 ms of sign-model events
 _SPLIT_CHUNKS = 4
 _EVENT_BYTES = 20  # one image event's columns: two float64 projections, four int8 labels
-# solve_c2's quadratic a c2^2 + b c2 + c has the fixed a = 16 pi and b = 8 pi c1,
-# and c = c1^2 I(theta) - 1
-_A_COEF = 16.0 * math.pi
-_B_COEF = 8.0 * math.pi * C1
-_C1_SQUARED = C1 * C1
 
 
 @dataclass(frozen=True, init=False)
@@ -122,7 +117,7 @@ class DetectorSetting:
     def from_plane_angle_degrees(cls, degrees: float) -> "DetectorSetting":
         """Coplanar setting at the given angle in the x-z plane."""
         rad = math.radians(degrees)
-        return cls([math.sin(rad), 0.0, math.cos(rad)])  # the one array is built in __init__
+        return cls([math.sin(rad), 0.0, math.cos(rad)])
 
 
 @dataclass(frozen=True, init=False)
@@ -447,18 +442,20 @@ def solve_c2(theta: float) -> ModelConstants:
     tolerance of zero are clamped to exactly zero.
     """
     overlap = overlap_integral(theta)
-    c_coef = _C1_SQUARED * overlap - 1.0
-    disc = _B_COEF * _B_COEF - 4.0 * _A_COEF * c_coef
+    a_coef = 16.0 * math.pi
+    b_coef = 8.0 * math.pi * C1
+    c_coef = C1 * C1 * overlap - 1.0
+    disc = b_coef * b_coef - 4.0 * a_coef * c_coef
     if disc < 0.0:
         if disc < -1e-9:
             raise NoRealRootError(f"discriminant {disc!r} negative; bad overlap")
         disc = 0.0
-    c2 = (-_B_COEF + math.sqrt(disc)) / (2.0 * _A_COEF)
+    c2 = (-b_coef + math.sqrt(disc)) / (2.0 * a_coef)
     if c2 < -1e-10:
         raise NoRealRootError(f"admissible root {c2!r} below -1e-10")
     if abs(c2) <= 1e-10:
         c2 = 0.0
-    residual = abs(_A_COEF * c2 * c2 + _B_COEF * c2 + c_coef)
+    residual = abs(a_coef * c2 * c2 + b_coef * c2 + c_coef)
     return ModelConstants(C1, c2, theta, overlap, residual)
 
 

@@ -281,14 +281,11 @@ def _parse_settings(spec: str) -> list[float]:
 
 def _csv_cells(values: list) -> list[str]:
     """One column's CSV cells, by the type of its first value: floats to 15
-    significant digits, bools as true/false, strings as they are, anything
-    else through str."""
+    significant digits, bools as true/false, anything else through str."""
     if isinstance(values[0], float):
         return [f"{v:.15g}" for v in values]
     if isinstance(values[0], bool):
         return ["true" if v else "false" for v in values]
-    if isinstance(values[0], str):
-        return values
     return [str(v) for v in values]
 
 
@@ -376,12 +373,13 @@ def _run_walk(config: RunConfig, diagnostics: dict):
     counts = np.concatenate(blocks)
     m = walk_config.grid_resolution
     columns = {"step": range(len(counts))}
-    if config.format == "csv" and m + 1 <= len(counts):
-        # each weight is one of the M + 1 values k / M: format each once, and
-        # only when they are no more than the rows (M goes up to 2**53)
-        table = [f"{k / m:.15g}" for k in range(m + 1)]
+    if config.format == "csv":
+        # a weight k / M repeats down its column: format each k met once
+        cells = {}
         for i, col in enumerate(counts.T.tolist()):
-            columns[f"w{i}"] = [table[k] for k in col]
+            columns[f"w{i}"] = [
+                cells[k] if k in cells else cells.setdefault(k, f"{k / m:.15g}") for k in col
+            ]
     else:
         # k / M exactly as Python divides it: both convert exactly for M <= 2**53
         weights = counts / m

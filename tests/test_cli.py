@@ -728,9 +728,8 @@ def test_walk_golden_bytes(amplitudes, m, seed, tmp_path):
     [("0.6,0;0.8,0", "3"), ("0.6,0;0.8,0", "40"), ("1,0;1,0;1,0", "90")],
 )
 def test_walk_csv_cells_are_its_json_weights(amplitudes, m, tmp_path):
-    """Whether the CSV formats its weights through the table of the M + 1
-    strings (M + 1 rows or more) or one by one (fewer rows), each cell is
-    the JSON weight to 15 significant digits."""
+    """Whether M + 1 is below the row count or above it, each CSV weight cell
+    is the JSON weight to 15 significant digits."""
     argv = ["walk", "--amplitudes", amplitudes, "--grid-resolution", m, "--seed", "11"]
     assert main(argv + ["--out", str(tmp_path / "walk.csv")]) == 0
     assert main(argv + ["--format", "json", "--out", str(tmp_path / "walk.json")]) == 0
