@@ -975,6 +975,9 @@ def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
           "--trials", str(10**9)], False),
         (["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "2",
           "--trials", str(2 * 10**6)], True),
+        # one alive state walks no step, yet each trial still costs its setup
+        (["born", "--amplitudes", "1,0;0,0", "--trials", str(10**12)], False),
+        (["born", "--amplitudes", "1,0;0,0", "--trials", "1000"], True),
     ],
 )
 def test_born_step_budget(argv, accepted, monkeypatch, capsys):
