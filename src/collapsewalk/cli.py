@@ -19,9 +19,10 @@ converted to radians internally.  Seeds lie in [0, 2**64), 0 included;
 --entropy asks the OS for one and records the drawn value in the manifest.
 The grid resolution M of born and walk is at most 2**53, as float64 holds
 every integer only up to there.  A walk run of N states buffers at most
-2 WALK_MAX_ROWS // N rows, a born run may expect at most BORN_MAX_STEPS walk
-steps, each trial counting at least BORN_TRIAL_STEPS, and a bell or chsh run
-of a sampled model draws at most BELL_MAX_EVENTS events.
+2 WALK_MAX_ROWS // N rows, a born run may take at most BORN_MAX_NS ns of
+kernel time as walk._kernel_ns estimates it (the estimate that decides its
+split), each trial charged at least a two-state trial's fixed cost, and a
+bell or chsh run of a sampled model draws at most BELL_MAX_EVENTS events.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but they change nothing: every run uses one thread, and a large
@@ -49,20 +50,17 @@ from .errors import (
     AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
 )
 from .states import normalize, parse_amplitudes
-from .walk import WalkConfig, _expected_steps, _walk_counts, _zeroed_message
-from .walk import born_statistics, quantize_weights
+from .walk import _KERNEL_NS, WalkConfig, _expected_steps, _kernel_ns, _walk_counts
+from .walk import _zeroed_message, born_statistics, quantize_weights
 
 
 GRID_MAX_POINTS = 1 << 20  # largest start:stop:step grid a run accepts
 WALK_MAX_ROWS = 1 << 18  # longest two-state trajectory a walk run buffers
-# most expected walk steps of one born run, tens of seconds on a 2-vCPU VM; a
-# step of a two-state walk counts 1/64, as its kernel reads 64 steps per word
-BORN_MAX_STEPS = 1 << 30
-# least a trial counts against BORN_MAX_STEPS: a trial's fixed cost, about
-# 10 µs, whatever its walk
-BORN_TRIAL_STEPS = 1 << 9
-# most events a bell or chsh run of a sampled model draws, tens of seconds at
-# about 133 ns an image event
+# most estimated kernel time of one born run, in ns: walk._kernel_ns, the
+# estimate born_statistics splits by
+BORN_MAX_NS = 15 * 10**9
+# most events a bell or chsh run of a sampled model draws: about 14 s at 52 ns
+# an image event, 6 s at 22 ns a sign-model event
 BELL_MAX_EVENTS = 1 << 28
 
 
@@ -331,13 +329,12 @@ def _walk_inputs(config: RunConfig):
 
 def _run_born(config: RunConfig, diagnostics: dict):
     state, walk_config, k0 = _walk_inputs(config)
-    # E[min(T, cap)] <= min(E[T], cap) per trial
-    steps = min(_expected_steps(k0), walk_config.max_steps)
-    if np.count_nonzero(k0) <= 2:
-        steps /= 64
-    if config.trials * max(steps, BORN_TRIAL_STEPS) > BORN_MAX_STEPS:
+    # a trial of one alive state walks no step, yet costs its setup; the
+    # quotient keeps any integer --trials from overflowing a float
+    ns_per_trial = max(_kernel_ns(k0, 1, walk_config.max_steps), _KERNEL_NS[2][0])
+    if config.trials > BORN_MAX_NS / ns_per_trial:
         raise UsageError(
-            f"born expects more than {BORN_MAX_STEPS} walk steps; "
+            f"born expects more than {BORN_MAX_NS / 1e9:.1f} s of kernel time; "
             "lower --trials or --grid-resolution"
         )
     stats = born_statistics(state, config.trials, walk_config)

@@ -502,8 +502,8 @@ def born_statistics(
     excluded from the counts; more than 1% exclusions raises
     MaxStepsExceededError.  A batch of at least two trials whose estimated
     one-process kernel time (``_kernel_ns``: a cost per trial plus one per
-    expected step, (M^2 - sum k_i^2) / 2 steps a trial, for its count of
-    alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
+    expected step, min((M^2 - sum k_i^2) / 2, max_steps) steps a trial, for
+    its count of alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
     forked helper runs trials 0 to trials // 2 - 1 while this process runs
     the rest, with the same result as one process (see ``_helper``).
     ``workers`` is deprecated and ignored: the trials run in one thread per
@@ -528,7 +528,8 @@ def born_statistics(
     # no walk takes 2**62 steps; the clamp keeps step counts in int64
     args = (config.seed, k0, m, min(config.max_steps, 1 << 62))
     expected = _expected_steps(k0)
-    helper = _helper.current() if trials >= 2 and _kernel_ns(k0, trials) >= _SPLIT_NS else None
+    split = trials >= 2 and _kernel_ns(k0, trials, config.max_steps) >= _SPLIT_NS
+    helper = _helper.current() if split else None
     if helper is None:
         counts, total, total_sq = _born_counts(*args, 0, trials)
     else:
@@ -564,15 +565,16 @@ def born_statistics(
     )
 
 
-def _kernel_ns(k0: np.ndarray, trials: int) -> float:
+def _kernel_ns(k0: np.ndarray, trials: int, max_steps: float = math.inf) -> float:
     """Estimated one-process kernel time of ``trials`` walks from ``k0``, in
     ns: a cost per trial plus one per expected step, from ``_KERNEL_NS`` by
-    the count of alive states; 0 with fewer than two, where no walk steps."""
+    the count of alive states; 0 with fewer than two, where no walk steps.
+    A trial counts min(E[T], max_steps) steps, at least E[min(T, cap)]."""
     alive = int(np.count_nonzero(k0))
     if alive < 2:
         return 0.0
     per_trial, per_step = _KERNEL_NS[min(alive, 4)]
-    return trials * (per_trial + _expected_steps(k0) * per_step)
+    return trials * (per_trial + min(_expected_steps(k0), max_steps) * per_step)
 
 
 def _born_counts(seed: int, k0: np.ndarray, m: int, max_steps: int, lo: int, hi: int):

@@ -970,7 +970,7 @@ def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
         (["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
           "--trials", "2"], False),
         (["born", "--amplitudes", "1,0;1,0", "--trials", str(2**60)], False),
-        # every trial counts at least BORN_TRIAL_STEPS, however short its walk
+        # every trial costs at least a two-state trial's setup, however short its walk
         (["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "2",
           "--trials", str(10**9)], False),
         (["born", "--amplitudes", "1,0;1,0", "--grid-resolution", "2",
@@ -978,10 +978,12 @@ def test_born_accepts_amplitudes_whose_squares_underflow(tmp_path):
         # one alive state walks no step, yet each trial still costs its setup
         (["born", "--amplitudes", "1,0;0,0", "--trials", str(10**12)], False),
         (["born", "--amplitudes", "1,0;0,0", "--trials", "1000"], True),
+        # a count past any float is refused, not an OverflowError
+        (["born", "--amplitudes", "1,0;1,0", "--trials", str(10**400)], False),
     ],
 )
 def test_born_step_budget(argv, accepted, monkeypatch, capsys):
-    """Runs within BORN_MAX_STEPS reach born_statistics (stubbed here, so
+    """Runs within BORN_MAX_NS reach born_statistics (stubbed here, so
     nothing runs); the others stop with one usage-error line."""
     called = []
 
@@ -1399,6 +1401,7 @@ _PEAK_BUDGET = 8 << 20  # bytes of traced Python and numpy allocations per run
     out=False,
 )
 @example(run=(["born", "--amplitudes", "1,0;0,1"], {"trials": "abc"}), out=True)
+@example(run=(["born", "--amplitudes", "1,0;1,0", "--trials", str(10**400)], None), out=True)
 @example(
     run=(
         ["born", "--amplitudes", "0.5,0;0.3,0;0.2,0", "--grid-resolution", "100000",
