@@ -503,9 +503,10 @@ def born_statistics(
     MaxStepsExceededError.  A batch of at least two trials whose estimated
     one-process kernel time (``_kernel_ns``: a cost per trial plus one per
     expected step, min((M^2 - sum k_i^2) / 2, max_steps) steps a trial, for
-    its count of alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on two processes: a
-    forked helper runs trials 0 to trials // 2 - 1 while this process runs
-    the rest, with the same result as one process (see ``_helper``).
+    its count of alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on
+    two processes: a forked helper runs trials 0 to trials // 2 - 1 while
+    this process runs the rest, with the same result as one process (see
+    ``_helper``).
     ``workers`` is deprecated and ignored: the trials run in one thread per
     process, and the result never depended on it.  A positive weight that
     quantizes to zero (allowed at M >= 10 N) gives a RuntimeWarning.
@@ -569,7 +570,7 @@ def _kernel_ns(k0: np.ndarray, trials: int, max_steps: float = math.inf) -> floa
     """Estimated one-process kernel time of ``trials`` walks from ``k0``, in
     ns: a cost per trial plus one per expected step, from ``_KERNEL_NS`` by
     the count of alive states; 0 with fewer than two, where no walk steps.
-    A trial counts min(E[T], max_steps) steps, at least E[min(T, cap)]."""
+    A trial counts min(E[T], max_steps) steps, at least E[min(T, max_steps)]."""
     alive = int(np.count_nonzero(k0))
     if alive < 2:
         return 0.0
