@@ -783,6 +783,11 @@ OUTPUT_SHA256 = {
         "75d6265959558ec5a011f7f6df66f0b27c9bd9d251579d6fb9119c9eed5bafed",
         "36371fa8d728baf9ed5b1f1a8a24b7b0a112d799ece606a22ab1f8acc8362c1f",
     ),
+    # one alive state: every walk is absorbed at step 0
+    ("born", "--amplitudes", "1,0;0,0", "--trials", "5000", "--seed", "2"): (
+        "fc4e38a9a40a8336c3e319dbfc9f7df2dc944ad0bf54500d2b44d1ddba1914eb",
+        "2e52b843723201dab75114123ff0c6576229c9b834229f5b55de1f14b95bc4f7",
+    ),
     ("walk", "--amplitudes", "0.707107,0;0.707107,0", "--grid-resolution", "20"): (
         "5ee8defa5edd06f3253bf155e69a74ff08c509092cb54f8134a11b6e952bd5d2",
         "fbeecb9ac9e47545c1366d66c5f4f10a6bc03521c8073cad98d2270327a6298a",
