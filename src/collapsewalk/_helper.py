@@ -7,12 +7,10 @@ work draws from its own stream, so a split result is bit-identical to one
 process's.
 
 * ``born_statistics``: a batch of T >= 2 trials whose estimated kernel
-  time in one process reaches ``walk._SPLIT_NS`` (about 2.1 ms):
-  ``walk._kernel_ns``, T times a cost per trial plus min((M^2 - sum k_i^2)
-  / 2, max_steps) expected steps at a cost per step, both for two, three,
-  or four or more alive states (``walk._KERNEL_NS``).  The helper runs
-  ``walk._born_counts`` on trials 0 to T // 2 - 1, the caller on the rest;
-  counts and step sums are Python ints, so they add up exactly.
+  time in one process, ``walk._kernel_ns``, reaches ``walk._SPLIT_NS``
+  (about 2.1 ms).  The helper runs ``walk._born_counts`` on trials 0 to
+  T // 2 - 1, the caller on the rest; counts and step sums are Python
+  ints, so they add up exactly.
 * ``sample_image_events``, ``image_correlation_event`` and
   ``bell_sign_correlation``: a call of at least ``bell._SPLIT_CHUNKS`` = 4
   chunks.  The helper runs chunks 0 to h - 1, h = chunks // 2, on the child

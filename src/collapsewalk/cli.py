@@ -21,13 +21,13 @@ The grid resolution M of born and walk is at most 2**53, as float64 holds
 every integer only up to there.  A walk run of N states buffers at most
 2 WALK_MAX_ROWS // N rows, a born run may take at most BORN_MAX_NS ns of
 kernel time as walk._kernel_ns estimates it (the estimate that decides its
-split), each trial charged at least a two-state trial's fixed cost, and a
-bell or chsh run of a sampled model draws at most BELL_MAX_EVENTS events.
+split), and a bell or chsh run of a sampled model draws at most
+BELL_MAX_EVENTS events.
 --threads (config key ``threads``) and the COLLAPSE_WALK_THREADS
 environment variable are still accepted, and --threads is recorded in the
 manifest, but they change nothing: every run uses one thread, and a large
-born batch or image-event correlation runs half its work in a forked helper
-process whatever they say.
+born batch or sampled correlation (image-event or bell-sign) runs half its
+work in a forked helper process whatever they say.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
@@ -50,7 +50,7 @@ from .errors import (
     AllZeroError, CollapseWalkError, DegenerateGridError, TooFewStatesError, UsageError
 )
 from .states import normalize, parse_amplitudes
-from .walk import _KERNEL_NS, WalkConfig, _expected_steps, _kernel_ns, _walk_counts
+from .walk import WalkConfig, _expected_steps, _kernel_ns, _walk_counts
 from .walk import _zeroed_message, born_statistics, quantize_weights
 
 
@@ -329,10 +329,8 @@ def _walk_inputs(config: RunConfig):
 
 def _run_born(config: RunConfig, diagnostics: dict):
     state, walk_config, k0 = _walk_inputs(config)
-    # a trial of one alive state walks no step, yet costs its setup; the
-    # quotient keeps any integer --trials from overflowing a float
-    ns_per_trial = max(_kernel_ns(k0, 1, walk_config.max_steps), _KERNEL_NS[2][0])
-    if config.trials > BORN_MAX_NS / ns_per_trial:
+    # the quotient keeps any integer --trials from overflowing a float
+    if config.trials > BORN_MAX_NS / _kernel_ns(k0, 1, walk_config.max_steps):
         raise UsageError(
             f"born expects more than {BORN_MAX_NS / 1e9:.1f} s of kernel time; "
             "lower --trials or --grid-resolution"

@@ -50,10 +50,9 @@ from ``trial_rng(s, t)``.  ``born_statistics`` derives the seeds of a whole
 block of trials in one vectorized pass of the same ``SeedSequence`` hash, so
 it builds exactly those streams without one ``SeedSequence`` per trial.
 
-A ``born_statistics`` batch whose kernel time, estimated from its trials
-and expected steps at costs for its count of alive states, reaches about
-2 ms runs half its trials in a forked helper process, with the same result:
-see ``_helper``.
+A ``born_statistics`` batch whose estimated kernel time, ``_kernel_ns``,
+reaches about 2 ms runs half its trials in a forked helper process, with
+the same result: see ``_helper``.
 """
 
 from __future__ import annotations
@@ -81,9 +80,13 @@ _POOL = 4
 _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 
 # One-process kernel time of a born batch, in ns per trial and ns per
-# expected step, by its alive states: 2, 3, and 4 or more.  Measured
+# expected step, by its alive states: 1 or none, 2, 3, and 4 or more.  Measured
 # in-process (2 vCPUs, Python 3.11, numpy 2.4), whole 100-trial batches of
 # _born_counts, median of 7 seeds, as us per trial at expected steps:
+# * one state, absorbed at step 0 (no cost per step): 0.39-0.44 times two
+#   states at M = 20, run alternately (2.8-5.9 against 7.1-13.7 as the load
+#   varied), so 2.9 on the scale of the others.  A batch splits from 724
+#   trials; split beat whole from about 600;
 # * two states: 6.8 at M = 20 (84 steps), 11.7 at M = 100 (2,100), 83 at
 #   M = 1000 (210,000);
 # * three: 33 at M = 100 (3,100), 181 at M = 300 (27,900), 1,070 at M = 1000
@@ -94,7 +97,7 @@ _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 # Each pair is the line through its regime's cheapest and dearest points
 # (four states for four or more), so the batches in between, and those of
 # more than four states, are underestimated and stay whole near the floor.
-_KERNEL_NS = {2: (6770.0, 0.365), 3: (22600.0, 3.38), 4: (73600.0, 10.1)}
+_KERNEL_NS = {1: (2900.0, 0.0), 2: (6770.0, 0.365), 3: (22600.0, 3.38), 4: (73600.0, 10.1)}
 # Estimated kernel time (about 2.1 ms) from which a helper process shares a
 # batch: 13 round trips of 0.16 ms.
 # Split against whole, measured: -1% to -15% at 2.1-2.4 ms of kernel time,
@@ -501,9 +504,7 @@ def born_statistics(
     distribution-identical to ``run_walk``.  Trials hitting the step cap are
     excluded from the counts; more than 1% exclusions raises
     MaxStepsExceededError.  A batch of at least two trials whose estimated
-    one-process kernel time (``_kernel_ns``: a cost per trial plus one per
-    expected step, min((M^2 - sum k_i^2) / 2, max_steps) steps a trial, for
-    its count of alive states) reaches ``_SPLIT_NS`` (about 2.1 ms) runs on
+    one-process kernel time, ``_kernel_ns``, reaches ``_SPLIT_NS`` runs on
     two processes: a forked helper runs trials 0 to trials // 2 - 1 while
     this process runs the rest, with the same result as one process (see
     ``_helper``).
@@ -569,12 +570,10 @@ def born_statistics(
 def _kernel_ns(k0: np.ndarray, trials: int, max_steps: float = math.inf) -> float:
     """Estimated one-process kernel time of ``trials`` walks from ``k0``, in
     ns: a cost per trial plus one per expected step, from ``_KERNEL_NS`` by
-    the count of alive states; 0 with fewer than two, where no walk steps.
-    A trial counts min(E[T], max_steps) steps, at least E[min(T, max_steps)]."""
-    alive = int(np.count_nonzero(k0))
-    if alive < 2:
-        return 0.0
-    per_trial, per_step = _KERNEL_NS[min(alive, 4)]
+    the count of alive states (one or none, two, three, four or more).  A
+    trial counts min(E[T], max_steps) steps, at least E[min(T, max_steps)];
+    with one alive state E[T] is 0 and the trial costs its setup alone."""
+    per_trial, per_step = _KERNEL_NS[min(max(int(np.count_nonzero(k0)), 1), 4)]
     return trials * (per_trial + min(_expected_steps(k0), max_steps) * per_step)
 
 

@@ -1289,6 +1289,8 @@ def _born_outcome(k, m, seed, trials):
     ((50, 30, 20), 100, 601, 100),  # the bench's three states, 3.3 ms
     ((50, 30, 20), 100, 601, 64),  # 2.12 ms, just over
     ((30, 70), 100, 70, 1000),  # two states at M = 100, 7.5 ms
+    ((0, 100, 0), 100, 1, 5000),  # one alive state, absorbed at step 0: 14.5 ms
+    ((100, 0), 100, 9, 724),  # one alive state, 2.0996 ms: just over
 ])
 def test_batch_over_the_time_floor_splits_with_the_one_process_outcome(
     k, m, seed, trials, monkeypatch
@@ -1304,10 +1306,10 @@ def test_batch_over_the_time_floor_splits_with_the_one_process_outcome(
 @needs_helper
 @pytest.mark.parametrize("k, m, trials", [
     ((50, 30, 20), 100, 63),  # 2.08 ms estimated, just under the floor
-    ((0, 100, 0), 100, 5000),  # one alive state: no step
     ((25, 25, 25, 25), 100, 18),  # 2.01 ms, just under
     ((40, 35, 30, 25, 25, 20, 15, 10), 200, 4),  # 0.99 ms
     ((300, 700), 1000, 25),  # 2.09 ms, just under
+    ((100, 0), 100, 723),  # one alive state, 2.0967 ms: just under
 ])
 def test_batch_under_the_time_floor_forks_nothing(k, m, trials):
     _helper.discard()
@@ -1316,12 +1318,16 @@ def test_batch_under_the_time_floor_forks_nothing(k, m, trials):
 
 
 def test_kernel_estimate_per_trial_and_step():
-    """No walk steps with fewer than two alive states; the estimate grows
-    with trials; the bench's three-state and two-state batches reach the
-    floor; batches that measured slower split stay under it (four states at
-    M = 100 and 6 trials, +32%; two states at M = 1000 and 10 trials, +3%)."""
-    for k in [(0, 100, 0), (100,), (0, 0, 0)]:
-        assert walk._kernel_ns(np.array(k), 1000) == 0
+    """With fewer than two alive states no walk steps, yet every trial
+    costs the same positive setup; the estimate grows with trials; the
+    bench's three-state and two-state batches reach the floor; batches that
+    measured slower split stay under it (four states at M = 100 and 6
+    trials, +32%; two states at M = 1000 and 10 trials, +3%)."""
+    one = walk._kernel_ns(np.array([0, 100, 0]), 1)
+    assert one > 0
+    for k in [(0, 100, 0), (100,), (0, 0, 0), (0, 2)]:
+        for trials in (1, 1000, 10**6):
+            assert walk._kernel_ns(np.array(k), trials) == trials * one
     for k in [(6, 14), (50, 30, 20), (25, 25, 25, 25), (40, 35, 30, 25, 25, 20, 15, 10)]:
         times = [walk._kernel_ns(np.array(k), t) for t in range(1, 200)]
         assert times == sorted(times) and times[0] > 0
