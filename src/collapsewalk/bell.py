@@ -741,6 +741,16 @@ def correlation_estimate(
     raise ValueError(f"unknown model tag {model!r}")
 
 
+def _estimates(model: str, pairs: tuple, n: int | None, rng, convention: int) -> tuple:
+    """One correlation estimate per setting pair (a, b), in order, each on
+    its own child of ``rng``; the children are spawned all at once."""
+    streams = _as_rng(rng).spawn(len(pairs))
+    return tuple(
+        correlation_estimate(model, a, b, n, stream, convention)
+        for (a, b), stream in zip(pairs, streams)
+    )
+
+
 def chsh(
     model: str,
     a: DetectorSetting,
@@ -760,21 +770,15 @@ def chsh(
     only when |S| exceeds 2 by more than max(3 combined stderr, its margin);
     see InequalityReport.
     """
-    rng = _as_rng(rng)
-    streams = rng.spawn(4)
-    est = [
-        correlation_estimate(model, a, b, n, streams[0], convention),
-        correlation_estimate(model, a, b_alt, n, streams[1], convention),
-        correlation_estimate(model, a_alt, b, n, streams[2], convention),
-        correlation_estimate(model, a_alt, b_alt, n, streams[3], convention),
-    ]
+    pairs = ((a, b), (a, b_alt), (a_alt, b), (a_alt, b_alt))
+    est = _estimates(model, pairs, n, rng, convention)
     return InequalityReport(
         model=model,
         settings=(a, a_alt, b, b_alt),
         chsh_s=est[0].value - est[1].value + est[2].value + est[3].value,
         chsh_bound=2.0,
         chsh_stderr=math.sqrt(sum(e.stderr**2 for e in est)),
-        estimates=tuple(est),
+        estimates=est,
     )
 
 
@@ -793,16 +797,12 @@ def bell64(
     sign model.  The report flags a violation only when lhs exceeds rhs by
     more than max(3 combined stderr, its margin); see InequalityReport.
     """
-    rng = _as_rng(rng)
-    streams = rng.spawn(3)
-    c_ab = correlation_estimate(model, a, b, n, streams[0], convention)
-    c_ab2 = correlation_estimate(model, a, b_alt, n, streams[1], convention)
-    c_bb2 = correlation_estimate(model, b, b_alt, n, streams[2], convention)
+    est = _estimates(model, ((a, b), (a, b_alt), (b, b_alt)), n, rng, convention)
     return InequalityReport(
         model=model,
         settings=(a, b, b_alt),
-        bell64_lhs=abs(c_ab.value - c_ab2.value),
-        bell64_rhs=1.0 + c_bb2.value,
-        bell64_stderr=math.sqrt(c_ab.stderr**2 + c_ab2.stderr**2 + c_bb2.stderr**2),
-        estimates=(c_ab, c_ab2, c_bb2),
+        bell64_lhs=abs(est[0].value - est[1].value),
+        bell64_rhs=1.0 + est[2].value,
+        bell64_stderr=math.sqrt(sum(e.stderr**2 for e in est)),
+        estimates=est,
     )
