@@ -80,7 +80,7 @@ _POOL = 4
 _SEED_BLOCK = 1 << 7  # trials whose seed words are derived at a time
 
 # One-process kernel time of a born batch, in ns per trial and ns per
-# expected step, by its alive states: 1 or none, 2, 3, and 4 or more.  Measured
+# expected step, by its alive states: 1, 2, 3, and 4 or more.  Measured
 # in-process (2 vCPUs, Python 3.11, numpy 2.4), whole 100-trial batches of
 # _born_counts, median of 7 seeds, as us per trial at expected steps:
 # * one state, absorbed at step 0 (no cost per step): 0.39-0.44 times two
@@ -570,10 +570,10 @@ def born_statistics(
 def _kernel_ns(k0: np.ndarray, trials: int, max_steps: float = math.inf) -> float:
     """Estimated one-process kernel time of ``trials`` walks from ``k0``, in
     ns: a cost per trial plus one per expected step, from ``_KERNEL_NS`` by
-    the count of alive states (one or none, two, three, four or more).  A
-    trial counts min(E[T], max_steps) steps, at least E[min(T, max_steps)];
+    the count of alive states (one, two, three, four or more).  A trial
+    counts min(E[T], max_steps) steps, at least E[min(T, max_steps)];
     with one alive state E[T] is 0 and the trial costs its setup alone."""
-    per_trial, per_step = _KERNEL_NS[min(max(int(np.count_nonzero(k0)), 1), 4)]
+    per_trial, per_step = _KERNEL_NS[min(int(np.count_nonzero(k0)), 4)]
     return trials * (per_trial + min(_expected_steps(k0), max_steps) * per_step)
 
 
